@@ -6,6 +6,7 @@ than 15 s" setup claim at our scale.
 """
 
 import random
+import time
 
 from conftest import report
 
@@ -66,14 +67,19 @@ class TestOverlayMicro:
             overlays, _ = build_overlay_family(physical, f=1, k=2, seed=1)
             return overlays
 
+        started = time.perf_counter()
         overlays = benchmark.pedantic(build, rounds=1, iterations=1)
+        seconds = time.perf_counter() - started
         assert len(overlays) == 2
         report(
             "micro_overlay_build",
-            "overlay construction (N=100, k=2, f=1): see pytest-benchmark "
-            "timings; the N=200, k=10 environment for the figure benchmarks "
-            "builds in the tens of seconds, matching the paper's '<15 s' "
-            "order of magnitude for their 36-core server at N=10,000.",
+            f"overlay construction (N=100, k=2, f=1): {seconds:.2f} s on this "
+            "host, one round.  The N=200, k=10 environment of the figure "
+            "benchmarks builds in under a second (build_environment_s @ N=200 "
+            "8.8 -> 0.9 s when annealing moves went in-place; "
+            "docs/performance.md, 'Overlay construction cost').  The paper "
+            "reports < 15 s on a 36-core server at "
+            "N=10,000, a size this repo still builds un-annealed.",
         )
 
     def test_encode_decode_roundtrip(self, benchmark, env_main):

@@ -1,9 +1,11 @@
 """Shared experiment plumbing: environments, protocol factories, caching.
 
-Building a physical network and an optimized overlay family is by far the
-most expensive step of every experiment, so environments are memoized on
-their parameters — the Fig. 3a, 5a and 5b benchmarks all reuse one family,
-exactly as one deployment would.
+A physical network and its optimized overlay family are set-up that every
+cell of a figure shares, so environments are memoized on their parameters —
+the Fig. 3a, 5a and 5b benchmarks all reuse one family, exactly as one
+deployment would.  The build itself is a fraction of a second at the
+evaluation's sizes (docs/performance.md, "Overlay construction cost"); the
+memo is there so a sweep pays it once per process, not once per cell.
 """
 
 from __future__ import annotations

@@ -96,26 +96,52 @@ def evaluate_overlay(
     ranks: RankTracker,
     config: ObjectiveConfig | None = None,
 ) -> ObjectiveValue:
-    """Compute Eq. (1) for *overlay*."""
+    """Compute Eq. (1) for *overlay* from scratch.
+
+    The full-recompute reference: annealing keeps the same inputs up to date
+    move by move and feeds them to :func:`combine_terms` itself.
+    """
 
     if config is None:
         config = ObjectiveConfig()
 
-    arrivals = overlay.arrival_times(space)
-    reachable_latencies = [t for t in arrivals.values() if not math.isinf(t)]
-    unreachable = overlay.num_nodes - len(reachable_latencies)
-    avg_latency = (
-        sum(reachable_latencies) / overlay.num_nodes if overlay.num_nodes else 0.0
-    )
-
+    counts = overlay.shallower_counts()
     connectivity_violations = 0
     for node in overlay.depth_of:
         if not overlay.is_leaf(node):
             if len(overlay.successors.get(node, ())) < overlay.f + 1:
                 connectivity_violations += 1
-        needed = overlay.required_predecessors(node)
+        needed = overlay.required_predecessors(node, counts)
         if len(overlay.predecessors.get(node, ())) < needed:
             connectivity_violations += 1
+    return combine_terms(
+        config,
+        overlay.arrival_times(space),
+        overlay.num_edges,
+        connectivity_violations,
+        _rank_penalty(overlay, ranks),
+    )
+
+
+def combine_terms(
+    config: ObjectiveConfig,
+    arrivals: dict[int, float],
+    num_edges: int,
+    connectivity_violations: int,
+    rank_penalty: float,
+) -> ObjectiveValue:
+    """Weigh the raw ingredients of Eq. (1) into an :class:`ObjectiveValue`.
+
+    *arrivals* is :meth:`Overlay.arrival_times` (one entry per node, in
+    ``depth_of`` order).  The latency sum runs over it in that order on every
+    call: float addition is not associative, so a running total would drift
+    from this in the last bit and eventually flip a Metropolis decision.
+    """
+
+    num_nodes = len(arrivals)
+    reachable_latencies = [t for t in arrivals.values() if not math.isinf(t)]
+    unreachable = num_nodes - len(reachable_latencies)
+    avg_latency = sum(reachable_latencies) / num_nodes if num_nodes else 0.0
 
     priority_penalty = 0.0
     if config.priority_nodes:
@@ -130,10 +156,10 @@ def evaluate_overlay(
             )
 
     return ObjectiveValue(
-        num_edges=config.edge_weight * overlay.num_edges,
+        num_edges=config.edge_weight * num_edges,
         avg_latency=config.latency_weight * avg_latency,
         connectivity_penalty=config.connectivity_weight * connectivity_violations,
         path_penalty=config.path_weight * unreachable,
-        rank_penalty=config.rank_weight * _rank_penalty(overlay, ranks),
+        rank_penalty=config.rank_weight * rank_penalty,
         priority_penalty=priority_penalty,
     )

@@ -234,8 +234,9 @@ def prune_to_minimal(overlay: Overlay, space: OverlaySpace) -> Overlay:
     """
 
     pruned = overlay.copy()
+    counts = pruned.shallower_counts()
     for node in pruned.nodes():
-        needed = pruned.required_predecessors(node)
+        needed = pruned.required_predecessors(node, counts)
         preds = pruned.predecessors.get(node, [])
         if len(preds) <= max(needed, pruned.f + 1):
             continue

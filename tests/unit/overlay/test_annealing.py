@@ -1,5 +1,6 @@
 """Unit tests for simulated annealing (Algorithms 2 and 3)."""
 
+import math
 import random
 
 import pytest
@@ -8,12 +9,14 @@ from repro.errors import ConfigurationError
 from repro.overlay.annealing import (
     AnnealingConfig,
     GenerateNeighborConfig,
+    _AnnealState,
     anneal,
     generate_neighbor,
 )
-from repro.overlay.objective import evaluate_overlay
+from repro.overlay.base import Overlay, OverlaySpace
+from repro.overlay.objective import ObjectiveConfig, evaluate_overlay
 from repro.overlay.rank import RankTracker
-from repro.overlay.robust_tree import build_robust_tree
+from repro.overlay.robust_tree import build_robust_tree, prune_to_minimal
 
 
 @pytest.fixture()
@@ -91,3 +94,103 @@ class TestAnneal:
         a = anneal(tree, space40, ranks, config, rng=random.Random(6))
         b = anneal(tree, space40, ranks, config, rng=random.Random(6))
         assert set(a.edges()) == set(b.edges())
+
+
+def _reference_anneal(
+    overlay, space, ranks, config, neighbor_config, objective_config, rng
+):
+    """Alg. 2 from public parts only: a fresh copy and a full Eq. (1) per move."""
+
+    current = best = overlay
+    current_value = best_value = evaluate_overlay(
+        overlay, space, ranks, objective_config
+    ).total
+    temperature = config.initial_temperature
+    while temperature > config.min_temperature:
+        for _ in range(config.moves_per_temperature):
+            candidate = generate_neighbor(
+                current, space, ranks, rng, neighbor_config, objective_config
+            )
+            value = evaluate_overlay(candidate, space, ranks, objective_config).total
+            delta = value - current_value
+            if delta < 0 or math.exp(-delta / temperature) > rng.random():
+                current, current_value = candidate, value
+                if value < best_value:
+                    best, best_value = candidate, value
+        temperature *= config.cooling_rate
+    return best
+
+
+class TestSlowReferenceEquivalence:
+    """``anneal`` undoes and delta-evaluates; the loop above copies and
+    recomputes.  Same rng in, equal overlay out (adjacency list order included)."""
+
+    VARIANTS = {
+        "default": (AnnealingConfig(), None, None),
+        "greedy": (AnnealingConfig(), GenerateNeighborConfig(greedy_filter=True), None),
+        "custom": (
+            AnnealingConfig(
+                initial_temperature=30.0, min_temperature=1.0, cooling_rate=0.9,
+                moves_per_temperature=3,
+            ),
+            GenerateNeighborConfig(remove_probability=0.7, overload_slack=0),
+            ObjectiveConfig(priority_nodes=frozenset({2, 9, 31})),
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_anneal_equals_copy_and_recompute_loop(
+        self, tree_and_ranks, space40, variant, seed
+    ):
+        tree, ranks = tree_and_ranks
+        start = prune_to_minimal(tree, space40) if seed % 2 else tree
+        config, neighbor_config, objective_config = self.VARIANTS[variant]
+        fast = anneal(
+            start, space40, ranks, config, neighbor_config, objective_config,
+            rng=random.Random(seed),
+        )
+        slow = _reference_anneal(
+            start, space40, ranks, config, neighbor_config, objective_config,
+            random.Random(seed),
+        )
+        assert fast == slow
+
+
+class _ChainSpace(OverlaySpace):
+    """Only 0–2, 1–2 and 2–3 are connectable: node 3 hangs off node 2 alone."""
+
+    LINKS = {(0, 2): 3.0, (1, 2): 5.0, (2, 3): 7.0}
+
+    def are_connected(self, u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in self.LINKS
+
+    def latency(self, u: int, v: int) -> float:
+        return self.LINKS[(min(u, v), max(u, v))]
+
+
+class TestUnreachableNodes:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_state_follows_nodes_in_and_out_of_reach(self, seed):
+        overlay = Overlay.empty(0, 1, [0, 1])
+        overlay.add_node(2, 1)
+        overlay.add_node(3, 2)
+        overlay.add_edge(0, 2)
+        space, ranks = _ChainSpace(), RankTracker(overlay.nodes())
+        state = _AnnealState(overlay, space, ranks)
+        assert state.objective().path_penalty > 0  # node 3 starts unreachable
+        rng = random.Random(seed)
+        penalties = set()
+        for step in range(12):
+            state.move(rng)
+            assert state.objective() == evaluate_overlay(overlay, space, ranks)
+            assert state.times == overlay.arrival_times(space)
+            penalties.add(state.objective().path_penalty)
+            if step % 3 == 0:
+                # Step 0 undoes the repair edge 2 → 3: back out of reach.
+                state.undo()
+                assert state.objective() == evaluate_overlay(overlay, space, ranks)
+                assert state.times == overlay.arrival_times(space)
+            else:
+                state.accept()
+        assert 0.0 in penalties
