@@ -8,7 +8,10 @@ Modelled behaviour (the aspects the paper's evaluation exercises):
   the slowest/widest in latency (Fig. 3a/3b).
 * **Commitments** — a node attaches a mempool commitment digest when it
   forwards, making reordering detectable afterwards; we charge the bytes and
-  keep the latest commitment per peer for the accountability tests.
+  keep the latest commitment per peer for the accountability tests.  Of its
+  own commitments a node keeps what the audit asks for and no more: per
+  transaction, the time of the first reconciliation round that committed it
+  (``first_committed_at``) — O(transactions known), however many rounds ran.
 * **Reconciliation** — periodic digest exchange with a random partner repairs
   gossip misses, giving eventual consistency.
 
@@ -65,17 +68,21 @@ class LZeroNode(BaselineNode):
         self.partners = partners
         # Latest mempool commitment received from each peer (accountability).
         self.peer_commitments: dict[int, bytes] = {}
-        # Own commitment history: (time, known tx ids) snapshots taken at
-        # every reconciliation round.  In L∅ these are witnessed by peers;
-        # the audit in repro.baselines.lzero_audit replays them to expose
-        # reordering (see Nasrulin et al., §"uncovers reordering attacks").
-        self.commitment_history: list[tuple[float, frozenset[int]]] = []
+        # Own commitment timeline: tx id -> time of the first reconciliation
+        # round whose commitment covered it.  In L∅ each round's commitment
+        # is witnessed by peers; the audit in repro.baselines.lzero_audit
+        # reads this index to expose reordering (see Nasrulin et al.,
+        # §"uncovers reordering attacks").  A round only looks at the ids
+        # freshly delivered since the previous one, noted at each delivery.
+        self.first_committed_at: dict[int, float] = {}
+        self._delivered_since_round: list[int] = []
 
     def submit_transaction(self, tx: Transaction) -> None:
         if self.behavior is Behavior.CRASH:
             return
         self.mark_first_transmission(tx)
-        self.deliver_locally(tx)
+        if self.deliver_locally(tx):
+            self._delivered_since_round.append(tx.tx_id)
         self._forward(tx)
 
     def on_start(self) -> None:
@@ -91,18 +98,18 @@ class LZeroNode(BaselineNode):
         if message.kind == LZERO_TX_KIND:
             tx, commitment = message.payload
             self.peer_commitments[sender] = commitment
-            if (
-                self.deliver_locally(tx, sender=sender)
-                and self.behavior is not Behavior.DROP_RELAY
-            ):
-                self._forward(tx)
+            if self.deliver_locally(tx, sender=sender):
+                self._delivered_since_round.append(tx.tx_id)
+                if self.behavior is not Behavior.DROP_RELAY:
+                    self._forward(tx)
         elif message.kind == LZERO_DIGEST_KIND:
             self._on_digest(sender, message.payload)
         elif message.kind == LZERO_REQUEST_KIND:
             self._on_request(sender, message.payload)
         elif message.kind == LZERO_TXS_KIND:
             for tx in message.payload:
-                self.deliver_locally(tx, sender=sender, via="reconcile")
+                if self.deliver_locally(tx, sender=sender, via="reconcile"):
+                    self._delivered_since_round.append(tx.tx_id)
 
     # -- gossip over the partner overlay ---------------------------------
 
@@ -118,13 +125,19 @@ class LZeroNode(BaselineNode):
 
     def _reconcile_round(self) -> None:
         if self.behavior is Behavior.CRASH:
-            # Down: no snapshot, no sends, no rng draws — just keep ticking.
+            # Down: no commitment, no sends, no rng draws — just keep ticking.
             self.schedule(self.config.reconcile_period_ms, self._reconcile_round)
             return
-        self.commitment_history.append((self.now, self.mempool.known_ids()))
+        # Commit to the mempool as it stands.  Ids committed before keep their
+        # first entry, so only fresh arrivals still resident can be new.
+        now, mempool, committed = self.now, self.mempool, self.first_committed_at
+        for tx_id in self._delivered_since_round:
+            if tx_id in mempool:
+                committed.setdefault(tx_id, now)
+        self._delivered_since_round.clear()
         if self.partners and self.behavior is not Behavior.DROP_RELAY:
             partner = self.rng.choice(self.partners)
-            known = self.mempool.known_ids()
+            known = mempool.known_ids()
             size = _DIGEST_BASE_BYTES + len(known)
             self.send(partner, Message(LZERO_DIGEST_KIND, known, size))
         self.schedule(self.config.reconcile_period_ms, self._reconcile_round)

@@ -108,7 +108,7 @@ class MembershipManager:
     def leave(self, node: int) -> None:
         """Remove *node*, repairing every overlay it participated in."""
 
-        if node not in self.physical.graph:
+        if not self.physical.has_node(node):
             raise MembershipError(f"node {node} is not a member")
         space = self.space
         for overlay in self.overlays:

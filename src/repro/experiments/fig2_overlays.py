@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..net.topology import PhysicalNetwork, generate_physical_network
 from ..overlay.base import TransportSpace
@@ -29,6 +28,9 @@ from ..overlay.random_graph import build_random_connected_overlay
 from ..overlay.rank import RankTracker
 from ..overlay.robust_tree import build_robust_tree
 from ..utils.tables import format_table
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Fig2Config", "Fig2Row", "Fig2Result", "run", "format_result"]
 
@@ -71,6 +73,8 @@ def _flood_metrics(
     load equals its degree; arrival time is the latency-weighted shortest path
     from the nearest entry point.
     """
+
+    import networkx as nx
 
     weighted = nx.Graph()
     weighted.add_nodes_from(graph.nodes)

@@ -88,6 +88,9 @@ class CapacityModel:
 
     def __init__(self, config: CapacityConfig | None = None) -> None:
         self.config = config if config is not None else CapacityConfig()
+        # The config is frozen: resolve the rates once, not per message.
+        self._uplink_bytes_per_ms = self.config.uplink_bytes_per_ms
+        self._downlink_bytes_per_ms = self.config.downlink_bytes_per_ms
         self._uplink_busy_until: dict[int, float] = {}
         self._downlink_busy_until: dict[int, float] = {}
         # Deterministic counters for reports and the load driver's samples.
@@ -101,20 +104,22 @@ class CapacityModel:
         """Bytes sitting in *node*'s egress queue at time *now*."""
 
         busy = self._uplink_busy_until.get(node, 0.0)
-        return max(0.0, busy - now) * self.config.uplink_bytes_per_ms
+        return max(0.0, busy - now) * self._uplink_bytes_per_ms
 
     def admit_egress(self, src: int, wire_bytes: int, now: float) -> EgressVerdict:
         """Queue one message on *src*'s uplink, or drop it on overflow."""
 
-        backlog = self.backlog_bytes(src, now)
+        rate = self._uplink_bytes_per_ms
+        busy = self._uplink_busy_until.get(src, 0.0)
+        backlog = max(0.0, busy - now) * rate  # == backlog_bytes(src, now)
         if backlog + wire_bytes > self.config.queue_bytes:
             self.drops += 1
             self.drops_by_node[src] = self.drops_by_node.get(src, 0) + 1
             return _DROPPED
         if backlog + wire_bytes > self.max_backlog_bytes:
             self.max_backlog_bytes = backlog + wire_bytes
-        start = max(now, self._uplink_busy_until.get(src, 0.0))
-        finish = start + wire_bytes / self.config.uplink_bytes_per_ms
+        start = max(now, busy)
+        finish = start + wire_bytes / rate
         self._uplink_busy_until[src] = finish
         return EgressVerdict(dropped=False, finish_ms=finish, queued_ms=start - now)
 
@@ -122,7 +127,7 @@ class CapacityModel:
         """Serialize one message on *dst*'s downlink; returns delivery time."""
 
         start = max(arrival_ms, self._downlink_busy_until.get(dst, 0.0))
-        finish = start + wire_bytes / self.config.downlink_bytes_per_ms
+        finish = start + wire_bytes / self._downlink_bytes_per_ms
         self._downlink_busy_until[dst] = finish
         return finish
 

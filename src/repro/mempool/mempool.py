@@ -86,12 +86,14 @@ class Mempool:
     # Commitment acceleration (compare=False: two mempools are equal iff
     # their contents are — the caches are derived state).  _sorted_ids keeps
     # the id set in order incrementally, _pieces holds each id's canonical
-    # encoding at the same index, and _commitment memoizes the digest until
-    # the next add.  list.insert is a C memmove, so maintaining sorted order
-    # costs far less than re-sorting the id set on every commitment.
+    # encoding at the same index, and _commitment / _known_ids memoize the
+    # digest and the id set until the next add or removal.  list.insert is a
+    # C memmove, so maintaining sorted order costs far less than re-sorting
+    # the id set on every commitment.
     _sorted_ids: list[int] = field(default_factory=list, repr=False, compare=False)
     _pieces: list[bytes] = field(default_factory=list, repr=False, compare=False)
     _commitment: bytes | None = field(default=None, repr=False, compare=False)
+    _known_ids: frozenset[int] | None = field(default=None, repr=False, compare=False)
     # Admission/eviction policy.  None (the default, and what every protocol
     # node constructs) means unbounded: add() takes a single is-None branch
     # and is otherwise byte-identical to the historical behaviour.
@@ -107,15 +109,21 @@ class Mempool:
     rejected: int = field(default=0, compare=False)
     # Policy-mode service/eviction indexes, all lazily deleted: entries carry
     # the arrival stamp they were pushed with and are skipped when the id is
-    # gone or was re-added with a different arrival.
-    _fee_heap: list[tuple[float, float, int]] = field(
-        default_factory=list, repr=False, compare=False
+    # gone or was re-added with a different arrival.  They exist only once a
+    # policy is installed — the N protocol-node mempools of a figure run
+    # never allocate them.
+    _fee_heap: list[tuple[float, float, int]] | None = field(
+        default=None, repr=False, compare=False
     )
-    _prio_heap: list[tuple[float, float, int]] = field(
-        default_factory=list, repr=False, compare=False
+    _prio_heap: list[tuple[float, float, int]] | None = field(
+        default=None, repr=False, compare=False
     )
-    _fifo: deque = field(default_factory=deque, repr=False, compare=False)
-    _ttl_queue: deque = field(default_factory=deque, repr=False, compare=False)
+    _fifo: deque | None = field(default=None, repr=False, compare=False)
+    _ttl_queue: deque | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.policy is not None:
+            self.install_policy(self.policy, self.on_drop)
 
     def add(self, tx: Transaction, now: float) -> bool:
         """Record *tx* (first arrival wins).  Returns True if it was new.
@@ -137,7 +145,7 @@ class Mempool:
         index = bisect_left(self._sorted_ids, tx_id)
         self._sorted_ids.insert(index, tx_id)
         self._pieces.insert(index, _encoded_id(tx_id))
-        self._commitment = None
+        self._commitment = self._known_ids = None
         if policy is not None:
             self._index(tx, now)
         return True
@@ -236,7 +244,7 @@ class Mempool:
         # tx_id is present by precondition, so _sorted_ids[index] == tx_id.
         del self._sorted_ids[index]
         del self._pieces[index]
-        self._commitment = None
+        self._commitment = self._known_ids = None
 
     def _count_drop(self, reason: str, tx: Transaction) -> None:
         if reason == "evicted":
@@ -313,10 +321,8 @@ class Mempool:
 
         self.policy = policy
         self.on_drop = on_drop
-        self._fee_heap.clear()
-        self._prio_heap.clear()
-        self._fifo.clear()
-        self._ttl_queue.clear()
+        self._fee_heap, self._prio_heap = [], []
+        self._fifo, self._ttl_queue = deque(), deque()
         for tx_id, arrival in sorted(
             self._arrival.items(), key=lambda kv: (kv[1], kv[0])
         ):
@@ -361,7 +367,12 @@ class Mempool:
     # -- reconciliation --------------------------------------------------
 
     def known_ids(self) -> frozenset[int]:
-        return frozenset(self._transactions)
+        """The id set, built at most once per change of the pool's contents."""
+
+        cached = self._known_ids
+        if cached is None:
+            cached = self._known_ids = frozenset(self._transactions)
+        return cached
 
     def commitment(self) -> bytes:
         """A digest over the known transaction set (L∅'s mempool commitment).
@@ -382,9 +393,9 @@ class Mempool:
     def missing_from(self, known_ids: frozenset[int] | set[int]) -> list[int]:
         """Ids we hold that the peer advertising *known_ids* lacks."""
 
-        return sorted(set(self._transactions) - set(known_ids))
+        return sorted(self._transactions.keys() - known_ids)
 
     def absent_locally(self, known_ids: frozenset[int] | set[int]) -> list[int]:
         """Ids the peer holds that we lack (to be requested)."""
 
-        return sorted(set(known_ids) - set(self._transactions))
+        return sorted(known_ids.difference(self._transactions))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import TopologyError
 from ..types import ALL_REGIONS, Region
@@ -22,7 +21,10 @@ from ..utils.rng import derive_rng
 from ..utils.validation import require
 from .latency import LatencyModel, LatencyParameters
 
-__all__ = ["PhysicalNetwork", "generate_physical_network"]
+if TYPE_CHECKING:
+    import networkx as nx
+
+__all__ = ["PhysicalNetwork", "generate_physical_network", "is_vertex_connected"]
 
 # Probability that a random neighbour is chosen from the node's own region;
 # keeps the graph latency-clustered the way real P2P networks are.
@@ -33,16 +35,111 @@ _SAME_REGION_BIAS = 0.5
 _FULL_VALIDATE_MAX_NODES = 1024
 
 
+def _edges(adjacency: Mapping[int, Mapping[int, None]]) -> Iterator[tuple[int, int]]:
+    """Each undirected edge once, in ``networkx.Graph.edges`` order (nodes in
+    insertion order, each with its not-yet-visited neighbours in insertion
+    order).  Latency labels are drawn in this order: every pinned digest
+    depends on it."""
+
+    seen: set[int] = set()
+    for u, neighbors in adjacency.items():
+        for v in neighbors:
+            if v not in seen:
+                yield u, v
+        seen.add(u)
+
+
+def _path_counter(
+    adjacency: Mapping[int, Mapping[int, None]],
+) -> Callable[[int, int, int], int]:
+    """``count(u, v, limit)``: how many internally vertex-disjoint u–v paths
+    exist (Menger), capped at *limit*.
+
+    Unit-capacity augmenting paths on the vertex-split digraph: node *i*
+    becomes ``in = 2i → out = 2i + 1`` and each edge the arcs ``u.out → v.in``
+    and ``v.out → u.in``.  That digraph has no antiparallel arcs, so pushing a
+    unit of flow is reversing the arcs of a path; a query undoes its
+    reversals before returning, so one counter serves every pair of a check.
+    """
+
+    index = {node: i for i, node in enumerate(adjacency)}
+    arcs: list[list[int]] = []
+    for node, neighbors in adjacency.items():
+        arcs.append([2 * index[node] + 1])
+        arcs.append([2 * index[v] for v in neighbors])
+
+    def count(u: int, v: int, limit: int) -> int:
+        source, sink = 2 * index[u] + 1, 2 * index[v]
+        flipped: list[tuple[int, int]] = []
+        found = 0
+        while found < limit:
+            parent = {source: source}
+            frontier = [source]
+            while frontier and sink not in parent:  # breadth-first search
+                reached = []
+                for tail in frontier:
+                    for head in arcs[tail]:
+                        if head not in parent:
+                            parent[head] = tail
+                            reached.append(head)
+                    if sink in parent:
+                        break
+                frontier = reached
+            if sink not in parent:
+                break
+            found += 1
+            head = sink
+            while head != source:
+                tail = parent[head]
+                arcs[tail].remove(head)
+                arcs[head].append(tail)
+                flipped.append((tail, head))
+                head = tail
+        for tail, head in reversed(flipped):
+            arcs[head].remove(tail)
+            arcs[tail].append(head)
+        return found
+
+    return count
+
+
+def is_vertex_connected(adjacency: Mapping[int, Mapping[int, None]], t: int) -> bool:
+    """Whether the graph is *t*-vertex-connected — exact, not a heuristic.
+
+    Esfahanian–Hakimi: with *v* a minimum-degree vertex, the connectivity is
+    the least of ``deg(v)``, the local connectivity between *v* and each of
+    its non-neighbours, and that between each non-adjacent pair of *v*'s
+    neighbours.  Every local test stops at *t* paths: a decision procedure,
+    not a max-flow computation.
+    """
+
+    if len(adjacency) <= t:
+        return False
+    pivot = min(adjacency, key=lambda node: len(adjacency[node]))
+    around = adjacency[pivot]
+    if len(around) < t:
+        return False
+    count = _path_counter(adjacency)
+    pairs = chain(
+        ((pivot, w) for w in adjacency if w != pivot and w not in around),
+        ((x, y) for x, y in combinations(around, 2) if y not in adjacency[x]),
+    )
+    return all(count(x, y, t) >= t for x, y in pairs)
+
+
 @dataclass
 class PhysicalNetwork:
     """An immutable view of the physical substrate.
 
-    ``latencies`` maps each undirected edge (stored with ``u < v``) to its
-    label ``lat(e)`` in milliseconds — the *expected* one-way delay used both
-    for overlay optimization and as the base for per-message sampling.
+    ``adjacency`` maps each node to its neighbours — an insertion-ordered
+    dict used as an ordered set (every value is ``None``), wired in both
+    directions.  ``latencies`` maps each undirected edge (stored with
+    ``u < v``) to its label ``lat(e)`` in milliseconds — the *expected*
+    one-way delay used both for overlay optimization and as the base for
+    per-message sampling.
     """
 
-    graph: nx.Graph
+    adjacency: dict[int, dict[int, None]]
     regions: Mapping[int, Region]
     latencies: Mapping[tuple[int, int], float]
     latency_model: LatencyModel = field(repr=False)
@@ -54,19 +151,45 @@ class PhysicalNetwork:
     # (e.g. Network's per-pair base-latency cache) compare it to decide when
     # to invalidate without the substrate having to know who they are.
     version: int = field(default=0, repr=False, compare=False)
+    _graph_view: tuple[int, nx.Graph] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def graph(self) -> nx.Graph:
+        """A read-only networkx rendering of :attr:`adjacency` (same node and
+        ``edges`` order) for the code that needs a graph *library* — physical
+        disjoint-path routing, tests.  Built, and networkx imported, on first
+        use; rebuilt after a mutation."""
+
+        view = self._graph_view
+        if view is None or view[0] != self.version:
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(self.adjacency)
+            graph.add_edges_from(self.edges())
+            view = self._graph_view = (self.version, graph)
+        return view[1]
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adjacency)
 
     def nodes(self) -> list[int]:
-        return sorted(self.graph.nodes)
+        return sorted(self.adjacency)
 
     def neighbors(self, node: int) -> list[int]:
-        return sorted(self.graph.neighbors(node))
+        return sorted(self.adjacency[node])
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        return _edges(self.adjacency)
+
+    def has_node(self, node: int) -> bool:
+        return node in self.adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.graph.has_edge(u, v)
+        return v in self.adjacency.get(u, ())
 
     def latency(self, u: int, v: int) -> float:
         """The edge label ``lat(e_{u,v})``; raises for non-edges."""
@@ -112,19 +235,19 @@ class PhysicalNetwork:
     ) -> None:
         """Join *node* to the physical network with links to *neighbors*."""
 
-        if node in self.graph:
+        if node in self.adjacency:
             raise TopologyError(f"node {node} already in the network")
         if not neighbors:
             raise TopologyError("a joining node needs at least one neighbour")
         for neighbor in neighbors:
-            if neighbor not in self.graph:
+            if neighbor not in self.adjacency:
                 raise TopologyError(f"unknown neighbour {neighbor}")
         if not isinstance(self.regions, dict) or not isinstance(self.latencies, dict):
             raise TopologyError("this PhysicalNetwork instance is immutable")
-        self.graph.add_node(node)
+        links = self.adjacency[node] = {}
         self.regions[node] = region
         for neighbor in neighbors:
-            self.graph.add_edge(node, neighbor)
+            links[neighbor] = self.adjacency[neighbor][node] = None
             key = (min(node, neighbor), max(node, neighbor))
             self.latencies[key] = self.latency_model.sample_pair(
                 self.pair_seed, node, neighbor, region, self.regions[neighbor]
@@ -137,14 +260,13 @@ class PhysicalNetwork:
     def remove_node(self, node: int) -> None:
         """Remove a departed node and its links."""
 
-        if node not in self.graph:
+        if node not in self.adjacency:
             raise TopologyError(f"unknown node {node}")
         if not isinstance(self.regions, dict) or not isinstance(self.latencies, dict):
             raise TopologyError("this PhysicalNetwork instance is immutable")
-        neighbors = list(self.graph.neighbors(node))
-        self.graph.remove_node(node)
         self.regions.pop(node, None)
-        for neighbor in neighbors:
+        for neighbor in self.adjacency.pop(node):
+            del self.adjacency[neighbor][node]
             self.latencies.pop((min(node, neighbor), max(node, neighbor)), None)
         # Drop stale per-pair draws too: if this id rejoins later (possibly
         # in a different region), transport_latency must re-sample.
@@ -153,25 +275,25 @@ class PhysicalNetwork:
         self.version += 1
 
     def degree(self, node: int) -> int:
-        return self.graph.degree[node]
+        return len(self.adjacency[node])
 
     def min_cut_between(self, u: int, v: int) -> int:
         """Number of vertex-disjoint paths between *u* and *v* (Menger)."""
 
-        return nx.node_connectivity(self.graph, u, v)
+        return _path_counter(self.adjacency)(u, v, min(self.degree(u), self.degree(v)))
 
     def validate_connectivity(self, t: int) -> None:
         """Raise unless the graph is *t*-vertex-connected.
 
-        Exact but expensive: ``nx.node_connectivity`` runs max-flow over
-        many vertex pairs, which is prohibitive beyond a few thousand nodes.
-        Use :meth:`validate_connectivity_fast` when the construction already
-        guarantees *t*-connectivity structurally.
+        Exact but expensive: :func:`is_vertex_connected` runs *t* augmenting
+        searches for each of ~N vertex pairs, which is prohibitive beyond a
+        few thousand nodes.  Use :meth:`validate_connectivity_fast` when the
+        construction already guarantees *t*-connectivity structurally.
         """
 
         if self.num_nodes <= t:
             raise TopologyError(f"{self.num_nodes} nodes cannot be {t}-connected")
-        if nx.node_connectivity(self.graph) < t:
+        if not is_vertex_connected(self.adjacency, t):
             raise TopologyError(f"physical network is not {t}-vertex-connected")
 
     def validate_connectivity_fast(self, t: int) -> None:
@@ -187,13 +309,20 @@ class PhysicalNetwork:
 
         if self.num_nodes <= t:
             raise TopologyError(f"{self.num_nodes} nodes cannot be {t}-connected")
-        degrees = dict(self.graph.degree)
-        worst = min(degrees, key=lambda n: (degrees[n], n))
-        if degrees[worst] < t:
+        adjacency = self.adjacency
+        worst = min(adjacency, key=lambda n: (len(adjacency[n]), n))
+        if len(adjacency[worst]) < t:
             raise TopologyError(
-                f"node {worst} has degree {degrees[worst]} < t = {t}"
+                f"node {worst} has degree {len(adjacency[worst])} < t = {t}"
             )
-        if not nx.is_connected(self.graph):
+        reached = {worst}
+        stack = [worst]
+        while stack:
+            for neighbor in adjacency[stack.pop()]:
+                if neighbor not in reached:
+                    reached.add(neighbor)
+                    stack.append(neighbor)
+        if len(reached) < len(adjacency):
             raise TopologyError("physical network is not connected")
 
 
@@ -245,7 +374,7 @@ def generate_physical_network(
     the disjoint path assumption of §III holds with ``t = min_degree``.
 
     *validate* selects how that guarantee is re-checked before returning:
-    ``"full"`` runs the exact (quadratic) ``nx.node_connectivity`` test,
+    ``"full"`` runs the exact (quadratic) :func:`is_vertex_connected` test,
     ``"fast"`` the O(V+E) structural check (degree + connectedness — sufficient
     here because the skeleton is t-connected and edges are only ever added),
     and ``"auto"`` (default) picks ``"full"`` up to
@@ -275,38 +404,40 @@ def generate_physical_network(
     for node, region in region_of.items():
         by_region.setdefault(region, []).append(node)
 
-    graph = nx.Graph()
-    graph.add_nodes_from(node_ids)
+    adjacency: dict[int, dict[int, None]] = {node: {} for node in node_ids}
+
+    def link(u: int, v: int) -> None:
+        adjacency[u][v] = adjacency[v][u] = None
 
     # A Harary-style ring-with-chords skeleton guarantees min_degree-vertex-
     # connectivity; random region-biased edges on top provide realism.
     half = max(1, min_degree // 2 + min_degree % 2)
     for node in node_ids:
         for offset in range(1, half + 1):
-            graph.add_edge(node, (node + offset) % num_nodes)
+            link(node, (node + offset) % num_nodes)
 
     for node in node_ids:
         attempts = 0
-        while graph.degree[node] < min_degree and attempts < 20 * min_degree:
+        linked = adjacency[node]
+        while len(linked) < min_degree and attempts < 20 * min_degree:
             attempts += 1
             same = [
-                c for c in by_region[region_of[node]] if c != node and not graph.has_edge(node, c)
+                c for c in by_region[region_of[node]] if c != node and c not in linked
             ]
             other = [
                 c
                 for c in node_ids
-                if c != node and region_of[c] != region_of[node] and not graph.has_edge(node, c)
+                if c != node and region_of[c] != region_of[node] and c not in linked
             ]
             peer = _pick_neighbor(node, same, other, rng)
             if peer is None:
                 break
-            graph.add_edge(node, peer)
+            link(node, peer)
 
     # Sprinkle extra long-range edges (~1 per node) so the graph is not a bare ring.
     extra_edges = num_nodes
     for _ in range(extra_edges):
-        u, v = rng.sample(node_ids, 2)
-        graph.add_edge(u, v)
+        link(*rng.sample(node_ids, 2))
 
     # Each physical link gets one latency draw from the regional model; this
     # fixed label is what overlay construction optimizes against and what the
@@ -316,11 +447,11 @@ def generate_physical_network(
         latency_model = LatencyModel(latency_parameters, derive_rng(seed, "latency"))
     latencies = {
         (min(u, v), max(u, v)): latency_model.sample(region_of[u], region_of[v])
-        for u, v in graph.edges
+        for u, v in _edges(adjacency)
     }
 
     network = PhysicalNetwork(
-        graph=graph,
+        adjacency=adjacency,
         regions=region_of,
         latencies=latencies,
         latency_model=latency_model,

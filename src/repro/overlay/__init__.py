@@ -14,6 +14,10 @@ The package provides:
 * :mod:`~repro.overlay.encoding` — Algorithm 5 (compact signed tree encoding);
 * :mod:`~repro.overlay.paths` — vertex-disjoint path discovery used by senders
   to reach the ``f+1`` entry points.
+
+Importing the package does not import networkx: its only users here — the
+three comparison structures and :func:`find_disjoint_paths` — load it on
+their first call.
 """
 
 from .annealing import AnnealingConfig, GenerateNeighborConfig, anneal, generate_neighbor

@@ -9,10 +9,12 @@ compares against.
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_chordal_ring"]
 
@@ -41,6 +43,8 @@ def build_chordal_ring(
         long_offset = max(m + 1, math.isqrt(n))
         if 2 * long_offset < n:
             offsets.append(long_offset)
+
+    import networkx as nx
 
     graph = nx.Graph()
     graph.add_nodes_from(node_ids)

@@ -9,10 +9,12 @@ construction the paper cites via Ramanathan et al. and You et al.
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_hypercube"]
 
@@ -24,6 +26,8 @@ def build_hypercube(node_ids: list[int]) -> nx.Graph:
     if n < 2:
         raise TopologyError("a hypercube needs at least 2 nodes")
     dimensions = max(1, math.ceil(math.log2(n)))
+
+    import networkx as nx
 
     graph = nx.Graph()
     graph.add_nodes_from(node_ids)

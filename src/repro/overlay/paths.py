@@ -9,9 +9,12 @@ to all targets, node capacities 1 (except source/targets).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["find_disjoint_paths"]
 
@@ -43,6 +46,8 @@ def find_disjoint_paths(
         unique_targets = [t for t in unique_targets if t != source]
         rest = find_disjoint_paths(graph, source, unique_targets, count - 1) if count > 1 else []
         return [[source]] + rest
+
+    import networkx as nx
 
     sink = object()  # hashable sentinel never colliding with node ids
     augmented = nx.Graph(graph)

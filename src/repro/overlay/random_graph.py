@@ -7,10 +7,13 @@ least f+1 links per node", Fig. 2 caption).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import TopologyError
 from ..utils.rng import derive_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_random_connected_overlay"]
 
@@ -25,6 +28,8 @@ def build_random_connected_overlay(
     n = len(node_ids)
     if n < f + 2:
         raise TopologyError(f"{n} nodes cannot be f+1={f + 1}-connected")
+
+    import networkx as nx
 
     rng = derive_rng(seed, "random-overlay")
     graph = nx.Graph()

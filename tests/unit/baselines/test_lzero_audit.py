@@ -11,20 +11,32 @@ from repro.mempool.blocks import Block
 from repro.mempool.transaction import Transaction
 
 
-def history(*rounds):
+def snapshots(*rounds):
     """rounds: (time, ids...)"""
 
     return [(when, frozenset(ids)) for when, *ids in rounds]
 
 
+def history(*rounds):
+    """The first-commit index a node that took these per-round snapshots
+    holds: every id ever committed -> its first round's time."""
+
+    taken = snapshots(*rounds)
+    return {
+        tx_id: first_commitment_round(taken, tx_id)
+        for _when, ids in taken
+        for tx_id in ids
+    }
+
+
 class TestFirstCommitmentRound:
     def test_found_in_earliest_round(self):
-        h = history((1.0, 5), (2.0, 5, 6))
+        h = snapshots((1.0, 5), (2.0, 5, 6))
         assert first_commitment_round(h, 5) == 1.0
         assert first_commitment_round(h, 6) == 2.0
 
     def test_never_committed(self):
-        assert first_commitment_round(history((1.0, 5)), 9) is None
+        assert first_commitment_round(snapshots((1.0, 5)), 9) is None
 
 
 class TestAudit:
@@ -80,7 +92,8 @@ class TestEndToEnd:
 
         proposer = system.nodes[30]
         block = build_block(proposer.mempool, system.simulator.now)
-        assert audit_block_order(proposer.commitment_history, block) == []
+        assert set(proposer.first_committed_at) == set(block.tx_ids)
+        assert audit_block_order(proposer.first_committed_at, block) == []
 
     def test_manipulated_block_caught(self, physical40):
         """Reversing a real node's arrival order produces evidence."""
@@ -104,5 +117,5 @@ class TestEndToEnd:
             created_at=system.simulator.now,
             tx_ids=tuple(reversed(honest_order)),
         )
-        evidence = audit_block_order(proposer.commitment_history, manipulated)
+        evidence = audit_block_order(proposer.first_committed_at, manipulated)
         assert evidence, "a reversed block must contradict the commitments"

@@ -239,3 +239,58 @@ class TestIndexCompaction:
             arrivals.append(popped[1])
         assert arrivals == sorted(arrivals)
         assert len(arrivals) == 30
+
+
+class TestIndexesExistOnlyUnderAPolicy:
+    """The N protocol-node mempools of a figure run never install a policy;
+    they must not each carry four empty service/eviction indexes."""
+
+    INDEXES = ("_fee_heap", "_prio_heap", "_fifo", "_ttl_queue")
+
+    def test_bare_pool_allocates_none(self):
+        pool = Mempool(owner=0)
+        pool.add(tx(1), 0.0)
+        assert all(getattr(pool, name) is None for name in self.INDEXES)
+        assert pool.expire(10.0) == 0
+
+    def test_install_policy_allocates_and_indexes_residents(self):
+        pool = Mempool(owner=0)
+        pool.add(tx(1, fee=2.0), 0.0)
+        pool.add(tx(2, fee=5.0), 1.0)
+        pool.install_policy(MempoolPolicy(ttl_ms=100.0))
+        assert all(len(getattr(pool, name)) == 2 for name in self.INDEXES)
+        assert pool.pop_next(priority=True)[0].tx_id == 2
+
+    def test_policy_passed_to_the_constructor_is_installed(self):
+        pool = Mempool(owner=0, policy=MempoolPolicy(max_size=1))
+        assert pool.add(tx(1, fee=1.0), 0.0)
+        assert pool.add(tx(2, fee=2.0), 1.0)
+        assert pool.evicted == 1 and pool.known_ids() == {2}
+
+
+class TestKnownIdsMemo:
+    def test_same_object_until_the_contents_change(self):
+        pool = Mempool(owner=0)
+        pool.install_policy(MempoolPolicy(max_size=2, ttl_ms=50.0))
+        pool.add(tx(1, fee=1.0), 0.0)
+        first = pool.known_ids()
+        assert pool.known_ids() is first
+        assert not pool.add(tx(1, fee=1.0), 1.0)  # duplicate: no change
+        assert pool.known_ids() is first
+
+    def test_every_removal_path_invalidates(self):
+        pool = Mempool(owner=0)
+        pool.install_policy(MempoolPolicy(max_size=2, ttl_ms=50.0))
+        pool.add(tx(1, fee=1.0), 0.0)
+        pool.add(tx(2, fee=2.0), 0.0)
+        assert pool.known_ids() == {1, 2}
+        pool.add(tx(3, fee=3.0), 1.0)  # evicts 1
+        assert pool.known_ids() == {2, 3}
+        pool.pop_next(priority=True)  # serves 3
+        assert pool.known_ids() == {2}
+        assert pool.expire(60.0) == 1  # expires 2
+        assert pool.known_ids() == frozenset()
+        pool.add(tx(1, fee=1.0), 61.0)  # re-admitted
+        assert pool.known_ids() == {1}
+        assert pool.missing_from(frozenset({1, 9})) == []
+        assert pool.absent_locally(frozenset({1, 9})) == [9]

@@ -1,5 +1,8 @@
 """Unit tests for physical network generation and mutation."""
 
+import hashlib
+import json
+
 import networkx as nx
 import pytest
 
@@ -7,6 +10,17 @@ from repro.errors import TopologyError
 from repro.net.latency import LatencyModel
 from repro.net.topology import PhysicalNetwork, generate_physical_network
 from repro.types import Region
+
+
+def network_of(graph: nx.Graph) -> PhysicalNetwork:
+    """A bare PhysicalNetwork (no latency labels) over *graph*'s topology."""
+
+    return PhysicalNetwork(
+        adjacency={n: dict.fromkeys(graph.adj[n]) for n in graph.nodes},
+        regions={n: Region.FRANKFURT for n in graph.nodes},
+        latencies={},
+        latency_model=LatencyModel(),
+    )
 
 
 class TestGeneration:
@@ -61,6 +75,68 @@ class TestGeneration:
 
     def test_min_cut_between_nodes(self, physical40):
         assert physical40.min_cut_between(0, 20) >= 4
+
+
+def topology_digest(network: PhysicalNetwork) -> str:
+    """Everything generation decides, order included: node order, edge order
+    (the order latency labels are drawn in), regions, labels bit for bit."""
+
+    doc = {
+        "nodes": list(network.adjacency),
+        "edges": [list(edge) for edge in network.edges()],
+        "regions": [[n, r.name] for n, r in network.regions.items()],
+        "latencies": [[u, v, lat.hex()] for (u, v), lat in network.latencies.items()],
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedGeneration:
+    """Digests captured at the last commit whose generator wired a
+    ``networkx.Graph`` (``graph.nodes`` / ``graph.edges`` order): the native
+    adjacency must reproduce that graph exactly, since every latency label —
+    hence every pinned simulation digest — follows from its edge order."""
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            (dict(num_nodes=40, seed=5),
+             "989a562ef6bcf2df6d01b508bd039eb34de2a4202a63663683f095c6b0cc8df7"),
+            (dict(num_nodes=100, seed=0),
+             "ce8261b6bee9d3b57de5559258fe48777fb2433e4b4517a8625a1a69e6f60c4a"),
+            (dict(num_nodes=2000, seed=0),
+             "f57991093711c5d0ab32f31ce1eb74abec502b9ff0bf574c13ccebbe2124b245"),
+            # Odd min_degree: a denser ring-with-chords skeleton (offsets 1..3).
+            (dict(num_nodes=24, seed=3, min_degree=5),
+             "034fdb180c4f1fa20c02b4b4050a17af07cb44bdbf8a6ff3a4f215d4bb0c4646"),
+        ],
+        ids=["n40", "n100", "n2000", "n24-deg5"],
+    )
+    def test_same_network_as_the_networkx_wired_generator(self, kwargs, expected):
+        assert topology_digest(generate_physical_network(**kwargs)) == expected
+
+
+class TestGraphView:
+    def test_view_reports_nodes_and_edges_in_native_order(self, physical40):
+        assert list(physical40.graph.nodes) == list(physical40.adjacency)
+        assert list(physical40.graph.edges) == list(physical40.edges())
+        assert physical40.graph.number_of_edges() == len(physical40.latencies)
+
+    def test_view_is_cached_until_the_topology_changes(self):
+        network = generate_physical_network(20, seed=9)
+        view = network.graph
+        assert network.graph is view
+        network.add_node_with_links(100, Region.TOKYO, [0, 1, 2])
+        assert network.graph is not view
+        assert set(network.graph[100]) == {0, 1, 2}
+        network.remove_node(100)
+        assert 100 not in network.graph
+        assert list(network.graph.edges) == list(view.edges)
+
+    def test_edges_of_unknown_nodes_do_not_exist(self, physical40):
+        assert not physical40.has_edge(0, 999)
+        assert not physical40.has_edge(999, 0)
+        assert not physical40.has_node(999) and physical40.has_node(0)
 
 
 class TestTransportLatency:
@@ -130,26 +206,15 @@ class TestValidationModes:
             physical40.validate_connectivity_fast(physical40.num_nodes - 1)
 
     def test_fast_check_rejects_disconnected(self):
-        graph = nx.Graph()
         # Two disjoint triangles: min degree 2, but not connected at all.
-        graph.add_edges_from([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        network = PhysicalNetwork(
-            graph=graph,
-            regions={n: Region.FRANKFURT for n in graph.nodes},
-            latencies={},
-            latency_model=LatencyModel(),
+        network = network_of(
+            nx.Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         )
         with pytest.raises(TopologyError):
             network.validate_connectivity_fast(2)
 
     def test_fast_check_rejects_too_few_nodes(self):
-        graph = nx.complete_graph(3)
-        network = PhysicalNetwork(
-            graph=graph,
-            regions={n: Region.FRANKFURT for n in graph.nodes},
-            latencies={},
-            latency_model=LatencyModel(),
-        )
+        network = network_of(nx.complete_graph(3))
         with pytest.raises(TopologyError):
             network.validate_connectivity_fast(3)
 
