@@ -23,8 +23,10 @@ observation into one of three fixed-size structures the instant it happens:
   over time).  State is O(number of windows), i.e. bounded by the run's
   duration over the window size, never by its transaction count.
 
-The module is deliberately dependency-free (pure stdlib, no ``repro``
-imports) so it can sit underneath :mod:`repro.net.stats` without cycles.
+The module is deliberately dependency-free (pure stdlib, no module-level
+``repro`` imports) so it can sit underneath :mod:`repro.net.stats` without
+cycles; the ``percentile`` methods reach back into it at call time for the
+one shared interpolation step.
 
 >>> sketch = QuantileSketch(capacity=64)
 >>> for value in range(1000):
@@ -193,6 +195,8 @@ class QuantileSketch:
         implementation.
         """
 
+        from .stats import interpolate
+
         if not 0 <= pct <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
         if not self._count:
@@ -207,9 +211,7 @@ class QuantileSketch:
                     # Exact-regime interpolation between adjacent items (by
                     # position, not by value — duplicates must interpolate to
                     # themselves to match the exact implementation).
-                    fraction = target - cumulative
-                    nxt = pairs[index + 1][0]
-                    return value * (1 - fraction) + nxt * fraction
+                    return interpolate(value, pairs[index + 1][0], target - cumulative)
                 return value
             cumulative += weight
         return pairs[-1][0]

@@ -25,6 +25,22 @@ __all__ = [
 ]
 
 
+def interpolate(low: float, high: float, weight: float) -> float:
+    """The point *weight* of the way from *low* to *high* (``low <= high``).
+
+    The one interpolation step behind every percentile in the package — the
+    exact :func:`percentile` and :class:`~repro.net.sketch.QuantileSketch`
+    alike — so the two cannot drift apart in the last bit.
+
+    >>> interpolate(3.25, 3.25, 0.15)  # 3.2499999999999996 unclamped
+    3.25
+    """
+
+    value = low * (1 - weight) + high * weight
+    # Clamp 1-ulp float drift so the result always lies within the sample.
+    return min(max(value, low), high)
+
+
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile (matching ``numpy.percentile`` default).
 
@@ -44,10 +60,7 @@ def percentile(values: Sequence[float], pct: float) -> float:
     high = math.ceil(rank)
     if low == high:
         return ordered[low]
-    weight = rank - low
-    interpolated = ordered[low] * (1 - weight) + ordered[high] * weight
-    # Clamp 1-ulp float drift so the result always lies within the sample.
-    return min(max(interpolated, ordered[low]), ordered[high])
+    return interpolate(ordered[low], ordered[high], rank - low)
 
 
 @dataclass(frozen=True, slots=True)

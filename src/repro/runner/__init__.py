@@ -6,8 +6,8 @@ simulations.  ``repro.runner`` turns that structure into throughput:
 * :class:`~repro.runner.spec.RunSpec` / :class:`~repro.runner.spec.SweepSpec`
   declare a cartesian parameter grid and give every cell a stable content
   hash of its parameters;
-* :func:`~repro.runner.executor.run_sweep` executes cells serially or over a
-  spawn-safe process pool with per-run timeouts and bounded crash retry;
+* :func:`~repro.runner.executor.run_sweep` executes cells serially or over
+  spawn workers it owns, with per-run timeouts and per-run crash retry;
 * :class:`~repro.runner.store.ResultStore` persists one deterministic JSON
   record per cell, keyed by spec hash, which makes every sweep resumable by
   construction — re-invoking a finished sweep executes nothing;

@@ -1,4 +1,4 @@
-"""The sweep executor: serial or process-pool execution of run specs.
+"""The sweep executor: serial or owned-worker execution of run specs.
 
 Execution model
 ---------------
@@ -6,10 +6,13 @@ Every run is an independent, fully seeded simulation cell, so the executor
 can schedule them in any order on any number of workers without changing a
 single result.  ``jobs=1`` runs everything in-process (the debugging
 fallback — breakpoints and print statements behave normally); ``jobs>1``
-fans runs out over a ``spawn`` process pool.  Workers receive only
-``(task name, params)`` pairs and look the task up in
+starts that many ``spawn`` worker processes, each on its own pipe.  The
+parent hands a worker one run at a time and remembers which run each worker
+holds; a worker that returns a record gets its next run *before* the parent
+writes that record to the store, so the disk write overlaps the next cell.
+Workers receive only ``(task name, params)`` pairs and look the task up in
 :mod:`repro.runner.tasks` after a fresh import, so nothing unpicklable ever
-crosses the process boundary.  Each worker process keeps the
+travels to a worker.  Each worker lives until the queue is empty and keeps the
 :func:`~repro.experiments.harness.build_environment` memo cache it
 accumulates, so the expensive overlay construction is paid once per distinct
 environment per worker, not once per run.
@@ -20,9 +23,16 @@ Fault handling
   and never retried (re-running a deterministic function cannot help).
 * A run that exceeds ``timeout_s`` is interrupted (SIGALRM, in the worker
   that owns it) and recorded as an error.
-* A *worker crash* (segfault, OOM kill, ``os._exit``) breaks the pool; the
-  executor rebuilds it and requeues the runs that were in flight, each at
-  most ``retries`` times, then records the survivors as failed.
+* A result that cannot be pickled for the trip back is recorded as an error
+  by the worker that computed it.
+* A *worker crash* (segfault, OOM kill, ``os._exit``) reads as EOF on that
+  worker's pipe: the one run it held is charged an attempt and requeued, at
+  most ``retries`` times before it is recorded as failed, and only the dead
+  worker is replaced — the others keep their runs and their warm caches.  A
+  worker that dies before accepting any run (a broken install, say) aborts
+  the sweep with :class:`~repro.errors.SweepExecutionError`.
+* Workers are daemons and are stopped in a ``finally``, so a store that
+  raises or a Ctrl-C in the parent leaves no orphan processes.
 
 Resume
 ------
@@ -40,17 +50,18 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from ..errors import ConfigurationError, SweepExecutionError
-from ..obs.wall import Stopwatch, WallClock
+from ..obs.wall import WallClock
 from .spec import RunSpec, SweepSpec
 from .store import MemoryStore, ResultStore, RunRecord
 from .tasks import get_task
-from .telemetry import SweepTelemetry
+from .telemetry import SweepTelemetry, _NullTelemetry
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = ["SweepReport", "run_sweep"]
 
@@ -90,7 +101,7 @@ class SweepReport:
 
 
 # ----------------------------------------------------------------------
-# Single-run execution (shared by the serial path and pool workers)
+# Single-run execution (shared by the serial path and the workers)
 # ----------------------------------------------------------------------
 
 
@@ -100,7 +111,7 @@ class _RunTimeout(SweepExecutionError):
 
 def _alarm_supported() -> bool:
     # SIGALRM only exists on POSIX and only fires in a process's main
-    # thread; pool workers execute tasks on their main thread, so this holds
+    # thread; workers execute tasks on their main thread, so this holds
     # everywhere except exotic embedding scenarios.
     return hasattr(signal, "SIGALRM") and (
         threading.current_thread() is threading.main_thread()
@@ -157,90 +168,90 @@ def _execute_record(spec: RunSpec, timeout_s: float | None) -> RunRecord:
     return RunRecord.build(spec, result=result)
 
 
-def _worker_execute(spec_doc: dict, timeout_s: float | None) -> dict:
-    """Pool-worker entry point: plain dicts in, plain dict out."""
+def _execute_timed(
+    spec: RunSpec,
+    timeout_s: float | None,
+    clock: WallClock,
+    *,
+    worker: int = 0,
+    t_submit: float | None = None,
+    t_start: float | None = None,
+) -> tuple[RunRecord, dict[str, Any]]:
+    """Run *spec* and time it: the one execute path, serial and worker alike.
 
-    record = _execute_record(RunSpec.from_json(spec_doc), timeout_s)
-    return dict(record)
-
-
-# ----------------------------------------------------------------------
-# Telemetered workers (observation-only wrappers around the same path)
-# ----------------------------------------------------------------------
-
-# Set once per worker process by the telemetry pool initializer.
-_WORKER_CLOCK: WallClock | None = None
-_WORKER_INFO: dict[str, Any] | None = None
-
-
-def _worker_init_timed(origin: float, t_pool: float) -> None:
-    """Pool initializer: join the parent's timebase, time spawn + env build.
-
-    ``spawn`` is everything between the parent creating the pool and this
-    initializer running (interpreter start-up, ``repro`` module imports);
-    ``env_build`` is the warm-up import of the experiment harness, the module
-    whose construction caches all simulation tasks share.  Both are one-time
-    per-worker costs, which is exactly why they deserve their own timeline
-    phase: amortizing them is the whole battle the parallel sweep is losing.
+    Timing wraps :func:`_execute_record` and never enters it, so what gets
+    stored cannot depend on who is watching.  A worker passes the parent's
+    hand-off time and its own pick-up time (taken before it decoded the spec
+    document); a serial run has neither queue nor document, so both default
+    to "now" and ``enqueue_wait`` / ``deserialize`` are genuinely zero.
     """
 
-    global _WORKER_CLOCK, _WORKER_INFO
-    clock = WallClock(origin=origin)
-    t_spawned = clock.now()
-    try:
-        from ..experiments import harness  # noqa: F401 - warm-up import only
-    except Exception:  # pragma: no cover - harness import is load-bearing
-        pass  # telemetry must never take a worker down
-    t_ready = clock.now()
-    _WORKER_CLOCK = clock
-    _WORKER_INFO = {
-        "pid": os.getpid(),
-        "t_spawned": t_spawned,
-        "t_ready": t_ready,
-        "spawn": max(0.0, t_spawned - t_pool),
-        "env_build": max(0.0, t_ready - t_spawned),
-    }
-
-
-def _worker_execute_timed(
-    spec_doc: dict, timeout_s: float | None, t_submit: float
-) -> dict:
-    """Like :func:`_worker_execute`, but measuring each lifecycle phase.
-
-    The record itself comes from the identical :func:`_execute_record` path —
-    timing wraps around it, never inside it — so telemetered and plain runs
-    store byte-identical results.  ``serialize`` is measured as an explicit
-    ``pickle.dumps`` of the outgoing document: the pool pickles the return
-    value right after we return, so this is a faithful (and cheap, few-KB)
-    proxy for the real IPC serialization cost.
-    """
-
-    clock = _WORKER_CLOCK if _WORKER_CLOCK is not None else WallClock()
-    t_start = clock.now()
-    watch = Stopwatch()
-    spec = RunSpec.from_json(spec_doc)
-    deserialize_s = watch.lap()
+    t_decoded = clock.now()
+    t_start = t_decoded if t_start is None else t_start
+    t_submit = t_start if t_submit is None else t_submit
     record = _execute_record(spec, timeout_s)
-    execute_s = watch.lap()
-    doc = dict(record)
-    pickle.dumps(doc)
-    serialize_s = watch.lap()
-    return {
-        "record": doc,
-        "timing": {
-            "worker": os.getpid(),
-            "t_submit": t_submit,
-            "t_start": t_start,
-            "t_end": clock.now(),
-            "phases": {
-                "enqueue_wait": max(0.0, t_start - t_submit),
-                "deserialize": deserialize_s,
-                "execute": execute_s,
-                "serialize": serialize_s,
-            },
+    t_end = clock.now()
+    return record, {
+        "worker": worker,
+        "t_submit": t_submit,
+        "t_start": t_start,
+        "t_end": t_end,
+        "phases": {
+            "enqueue_wait": max(0.0, t_start - t_submit),  # marks of two processes
+            "deserialize": t_decoded - t_start,
+            "execute": t_end - t_decoded,
         },
-        "worker_info": _WORKER_INFO,
     }
+
+
+def _worker_main(
+    conn: Connection, origin: float, t_spawn: float, timeout_s: float | None
+) -> None:
+    """An owned worker: report ready, then serve runs until the pipe closes.
+
+    The first message is the worker's lifecycle record: ``spawn`` is
+    everything between the parent starting the process and this function
+    running (interpreter start-up, ``repro`` module imports); ``env_build``
+    is the warm-up import of the experiment harness, the module whose
+    construction caches all simulation tasks share.  Each later message
+    answers a ``(spec document, hand-off time)`` with ``(pickled record,
+    timing)`` — pickled here, not by ``send``, so that ``serialize`` is
+    measured and an unpicklable result becomes an error record.
+    """
+
+    clock = WallClock(origin=origin)  # the parent's timebase
+    t_spawned = clock.now()
+    from ..experiments import harness  # noqa: F401 - warm-up import only
+    t_ready = clock.now()
+    pid = os.getpid()
+    conn.send(
+        {
+            "pid": pid,
+            "t_spawned": t_spawned,
+            "t_ready": t_ready,
+            "spawn": max(0.0, t_spawned - t_spawn),  # marks of two processes
+            "env_build": t_ready - t_spawned,
+        }
+    )
+    while True:
+        try:
+            spec_doc, t_submit = conn.recv()
+        except EOFError:  # the parent has no more runs for this worker
+            return
+        t_start = clock.now()
+        spec = RunSpec.from_json(spec_doc)
+        record, timing = _execute_timed(
+            spec, timeout_s, clock, worker=pid, t_submit=t_submit, t_start=t_start
+        )
+        try:
+            payload = pickle.dumps(record)
+        except Exception as exc:  # noqa: BLE001 - captured into the record
+            error = f"{type(exc).__name__}: {exc}"
+            payload = pickle.dumps(RunRecord.build(spec, status="error", error=error))
+        t_pickled = clock.now()
+        timing["phases"]["serialize"] = t_pickled - timing["t_end"]
+        timing["t_end"] = t_pickled
+        conn.send((payload, timing))
 
 
 # ----------------------------------------------------------------------
@@ -258,23 +269,6 @@ def _normalize_specs(specs: SweepSpec | Iterable[RunSpec]) -> list[RunSpec]:
             raise ConfigurationError(f"expected RunSpec, got {type(spec).__name__}")
         unique.setdefault(spec.spec_hash, spec)
     return list(unique.values())
-
-
-def _ensure_importable_pythonpath() -> None:
-    """Make sure spawn children can ``import repro``.
-
-    Spawned workers re-import this module from scratch; when the library is
-    used straight from a source tree (``PYTHONPATH=src``), the child only
-    inherits what the environment carries.  Prepending the package's own
-    parent directory to ``PYTHONPATH`` covers source-tree, editable and
-    installed layouts alike.
-    """
-
-    package_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    current = os.environ.get("PYTHONPATH", "")
-    parts = current.split(os.pathsep) if current else []
-    if package_root not in parts:
-        os.environ["PYTHONPATH"] = os.pathsep.join([package_root, *parts])
 
 
 def run_sweep(
@@ -306,7 +300,7 @@ def run_sweep(
     progress: optional callback ``(record, done, total)`` invoked as each
         run finishes (including resumed ones, with their stored records).
     telemetry: optional :class:`~repro.runner.telemetry.SweepTelemetry`
-        collector; when given, every run (and every pool worker) emits a
+        collector; when given, every run (and every worker) emits a
         wall-clock lifecycle record into the ``repro.sweeptrace/1`` timeline.
         Telemetry is observation-only: stored records are byte-identical with
         it on or off.
@@ -337,33 +331,26 @@ def run_sweep(
 
     done_count = len(ordered) - len(pending)
     total = len(ordered)
-    if telemetry is not None:
-        telemetry.sweep_started(jobs=jobs, cells=total, resumed=report.skipped)
+    if telemetry is None:
+        telemetry = _NullTelemetry()
+    telemetry.sweep_started(jobs=jobs, cells=total, resumed=report.skipped)
     for spec in ordered:
         if spec.spec_hash in by_hash:
-            if telemetry is not None:
-                telemetry.run_resumed(spec.spec_hash)
+            telemetry.run_resumed(spec.spec_hash)
             if progress is not None:
                 progress(by_hash[spec.spec_hash], done_count, total)
 
-    def finish(
-        record: RunRecord,
-        timing: Mapping[str, Any] | None = None,
-        attempt: int = 1,
-    ) -> None:
+    def finish(record: RunRecord, timing: Mapping[str, Any], attempt: int = 1) -> None:
         nonlocal done_count
         by_hash[record["spec_hash"]] = record
-        if telemetry is None:
-            store.save(record)
-        else:
-            write_started = telemetry.clock.now()
-            store.save(record)
-            telemetry.run_finished(
-                record,
-                timing or {},
-                store_write_s=max(0.0, telemetry.clock.now() - write_started),
-                attempt=attempt,
-            )
+        write_started = telemetry.clock.now()
+        store.save(record)
+        telemetry.run_finished(
+            record,
+            timing,
+            store_write_s=telemetry.clock.now() - write_started,
+            attempt=attempt,
+        )
         report.executed += 1
         if not record.ok:
             report.failed += 1
@@ -371,154 +358,120 @@ def run_sweep(
         if progress is not None:
             progress(record, done_count, total)
 
-    if pending:
-        if jobs == 1:
-            _run_serial(pending, timeout_s, finish, telemetry)
-        else:
-            _run_parallel(pending, jobs, timeout_s, retries, finish, telemetry)
+    if jobs == 1:
+        for spec in pending:
+            finish(*_execute_timed(spec, timeout_s, telemetry.clock))
+    elif pending:
+        _run_parallel(pending, jobs, timeout_s, retries, finish, telemetry)
 
     report.records = [by_hash[spec.spec_hash] for spec in ordered]
     report.wall_seconds = time.perf_counter() - started
-    if telemetry is not None:
-        telemetry.sweep_finished(
-            wall_s=report.wall_seconds,
-            executed=report.executed,
-            skipped=report.skipped,
-            failed=report.failed,
-            cells=total,
-        )
+    telemetry.sweep_finished(
+        wall_s=report.wall_seconds,
+        executed=report.executed,
+        skipped=report.skipped,
+        failed=report.failed,
+        cells=total,
+    )
     return report
 
 
-def _run_serial(
-    pending: Sequence[RunSpec],
-    timeout_s: float | None,
-    finish: Callable[..., None],
-    telemetry: SweepTelemetry | None,
-) -> None:
-    """Execute *pending* in-process, in order.
+@dataclass
+class _Worker:
+    """One owned worker process, as the parent sees it."""
 
-    Serial runs have no pool, so the queueing and pickling phases are
-    genuinely zero; the timeline records only ``execute`` and (via ``finish``)
-    ``store_write``, all on worker id 0.
-    """
-
-    for spec in pending:
-        if telemetry is None:
-            finish(_execute_record(spec, timeout_s))
-            continue
-        t_submit = telemetry.clock.now()
-        record = _execute_record(spec, timeout_s)
-        t_end = telemetry.clock.now()
-        timing = {
-            "worker": 0,
-            "t_submit": t_submit,
-            "t_start": t_submit,
-            "t_end": t_end,
-            "phases": {
-                "enqueue_wait": 0.0,
-                "deserialize": 0.0,
-                "execute": max(0.0, t_end - t_submit),
-                "serialize": 0.0,
-            },
-        }
-        finish(record, timing)
+    process: Any
+    spec: RunSpec | None = None  # the run it holds; None until it reports ready
 
 
 def _run_parallel(
-    pending: Sequence[RunSpec],
+    pending: Iterable[RunSpec],
     jobs: int,
     timeout_s: float | None,
     retries: int,
     finish: Callable[..., None],
-    telemetry: SweepTelemetry | None = None,
+    telemetry: SweepTelemetry,
 ) -> None:
-    """Fan *pending* out over a spawn pool, rebuilding it after crashes."""
+    """Fan *pending* out over owned spawn workers, one run per worker at a time.
 
-    _ensure_importable_pythonpath()
+    ``workers`` maps the parent's end of each live worker's pipe to the run
+    that worker holds, which is all the state fault attribution needs: EOF on
+    a pipe blames exactly that run.  The queue only grows by a requeued crash,
+    and a replacement is spawned right then, so a non-empty queue always has a
+    worker coming for it and the loop ends when the last worker is retired.
+    """
+
+    from multiprocessing import connection, get_context  # serial sweeps never load it
+
     context = get_context("spawn")
     queue = deque(pending)
     attempts: dict[str, int] = {}
-    while queue:
-        batch = list(queue)
-        queue.clear()
-        requeued: list[RunSpec] = []
-        pool_kwargs: dict[str, Any] = {}
-        if telemetry is not None:
-            pool_kwargs = {
-                "initializer": _worker_init_timed,
-                "initargs": (telemetry.clock.origin, telemetry.clock.now()),
-            }
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context, **pool_kwargs
-        ) as pool:
-            if telemetry is None:
-                future_to_spec = {
-                    pool.submit(_worker_execute, spec.to_json(), timeout_s): spec
-                    for spec in batch
-                }
-            else:
-                future_to_spec = {
-                    pool.submit(
-                        _worker_execute_timed,
-                        spec.to_json(),
-                        timeout_s,
-                        telemetry.clock.now(),
-                    ): spec
-                    for spec in batch
-                }
-            outstanding = set(future_to_spec)
-            broken = False
-            while outstanding:
-                finished, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    spec = future_to_spec[future]
-                    try:
-                        doc = future.result()
-                    except BrokenExecutor:
-                        broken = True
-                        count = attempts.get(spec.spec_hash, 0) + 1
-                        attempts[spec.spec_hash] = count
-                        if count > retries:
-                            finish(
-                                RunRecord.build(
-                                    spec,
-                                    status="error",
-                                    error=(
-                                        "worker crashed and retry budget "
-                                        f"exhausted after {count} attempts"
-                                    ),
-                                    attempts=count,
-                                ),
-                                None,
-                                count,
-                            )
-                        else:
-                            if telemetry is not None:
-                                telemetry.run_crashed(
-                                    spec, attempt=count, requeued=True
-                                )
-                            requeued.append(spec)
-                    except Exception as exc:  # unpicklable result etc.
-                        finish(
-                            RunRecord.build(
-                                spec,
-                                status="error",
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                    else:
-                        if telemetry is None:
-                            finish(RunRecord(doc))
-                        else:
-                            telemetry.worker_seen(doc.get("worker_info"))
-                            finish(
-                                RunRecord(doc["record"]),
-                                doc["timing"],
-                                attempts.get(spec.spec_hash, 0) + 1,
-                            )
-                if broken:
-                    # The pool is unusable; everything still outstanding
-                    # comes back as BrokenExecutor on the next wait() pass.
+    workers: dict[Connection, _Worker] = {}
+    started = []  # every process of this sweep, reaped at the end: an exit takes ~20 ms
+
+    def spawn() -> None:
+        ours, theirs = context.Pipe()
+        args = (theirs, telemetry.clock.origin, telemetry.clock.now(), timeout_s)
+        process = context.Process(target=_worker_main, args=args, daemon=True)
+        process.start()
+        theirs.close()  # the worker holds the only copy: its death is our EOF
+        workers[ours] = _Worker(process)
+        started.append(process)
+
+    def hand_off(conn: Connection) -> None:
+        """Give the worker behind *conn* its next run, or retire it."""
+
+        if not queue:
+            conn.close()  # EOF ends the worker's receive loop
+            del workers[conn]
+            return
+        spec = workers[conn].spec = queue.popleft()
+        try:
+            conn.send((spec.to_json(), telemetry.clock.now()))
+        except OSError:
+            pass  # it died idle: the next wait() reads EOF and requeues the run
+
+    def bury(conn: Connection) -> None:
+        """The worker behind *conn* died: charge the run it held, replace it."""
+
+        worker = workers.pop(conn)
+        conn.close()
+        spec, pid = worker.spec, worker.process.pid
+        if spec is None:
+            raise SweepExecutionError(f"sweep worker {pid} died before accepting a run")
+        count = attempts[spec.spec_hash] = attempts.get(spec.spec_hash, 0) + 1
+        if count > retries:
+            error = f"worker crashed and retry budget exhausted after {count} attempts"
+            record = RunRecord.build(spec, status="error", error=error, attempts=count)
+            finish(record, {"worker": pid}, count)
+        else:
+            telemetry.run_crashed(spec, attempt=count, worker=pid)
+            queue.append(spec)
+        if queue:
+            spawn()
+
+    try:
+        for _ in range(min(jobs, len(queue))):
+            spawn()
+        while workers:
+            for conn in connection.wait(list(workers)):
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    bury(conn)
                     continue
-        queue.extend(requeued)
+                spec = workers[conn].spec
+                # Hand-off comes first: the worker starts its next run while
+                # the parent is still writing the record it just returned.
+                hand_off(conn)
+                if spec is None:
+                    telemetry.worker_seen(message)
+                else:
+                    payload, timing = message
+                    attempt = attempts.get(spec.spec_hash, 0) + 1
+                    finish(pickle.loads(payload), timing, attempt)
+    finally:
+        for worker in workers.values():  # only non-empty when unwinding an error
+            worker.process.kill()
+        for process in started:
+            process.join()

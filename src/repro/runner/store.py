@@ -109,7 +109,9 @@ class ResultStore:
         """The stored record, or ``None`` if absent or unreadable.
 
         A corrupt record (truncated by an unclean shutdown predating atomic
-        writes, say) is treated as missing so the run is simply recomputed.
+        writes, say) is treated as missing so the run is simply recomputed —
+        and so is a record filed under another cell's digest (a copied or
+        renamed file): the name is the address, the content has to agree.
         """
 
         path = self.path_for(spec_or_hash)
@@ -119,6 +121,8 @@ class ResultStore:
         except (OSError, json.JSONDecodeError):
             return None
         if not isinstance(doc, dict) or doc.get("schema") != RECORD_SCHEMA:
+            return None
+        if doc.get("spec_hash") != path.stem:
             return None
         return RunRecord(doc)
 

@@ -21,8 +21,8 @@ Built-in tasks:
     The repetition cells of the corresponding figure scripts (see each
     ``repro.experiments.fig*`` module's ``run_cell``).
 ``selftest.*``
-    Tiny diagnostic tasks (echo / sleep / crash) used by the harness's own
-    tests and by operators validating a new results directory.
+    Tiny diagnostic tasks (echo / sleep / crash / unpicklable) used by the
+    harness's own tests and by operators validating a new results directory.
 """
 
 from __future__ import annotations
@@ -257,3 +257,10 @@ def _selftest_crash(params: Mapping[str, Any]) -> dict[str, Any]:
     """Kill the executing process outright (exercises crash retry)."""
 
     os._exit(int(params.get("code", 17)))
+
+
+@register_task("selftest.unpicklable")
+def _selftest_unpicklable(params: Mapping[str, Any]) -> Any:
+    """Return a value no pipe can carry (exercises the worker's result guard)."""
+
+    return lambda: params

@@ -1,34 +1,36 @@
 """Worker-lifecycle telemetry for the sweep executor (``repro.sweeptrace/1``).
 
-``BENCH_sweep.json`` says the process pool runs *slower* than serial
-(speedup 0.382 at jobs=2) — but a single wall-clock total cannot say where
-the time goes.  This module decomposes every run of a sweep into named
-wall-clock phases and streams them, one JSON object per line, into a
-*timeline* file next to the :class:`~repro.runner.store.ResultStore`:
+A single wall-clock total cannot say where a sweep's time goes.  This module
+decomposes every run of a sweep into named wall-clock phases and streams
+them, one JSON object per line, into a *timeline* file next to the
+:class:`~repro.runner.store.ResultStore`:
 
 ``enqueue_wait``
-    run submitted to the pool → a worker actually picks it up;
+    the parent hands the run to an idle worker → that worker picks it up
+    (a run is only handed off when a worker is free, so this is pipe
+    latency, not time spent queueing behind other runs);
 ``spawn`` / ``env_build``
-    per-*worker* one-time costs, measured by a pool initializer: interpreter
-    start-up + module imports since pool creation (``spawn``) and the warm-up
-    import of the experiment harness (``env_build``);
+    per-*worker* one-time costs, measured by every worker as it starts:
+    interpreter start-up + module imports since the parent started the
+    process (``spawn``) and the warm-up import of the experiment harness
+    (``env_build``);
 ``deserialize``
     decoding the ``(task, params)`` spec document in the worker;
 ``execute``
     the task function itself (per-cell environment construction included);
 ``serialize``
-    pickling the result document for the trip back (measured explicitly, as
-    a faithful proxy for the pool's own result pickling);
+    the worker pickling the record for the trip back;
 ``store_write``
     the parent persisting the record into the result store.
 
 Timestamps are seconds on one shared monotonic timebase: the parent anchors a
 :class:`~repro.obs.wall.WallClock` at sweep start and ships the raw origin to
 every worker, which works because ``CLOCK_MONOTONIC`` is system-wide on
-Linux (the only place the spawn pool runs in this repository).
+Linux (the only place the spawn workers run in this repository).
 
-The timeline is **observation only**.  Workers execute the exact same
-``_execute_record`` path with telemetry on or off, and the stored records
+The timeline is **observation only**.  The executor times every run the same
+way whether or not anyone collects the result (``telemetry=None`` selects
+:class:`_NullTelemetry`, which drops the records), and the stored records
 never contain wall-clock data — serial sweeps with telemetry enabled are
 byte-identical to untelemetered ones (pinned by a golden-hash test).
 
@@ -50,7 +52,9 @@ Schema (one JSON object per line)::
 Failure paths are first-class timeline citizens: a run killed by the
 per-run SIGALRM timeout lands tagged ``["timeout"]``, and a worker crash
 lands as a ``status="crash"`` record tagged ``["crash", "retry"]`` (requeued)
-or ``["crash", "failed"]`` (retry budget exhausted).
+or an ``error`` record tagged ``["crash", "failed"]`` (retry budget
+exhausted) — either way naming the pid of the worker that died and the one
+run it held.
 
 Read a timeline back with :func:`read_timeline`; turn it into an
 overhead-attribution report with ``python -m repro analyze-sweep`` (see
@@ -172,7 +176,7 @@ class SweepTelemetry:
         self._emit({"kind": "resumed", "spec_hash": spec_hash})
 
     def worker_seen(self, info: Mapping[str, Any] | None) -> None:
-        """Emit one ``worker`` record per distinct pool worker."""
+        """Emit one ``worker`` record per distinct worker process."""
 
         if not info:
             return
@@ -201,8 +205,13 @@ class SweepTelemetry:
         store_write_s: float,
         attempt: int = 1,
     ) -> None:
-        """One completed (ok or error) run, with its measured phases."""
+        """One completed (ok or error) run, with its measured phases.
 
+        A run recorded without marks (a crash that exhausted its retries
+        produced none) is a zero-length span at the moment it is stored.
+        """
+
+        now = self.clock.now()
         phases = dict(timing.get("phases", {}))
         phases.setdefault("enqueue_wait", 0.0)
         phases.setdefault("deserialize", 0.0)
@@ -219,16 +228,21 @@ class SweepTelemetry:
                 "tags": run_tags(record),
                 "worker": int(timing.get("worker", 0)),
                 "attempt": attempt,
-                "t_submit": float(timing.get("t_submit", 0.0)),
-                "t_start": float(timing.get("t_start", 0.0)),
-                "t_end": float(timing.get("t_end", 0.0)),
-                "t_stored": self.clock.now(),
+                "t_submit": float(timing.get("t_submit", now)),
+                "t_start": float(timing.get("t_start", now)),
+                "t_end": float(timing.get("t_end", now)),
+                "t_stored": now,
                 "phases": {name: float(phases[name]) for name in sorted(phases)},
             }
         )
 
-    def run_crashed(self, spec: Any, *, attempt: int, requeued: bool) -> None:
-        """A worker died mid-run; the run itself produced no timing."""
+    def run_crashed(self, spec: Any, *, attempt: int, worker: int) -> None:
+        """*worker* died holding *spec*, which goes back on the queue.
+
+        The run itself produced no timing.  (The crash that exhausts the
+        retry budget is not reported here: it becomes a stored error record
+        and reaches the timeline through :meth:`run_finished`.)
+        """
 
         now = self.clock.now()
         self._emit(
@@ -237,11 +251,11 @@ class SweepTelemetry:
                 "spec_hash": spec.spec_hash,
                 "task": spec.task,
                 "status": "crash",
-                "tags": ["crash", "retry" if requeued else "failed"],
-                "worker": 0,
+                "tags": ["crash", "retry"],
+                "worker": worker,
                 "attempt": attempt,
-                "t_submit": 0.0,
-                "t_start": 0.0,
+                "t_submit": now,
+                "t_start": now,
                 "t_end": now,
                 "t_stored": now,
                 "phases": {},
@@ -263,6 +277,18 @@ class SweepTelemetry:
             }
         )
         self.close()
+
+
+class _NullTelemetry(SweepTelemetry):
+    """What ``run_sweep(telemetry=None)`` runs with: every hook, no record.
+
+    The executor always times and always reports; without a collector the
+    reports land here, so it has one path instead of an observed and an
+    unobserved twin.
+    """
+
+    def _emit(self, record: dict[str, Any]) -> None:
+        pass
 
 
 # ----------------------------------------------------------------------

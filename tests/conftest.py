@@ -1,8 +1,16 @@
-"""Shared fixtures.
+"""Shared fixtures, and the hypothesis profiles the suite runs under.
 
 Expensive objects (physical networks, overlay families, crypto groups) are
 session-scoped: the suite builds them once and every test reuses them
 read-only.  Tests that mutate state build their own small instances.
+
+Tier-1 must be green or red for a reason in the code, never for a reason in
+the dice, so the property tests run *derandomized* by default: each test
+draws the same examples on every run (seeded from the test function, no
+example database).  Exploration is a separate, non-blocking job:
+``python -m pytest tests/property --hypothesis-profile=explore
+--hypothesis-seed=N`` draws fresh examples, and a counter-example it finds
+arrives as a reproducible seed to be pinned with ``@example``.
 """
 
 from __future__ import annotations
@@ -10,12 +18,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.crypto.group import toy_group
 from repro.net.topology import PhysicalNetwork, generate_physical_network
 from repro.overlay.annealing import AnnealingConfig
 from repro.overlay.base import TransportSpace
 from repro.overlay.robust_tree import build_overlay_family
+
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")  # `--hypothesis-profile` on the command line wins
 
 
 @pytest.fixture(scope="session")

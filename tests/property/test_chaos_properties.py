@@ -6,9 +6,11 @@ random chaos seeds:
 * **Soundness** — an all-honest run never produces a violation record and
   never accuses anyone.
 * **Completeness with zero framing** — when the scenario scripts a Byzantine
-  deviation, at least one :class:`~repro.core.accountability.Violation` is
-  recorded against a deviating node, every observed deviant is attributed,
-  and no honest node is ever accused.
+  deviation, every *observed* deviant is attributed by a
+  :class:`~repro.core.accountability.Violation` record and no honest node is
+  ever accused.  A ``drop-relay`` node that no overlay ever asks to relay has
+  done nothing anyone could see, so "at least one accusation" is only owed
+  when something was observed.
 
 The physical environment is cached on ``(num_nodes, f, k)`` with a fixed
 build seed inside :func:`~repro.chaos.run_chaos`, so varying the chaos seed
@@ -16,7 +18,7 @@ re-rolls fault targets and loss draws without paying overlay construction
 per example.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import BehaviorFlip, ChaosScenario, ChaosWorkload, run_chaos
@@ -55,15 +57,19 @@ def test_honest_runs_yield_zero_violations(seed, protocol):
 
 
 @given(seed=seeds, protocol=protocols)
+# The four drop-relay nodes {7, 9, 20, 22} are never asked to relay here:
+# nothing is observable, nothing may be accused (1 of the 240 cases below
+# seed 120, and the reason this test used to be red now and then).
+@example(seed=32, protocol="hermes")
 @settings(max_examples=8, deadline=None)
 def test_scripted_deviation_is_attributed_without_framing(seed, protocol):
     report = run_chaos(CENSOR, protocol=protocol, num_nodes=NODES, seed=seed)
     acct = report.accountability
     deviants = set(acct["deviants"])
     assert deviants, "the fraction flip must resolve to concrete nodes"
-    # At least one evidence-log entry accuses a deviating node...
-    assert set(acct["attributed"]) & deviants
-    # ...every deviant the monitors could observe is attributed...
+    # Every deviant the monitors could observe is attributed — so whenever
+    # one was observed, the evidence log accuses a deviating node...
+    assert set(acct["observed_deviants"]) <= set(acct["attributed"])
     assert acct["attribution_rate"] == 1.0
     assert set(acct["missed"]) == set()
     # ...and no honest node is ever framed by an accusation (sequence-gap

@@ -19,7 +19,7 @@ Three invariant families over random seeds and adversarial inputs:
 import bisect
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.sketch import QuantileSketch, ReservoirSketch
@@ -75,6 +75,10 @@ def assert_within_bound(sketch: QuantileSketch, values: list[float], pct: float)
     n=st.integers(min_value=1, max_value=4_000),
     pct=percentiles,
 )
+# A constant population whose two weight-1 neighbours interpolate one ulp
+# *above* every sample unless the shared `interpolate` step clamps: the
+# estimate then outranks all 53 values ("51.9 ranks from target, bound 17").
+@example(seed=0, capacity=8, shape="constant", n=53, pct=0.125)
 @settings(max_examples=60, deadline=None)
 def test_sketch_percentile_within_reported_rank_error(seed, capacity, shape, n, pct):
     values = adversarial_values(shape, n, seed)
@@ -95,6 +99,17 @@ def test_under_capacity_sketch_is_exact(seed, capacity, pct):
         sketch.observe(value)
     assert sketch.rank_error() == 0.0
     assert abs(sketch.percentile(pct) - percentile(values, pct)) < 1e-9
+
+
+def test_constant_population_percentiles_equal_the_exact_path():
+    # The docstring's promise, literally: under capacity the sketch and
+    # net.stats.percentile return the same float (same interpolation step).
+    for n in (2, 3, 7):
+        sketch = QuantileSketch(8)
+        for _ in range(n):
+            sketch.observe(3.25)
+        for pct in range(101):
+            assert sketch.percentile(pct) == percentile([3.25] * n, pct) == 3.25
 
 
 @given(

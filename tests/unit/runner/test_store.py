@@ -74,6 +74,17 @@ class TestResultStore:
         path.write_text(json.dumps({"schema": "other/9", "spec_hash": spec.spec_hash}))
         assert store.load(spec) is None
 
+    def test_misfiled_record_treated_as_missing(self, store, spec):
+        # A record copied (or renamed) onto another cell's address must be
+        # recomputed, not served as that cell's result.
+        other = RunSpec(task="selftest.echo", params={"x": 2})
+        store.save(RunRecord.build(other, result={"x": 2}))
+        store.path_for(spec).write_bytes(store.path_for(other).read_bytes())
+        assert store.load(spec) is None
+        assert store.load(other).result == {"x": 2}
+        assert store.completed_hashes() == {other.spec_hash}
+        assert [r["spec_hash"] for r in store.records()] == [other.spec_hash]
+
     def test_completed_hashes_excludes_failures(self, store):
         ok = RunSpec(task="t", params={"x": 1})
         bad = RunSpec(task="t", params={"x": 2})
