@@ -160,43 +160,45 @@ def run_adversary_trial(
         if node.node_id in coalition:
             agent.observe(node, tx)
 
-    system = system_factory(plan, observe_hook)
-    ctx.system = system
-    agent.attach(ctx)
-    system.start()
+    with system_factory(plan, observe_hook) as system:
+        ctx.system = system
+        agent.attach(ctx)
+        system.start()
 
-    # -- workload: background stream with the victim in the middle --------
-    honest = plan.honest_nodes(node_ids)
-    rng = derive_rng(seed, "adversary-background")
-    origins = [rng.choice(honest) for _ in range(background_txs)]
-    before = background_txs // 2
-    submissions: list[tuple[float, int, Transaction]] = []
-    slot = 0
-    for index, origin in enumerate(origins):
-        if index == before:
-            slot += 1  # leave the victim's slot open
-        submissions.append(
-            (
-                slot * background_spacing_ms,
-                origin,
-                Transaction.create(
-                    origin=origin, created_at=slot * background_spacing_ms
-                ),
+        # -- workload: background stream with the victim in the middle ----
+        honest = plan.honest_nodes(node_ids)
+        rng = derive_rng(seed, "adversary-background")
+        origins = [rng.choice(honest) for _ in range(background_txs)]
+        before = background_txs // 2
+        submissions: list[tuple[float, int, Transaction]] = []
+        slot = 0
+        for index, origin in enumerate(origins):
+            if index == before:
+                slot += 1  # leave the victim's slot open
+            submissions.append(
+                (
+                    slot * background_spacing_ms,
+                    origin,
+                    Transaction.create(
+                        origin=origin, created_at=slot * background_spacing_ms
+                    ),
+                )
             )
+            slot += 1
+        victim_time = before * background_spacing_ms
+        victim_tx = Transaction.create(
+            origin=victim, created_at=victim_time, tag="victim", fee=victim_fee
         )
-        slot += 1
-    victim_time = before * background_spacing_ms
-    victim_tx = Transaction.create(
-        origin=victim, created_at=victim_time, tag="victim", fee=victim_fee
-    )
-    submissions.append((victim_time, victim, victim_tx))
-    ctx.victim_tx_id = victim_tx.tx_id
-    simulator = system.simulator
-    for when, origin, tx in submissions:
-        simulator.schedule_at(when, lambda origin=origin, tx=tx: system.submit(origin, tx))
+        submissions.append((victim_time, victim, victim_tx))
+        ctx.victim_tx_id = victim_tx.tx_id
+        simulator = system.simulator
+        for when, origin, tx in submissions:
+            simulator.schedule_at(
+                when, lambda origin=origin, tx=tx: system.submit(origin, tx)
+            )
 
-    system.run(until_ms=horizon_ms)
-    agent.finalize()
+        system.run(until_ms=horizon_ms)
+        agent.finalize()
 
     # -- scoring ----------------------------------------------------------
     proposer_node = system.nodes[proposer]
@@ -293,11 +295,11 @@ def run_censorship_trial(
         seed=seed,
         protected=(sender, *protected),
     )
-    system = system_factory(plan)
-    system.start()
-    tx = Transaction.create(origin=sender, created_at=0.0)
-    system.submit(sender, tx)
-    system.run(until_ms=horizon_ms)
+    with system_factory(plan) as system:
+        system.start()
+        tx = Transaction.create(origin=sender, created_at=0.0)
+        system.submit(sender, tx)
+        system.run(until_ms=horizon_ms)
 
     honest = plan.honest_nodes(node_ids)
     delivered = set(system.stats.deliveries.get(tx.tx_id, {}))
@@ -346,21 +348,21 @@ def run_overload_trial(
     """
 
     def measure(with_flooder: bool) -> float:
-        system = system_factory()
-        if with_flooder:
-            agent = FloodStrategy(target=target, interval_ms=flood_interval_ms)
-            agent.attach(
-                AgentContext(
-                    system=system,
-                    coalition=frozenset(),
-                    ledger=AttackLedger(),
-                    target=target,
+        with system_factory() as system:
+            if with_flooder:
+                agent = FloodStrategy(target=target, interval_ms=flood_interval_ms)
+                agent.attach(
+                    AgentContext(
+                        system=system,
+                        coalition=frozenset(),
+                        ledger=AttackLedger(),
+                        target=target,
+                    )
                 )
-            )
-        system.start()
-        tx = Transaction.create(origin=sender, created_at=0.0)
-        system.submit(sender, tx)
-        system.run(until_ms=horizon_ms)
+            system.start()
+            tx = Transaction.create(origin=sender, created_at=0.0)
+            system.submit(sender, tx)
+            system.run(until_ms=horizon_ms)
         latencies = system.stats.delivery_latencies(tx.tx_id)
         return sum(latencies) / len(latencies) if latencies else float("inf")
 

@@ -126,15 +126,15 @@ def run_front_running_trial(
         trial.adversarial_tx = adversarial
         strategy_holder[0](system, node, adversarial)
 
-    system = system_factory(plan, observe_hook)
-    system_holder.append(system)
-    strategy_holder.append(adversarial_strategy_for(system))
+    with system_factory(plan, observe_hook) as system:
+        system_holder.append(system)
+        strategy_holder.append(adversarial_strategy_for(system))
 
-    system.start()
-    victim_tx = Transaction.create(origin=victim, created_at=0.0, tag="victim")
-    trial.victim_tx_id = victim_tx.tx_id
-    system.submit(victim, victim_tx)
-    system.run(until_ms=horizon_ms)
+        system.start()
+        victim_tx = Transaction.create(origin=victim, created_at=0.0, tag="victim")
+        trial.victim_tx_id = victim_tx.tx_id
+        system.submit(victim, victim_tx)
+        system.run(until_ms=horizon_ms)
 
     proposer_node = system.nodes[proposer]
     block = build_block(proposer_node.mempool, system.simulator.now)

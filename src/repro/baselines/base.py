@@ -3,8 +3,8 @@
 Every baseline follows the same lifecycle as :class:`repro.core.HermesSystem`:
 construct over a :class:`PhysicalNetwork` with a :class:`FaultPlan`, ``start``,
 ``submit`` transactions at origin nodes, ``run`` the simulator, read
-``stats``.  :class:`BaseSystem` implements that lifecycle; subclasses provide
-the node factory.
+``stats``, ``close()`` (or build it in a ``with`` block).  :class:`BaseSystem`
+implements that lifecycle; subclasses provide the node factory.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable
 
 from ..mempool.transaction import Transaction
 from ..net.faults import Behavior, FaultPlan
-from ..net.node import Network, ProtocolNode
+from ..net.node import Deployment, Network, ProtocolNode
 from ..net.simulator import Simulator
 from ..net.topology import PhysicalNetwork
 from ..obs import Observability
@@ -105,8 +105,12 @@ class BaselineNode(ProtocolNode):
     def submit_transaction(self, tx: Transaction) -> None:
         raise NotImplementedError
 
+    def close(self) -> None:
+        # Attack drivers' hooks close over the system that owns this node.
+        self.observe_hook = None
 
-class BaseSystem:
+
+class BaseSystem(Deployment):
     """Owns the simulator, network and node set of one baseline deployment."""
 
     def __init__(
@@ -132,6 +136,10 @@ class BaseSystem:
 
     def _make_node(self, node_id: int, behavior: Behavior) -> BaselineNode:
         raise NotImplementedError
+
+    def close(self) -> None:
+        super().close()
+        self.observe_hook = None
 
     # -- driving ----------------------------------------------------------
 

@@ -369,9 +369,10 @@ def run_chaos(
         )
 
     # -- run ---------------------------------------------------------------
-    system.start()
-    final_time = system.run(until_ms=scenario.horizon_ms)
-    accountability = suite.finalize()
+    with system:
+        system.start()
+        final_time = system.run(until_ms=scenario.horizon_ms)
+        accountability = suite.finalize()
 
     stats = network.stats
     return ChaosReport(

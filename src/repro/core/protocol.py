@@ -26,7 +26,7 @@ from ..mempool.mempool import Mempool
 from ..mempool.transaction import Transaction
 from ..net.events import Message
 from ..net.faults import Behavior, FaultPlan
-from ..net.node import Network, ProtocolNode
+from ..net.node import Deployment, Network, ProtocolNode
 from ..net.simulator import Simulator
 from ..net.topology import PhysicalNetwork
 from ..obs import Observability
@@ -131,6 +131,16 @@ class HermesNode(ProtocolNode):
         self.trs_member: TrsCommitteeMember | None = None
         if node_id in committee:
             self.trs_member = TrsCommitteeMember(self, committee, config.f, backend)
+
+    def close(self) -> None:
+        # Both TRS components hold this node (the client's pending requests
+        # also hold seed callbacks that close over it); attack hooks close
+        # over the owning system.
+        if self.trs_member is not None:
+            self.trs_member.close()
+        self.trs_member = None
+        self.trs_client = None
+        self.observe_hook = None
 
     def _trace(
         self,
@@ -622,7 +632,7 @@ class HermesNode(ProtocolNode):
             self._deliver_locally(tx, sender=sender, via="gossip")
 
 
-class HermesSystem:
+class HermesSystem(Deployment):
     """Builds and owns a complete HERMES deployment on one simulator."""
 
     # Subclasses may substitute an extended node implementation (e.g. the

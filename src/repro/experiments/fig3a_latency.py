@@ -113,14 +113,14 @@ def run(
     summaries: dict[str, LatencySummary] = {}
     overheads: dict[str, float] = {}
     for name in PROTOCOL_NAMES:
-        system = factories[name]()
-        # Construction rebinds the tracer clock to this system's simulator,
-        # so open the per-protocol span only afterwards.
-        span = obs.span("fig3a.protocol", protocol=name) if obs is not None else None
-        system.start()
-        for origin in origins:
-            system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
-        system.run(until_ms=config.horizon_ms)
+        with factories[name]() as system:
+            # Construction rebinds the tracer clock to this system's
+            # simulator, so open the per-protocol span only afterwards.
+            span = obs.span("fig3a.protocol", protocol=name) if obs is not None else None
+            system.start()
+            for origin in origins:
+                system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
+            system.run(until_ms=config.horizon_ms)
         summaries[name] = system.stats.latency_summary()
         setup = system.stats.setup_overheads()
         overheads[name] = sum(setup) / len(setup) if setup else 0.0
@@ -194,11 +194,11 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
         narwhal_config=config._narwhal_config(),
     )
     name = str(params["protocol"])
-    system = factories[name]()
-    system.start()
-    for origin in _workload(config, env):
-        system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
-    system.run(until_ms=config.horizon_ms)
+    with factories[name]() as system:
+        system.start()
+        for origin in _workload(config, env):
+            system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
+        system.run(until_ms=config.horizon_ms)
     return {
         "protocol": name,
         "latencies": system.stats.all_delivery_latencies(),

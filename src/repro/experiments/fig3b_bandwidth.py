@@ -113,19 +113,19 @@ def _measure_protocol(
 
     factories = protocol_factories(env)
     submit_times = _submit_schedule(config, env)
-    system = factories[name]()
-    system.start()
-    for when, origin in submit_times:
-        system.simulator.schedule_at(
-            when,
-            (
-                lambda origin=origin: system.submit(
-                    origin,
-                    Transaction.create(origin=origin, created_at=system.simulator.now),
-                )
-            ),
-        )
-    system.run(until_ms=config.duration_ms)
+    with factories[name]() as system:
+        system.start()
+        for when, origin in submit_times:
+            system.simulator.schedule_at(
+                when,
+                (
+                    lambda origin=origin: system.submit(
+                        origin,
+                        Transaction.create(origin=origin, created_at=system.simulator.now),
+                    )
+                ),
+            )
+        system.run(until_ms=config.duration_ms)
     kb_per_minute = system.stats.bandwidth_kb_per_minute(config.duration_ms)
     cert_extra = 0.0
     if name == "hermes":

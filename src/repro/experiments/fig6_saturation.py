@@ -112,23 +112,22 @@ def _run_point(
 ) -> LoadResult:
     """One saturation point: one protocol under one offered rate."""
 
-    factories = protocol_factories(env)
-    system = factories[protocol]()
-    system.network.capacity = CapacityModel(config.capacity_config())
-    arrivals = make_arrivals(
-        config.pattern,
-        rate_tps=rate_tps,
-        origins=env.physical.nodes(),
-        seed=config.seed,
-        zipf_s=config.zipf_s,
-    )
-    driver = LoadDriver(
-        system,
-        arrivals,
-        protocol=protocol,
-        delivery_fraction=config.delivery_fraction,
-    )
-    return driver.run(config.duration_ms, drain_ms=config.drain_ms)
+    with protocol_factories(env)[protocol]() as system:
+        system.network.capacity = CapacityModel(config.capacity_config())
+        arrivals = make_arrivals(
+            config.pattern,
+            rate_tps=rate_tps,
+            origins=env.physical.nodes(),
+            seed=config.seed,
+            zipf_s=config.zipf_s,
+        )
+        driver = LoadDriver(
+            system,
+            arrivals,
+            protocol=protocol,
+            delivery_fraction=config.delivery_fraction,
+        )
+        return driver.run(config.duration_ms, drain_ms=config.drain_ms)
 
 
 def run(config: Fig6Config | None = None) -> Fig6Result:

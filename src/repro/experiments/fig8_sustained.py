@@ -180,21 +180,20 @@ def _run_point(
         )
     if env is None:
         raise ValueError(f"protocol {protocol!r} needs a built environment")
-    factories = protocol_factories(env)
-    system = factories[protocol]()
-    system.network.capacity = CapacityModel(config.capacity_config())
-    driver = PopulationDriver(
-        system,
-        population,
-        protocol=protocol,
-        fee_market=market,
-        policy=policy,
-        delivery_fraction=config.delivery_fraction,
-        sketch_capacity=config.sketch_capacity,
-        window_ms=config.window_ms,
-        target_occupancy=config.target_occupancy,
-    )
-    return driver.run(config.duration_ms, drain_ms=config.drain_ms)
+    with protocol_factories(env)[protocol]() as system:
+        system.network.capacity = CapacityModel(config.capacity_config())
+        driver = PopulationDriver(
+            system,
+            population,
+            protocol=protocol,
+            fee_market=market,
+            policy=policy,
+            delivery_fraction=config.delivery_fraction,
+            sketch_capacity=config.sketch_capacity,
+            window_ms=config.window_ms,
+            target_occupancy=config.target_occupancy,
+        )
+        return driver.run(config.duration_ms, drain_ms=config.drain_ms)
 
 
 def _environment_for(config: Fig8Config) -> ExperimentEnvironment | None:

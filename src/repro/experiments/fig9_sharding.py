@@ -138,7 +138,7 @@ def _trial_seed(strategy: str, fraction: float, num_shards: int, trial: int) -> 
 def _run_goodput_cell(
     config: Fig9Config, num_shards: int, protocol: str
 ) -> ShardedLoadResult:
-    system = ShardedSystem(
+    with ShardedSystem(
         num_shards,
         config.total_nodes,
         protocol=protocol,
@@ -148,21 +148,21 @@ def _run_goodput_cell(
         map_policy=config.map_policy,
         map_seed=config.map_seed,
         capacity=config.capacity_config(),
-    )
-    arrivals = make_arrivals(
-        config.pattern,
-        rate_tps=config.rate_tps,
-        origins=list(range(config.total_nodes)),
-        seed=config.seed,
-        zipf_s=config.zipf_s,
-    )
-    driver = ShardedLoadDriver(
-        system,
-        arrivals,
-        protocol=protocol,
-        delivery_fraction=config.delivery_fraction,
-    )
-    return driver.run(config.duration_ms, config.drain_ms)
+    ) as system:
+        arrivals = make_arrivals(
+            config.pattern,
+            rate_tps=config.rate_tps,
+            origins=list(range(config.total_nodes)),
+            seed=config.seed,
+            zipf_s=config.zipf_s,
+        )
+        driver = ShardedLoadDriver(
+            system,
+            arrivals,
+            protocol=protocol,
+            delivery_fraction=config.delivery_fraction,
+        )
+        return driver.run(config.duration_ms, config.drain_ms)
 
 
 def _run_fairness_cell(

@@ -172,13 +172,14 @@ def _fairness_bias(
 def _measure_system(system, origins, horizon_ms, honest_nodes):
     items = []
     item_origins = {}
-    system.start()
-    for origin in origins:
-        tx = Transaction.create(origin=origin, created_at=0.0)
-        items.append(tx.tx_id)
-        item_origins[tx.tx_id] = origin
-        system.submit(origin, tx)
-    system.run(until_ms=horizon_ms)
+    with system:
+        system.start()
+        for origin in origins:
+            tx = Transaction.create(origin=origin, created_at=0.0)
+            items.append(tx.tx_id)
+            item_origins[tx.tx_id] = origin
+            system.submit(origin, tx)
+        system.run(until_ms=horizon_ms)
     stats = system.stats
     latencies = [
         latency for item in items for latency in stats.delivery_latencies(item)

@@ -147,14 +147,17 @@ class LoadDriver:
             obs.metrics.gauge("load.queue.peak_bytes").track_max(backlog)
 
     def _schedule_sampler(self, horizon_ms: float) -> None:
+        self.system.simulator.schedule_call(
+            self.sample_interval_ms, self._tick, horizon_ms
+        )
+
+    def _tick(self, horizon_ms: float) -> None:
+        # A method, not a closure that reschedules itself: such a closure
+        # references itself, a cycle that would outlive the system's close().
+        self._sample()
         simulator = self.system.simulator
-
-        def tick() -> None:
-            self._sample()
-            if simulator.now + self.sample_interval_ms <= horizon_ms:
-                simulator.schedule(self.sample_interval_ms, tick)
-
-        simulator.schedule(self.sample_interval_ms, tick)
+        if simulator.now + self.sample_interval_ms <= horizon_ms:
+            simulator.schedule_call(self.sample_interval_ms, self._tick, horizon_ms)
 
     # -- the run -----------------------------------------------------------
 

@@ -13,13 +13,14 @@ from .channel import LossModel
 from .events import Message
 from .faults import Behavior, FaultPlan
 from .latency import LatencyModel, LatencyParameters
-from .node import Network, ProtocolNode
+from .node import Deployment, Network, ProtocolNode
 from .simulator import Simulator
 from .stats import NetworkStats, percentile
 from .topology import PhysicalNetwork, generate_physical_network
 
 __all__ = [
     "Behavior",
+    "Deployment",
     "FaultPlan",
     "LatencyModel",
     "LatencyParameters",

@@ -31,7 +31,7 @@ from .simulator import Simulator
 from .stats import NetworkStats
 from .topology import PhysicalNetwork
 
-__all__ = ["Network", "ProtocolNode"]
+__all__ = ["Deployment", "Network", "ProtocolNode"]
 
 
 class Network:
@@ -110,6 +110,21 @@ class Network:
 
     def node_ids(self) -> list[int]:
         return sorted(self._nodes)
+
+    def close(self) -> None:
+        """Forget the registered nodes and every per-run hook (idempotent).
+
+        Nodes point back at their network, so the registry is a reference
+        cycle; hooks are usually bound methods of per-run objects that hold
+        the network too.  Statistics, the physical network and the latency
+        cache stay — a closed network can still be read, not driven.
+        """
+
+        self._nodes.clear()
+        self.on_send = None
+        self.on_receive = None
+        self.disruptor = None
+        self.capacity = None
 
     def start_all(self) -> None:
         """Invoke ``on_start`` on every registered node at time zero."""
@@ -324,3 +339,42 @@ class ProtocolNode:
         """Handle a delivered message.  Subclasses must override."""
 
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Drop references that lead from this node's state back to itself.
+
+        Called by :meth:`Deployment.close`; must be idempotent.  Nodes whose
+        components or hooks hold the node (or its system) override this.
+        """
+
+
+class Deployment:
+    """The end of life every protocol system shares: ``close()`` and ``with``.
+
+    A system owns a :class:`~repro.net.simulator.Simulator`, a
+    :class:`Network` and a ``nodes`` map, and those point at each other —
+    nodes at the network, the network at the nodes, pending events at nodes'
+    bound methods.  Left alone, a finished run is cyclic garbage that waits
+    for a generation-2 collection.  :meth:`close` cuts every one of those
+    links, so reference counting frees the deployment as soon as the caller
+    drops it.  Read results (``stats``, mempools, logs) before closing; a
+    closed system can be inspected but not driven.
+    """
+
+    simulator: Simulator
+    network: Network
+    nodes: dict
+
+    def close(self) -> None:
+        """Release the deployment's reference cycles (idempotent)."""
+
+        self.simulator.clear()
+        self.network.close()
+        for node in self.nodes.values():
+            node.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -146,9 +146,13 @@ class PopulationDriver:
         if self.policy is None:
             return
 
+        # Installed in every mempool, so it must not hold the driver: the
+        # driver holds the system, which holds the mempools.
+        counts = self.eviction_counts
+        obs = self.system.network.obs
+
         def on_drop(reason: str, tx: Transaction) -> None:
-            self.eviction_counts[reason] += 1
-            obs = self.system.network.obs
+            counts[reason] += 1
             if obs is not None:
                 obs.metrics.counter(f"mempool.{reason}").inc()
 
@@ -169,37 +173,37 @@ class PopulationDriver:
 
     # -- injection ---------------------------------------------------------
 
+    # The self-rescheduling callbacks below are methods, not nested closures:
+    # a closure that schedules itself references itself, a cycle no close()
+    # can reach.
+
     def _schedule_stream(self, horizon_ms: float) -> None:
         """Pull-one/schedule-next injection: O(1) pending events."""
 
-        system = self.system
-        events = self.population.events(horizon_ms)
+        self._schedule_next(self.population.events(horizon_ms))
 
-        def inject_next(submission) -> None:
-            fee = 0.0
-            if self.fee_market is not None:
-                fee = self.fee_market.bid(
-                    self.population.tier_bid_scale(submission.tier)
-                )
-                self.fee_windows.observe(submission.time_ms, fee)
-            tx = Transaction.create(
-                origin=submission.origin,
-                created_at=system.simulator.now,
-                fee=fee,
+    def _schedule_next(self, events) -> None:
+        submission = next(events, None)
+        if submission is not None:
+            simulator = self.system.simulator
+            simulator.schedule_call(
+                submission.time_ms - simulator.now, self._inject, events, submission
             )
-            system.submit(submission.origin, tx)
-            self.injected += 1
-            advance()
 
-        def advance() -> None:
-            submission = next(events, None)
-            if submission is not None:
-                simulator = system.simulator
-                simulator.schedule_call(
-                    submission.time_ms - simulator.now, inject_next, submission
-                )
-
-        advance()
+    def _inject(self, events, submission) -> None:
+        system = self.system
+        fee = 0.0
+        if self.fee_market is not None:
+            fee = self.fee_market.bid(self.population.tier_bid_scale(submission.tier))
+            self.fee_windows.observe(submission.time_ms, fee)
+        tx = Transaction.create(
+            origin=submission.origin,
+            created_at=system.simulator.now,
+            fee=fee,
+        )
+        system.submit(submission.origin, tx)
+        self.injected += 1
+        self._schedule_next(events)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -230,19 +234,22 @@ class PopulationDriver:
                 obs.metrics.gauge("population.base_fee").set(self.fee_market.base_fee)
 
     def _schedule_telemetry(self, horizon_ms: float, stats: StreamingNetworkStats) -> None:
-        simulator = self.system.simulator
         interval = (
             self.fee_market.config.update_interval_ms
             if self.fee_market is not None
             else self.window_ms
         )
+        self.system.simulator.schedule_call(
+            interval, self._tick, interval, horizon_ms, stats
+        )
 
-        def tick() -> None:
-            self._telemetry_tick(simulator.now, stats)
-            if simulator.now + interval <= horizon_ms:
-                simulator.schedule(interval, tick)
-
-        simulator.schedule(interval, tick)
+    def _tick(
+        self, interval: float, horizon_ms: float, stats: StreamingNetworkStats
+    ) -> None:
+        simulator = self.system.simulator
+        self._telemetry_tick(simulator.now, stats)
+        if simulator.now + interval <= horizon_ms:
+            simulator.schedule_call(interval, self._tick, interval, horizon_ms, stats)
 
     # -- the run -----------------------------------------------------------
 

@@ -114,14 +114,14 @@ def dissemination(params: Mapping[str, Any]) -> dict[str, Any]:
         if fault_fraction > 0
         else None
     )
-    system = factories[protocol](plan)
-    system.start()
     items = []
-    for origin in origins:
-        tx = Transaction.create(origin=origin, created_at=0.0)
-        items.append(tx.tx_id)
-        system.submit(origin, tx)
-    system.run(until_ms=horizon_ms)
+    with factories[protocol](plan) as system:
+        system.start()
+        for origin in origins:
+            tx = Transaction.create(origin=origin, created_at=0.0)
+            items.append(tx.tx_id)
+            system.submit(origin, tx)
+        system.run(until_ms=horizon_ms)
 
     stats = system.stats
     honest = plan.honest_nodes(nodes) if plan is not None else list(nodes)

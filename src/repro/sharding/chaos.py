@@ -206,8 +206,9 @@ def run_cross_shard_partition(
         # vacuous, matching the chaos engine's applied=False convention.
         pass
 
-    system.start()
-    system.run(until_ms=scenario.horizon_ms)
+    with system:
+        system.start()
+        system.run(until_ms=scenario.horizon_ms)
 
     per_shard = []
     for shard in system.shards:

@@ -36,6 +36,7 @@ from typing import Any, Callable, Mapping
 from ..errors import ConfigurationError
 from ..load.capacity import CapacityConfig, CapacityModel
 from ..mempool.mempool import MempoolPolicy
+from ..net.node import Deployment
 from ..obs import Observability, TaggedObservability
 from .map import ShardMap, ShardMapConfig
 from .plan import ShardPlan
@@ -74,7 +75,7 @@ class PlacedSubmission:
     routed: bool
 
 
-class ShardedSystem:
+class ShardedSystem(Deployment):
     """``num_shards`` independent protocol deployments over one node space.
 
     See the module docstring for the construction contract.  *capacity*
@@ -257,6 +258,12 @@ class ShardedSystem:
         return max(
             self.run_shard(shard.shard_id, until_ms) for shard in self.shards
         )
+
+    def close(self) -> None:
+        """Close every shard's system (idempotent; see :class:`Deployment`)."""
+
+        for shard in self.shards:
+            shard.system.close()
 
     # -- aggregate accounting ---------------------------------------------
 

@@ -107,8 +107,8 @@ def run_sharded_adversary_trial(
         victim, proposer = rng.sample(node_ids, 2)
         protected: tuple[int, ...] = ()
         if protect_committee:
-            probe = factory(None, None)
-            protected = tuple(getattr(probe, "committee", ()))
+            with factory(None, None) as probe:
+                protected = tuple(getattr(probe, "committee", ()))
         trials[sid] = run_adversary_trial(
             factory,
             node_ids,

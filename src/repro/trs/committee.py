@@ -73,6 +73,11 @@ class TrsCommitteeMember:
             node, self.committee, f, on_deliver=self._on_agreed, kind_prefix="trs-rbc"
         )
 
+    def close(self) -> None:
+        """Drop the RBC context, whose delivery callback is this member."""
+
+        self._rbc = None
+
     # -- dispatch ---------------------------------------------------------
 
     def handles(self, kind: str) -> bool:

@@ -7,8 +7,26 @@ from repro.errors import TopologyError
 from repro.overlay.chordal_ring import build_chordal_ring
 from repro.overlay.hypercube import build_hypercube
 from repro.overlay.random_graph import build_random_connected_overlay
+from repro.utils.rng import derive_rng
 
 NODES = list(range(24))
+
+
+def networkx_checked_overlay(node_ids, f, seed):
+    """The builder as it was, repair loop judged by networkx itself."""
+
+    rng = derive_rng(seed, "random-overlay")
+    graph = nx.Graph()
+    graph.add_nodes_from(node_ids)
+    for node in node_ids:
+        while graph.degree[node] < f + 1:
+            peer = rng.choice(node_ids)
+            if peer != node:
+                graph.add_edge(node, peer)
+    while nx.node_connectivity(graph) < f + 1:
+        u, v = rng.sample(node_ids, 2)
+        graph.add_edge(u, v)
+    return graph
 
 
 class TestChordalRing:
@@ -73,3 +91,14 @@ class TestRandomOverlay:
     def test_too_small_rejected(self):
         with pytest.raises(TopologyError):
             build_random_connected_overlay([1, 2], f=1)
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    @pytest.mark.parametrize("size", ["minimal", 12, 40])
+    def test_native_repair_check_builds_the_networkx_checked_graph(self, f, size):
+        # Same decision every repair round, so the same RNG stream and the
+        # same edges in the same order.
+        nodes = list(range(f + 2 if size == "minimal" else size))
+        for seed in range(20):
+            graph = build_random_connected_overlay(nodes, f, seed=seed)
+            reference = networkx_checked_overlay(nodes, f, seed)
+            assert list(graph.edges) == list(reference.edges), seed
