@@ -127,12 +127,10 @@ def assign_clusters(
     node_ids = physical.nodes()
     rng = derive_rng(seed, "mercury-landmarks")
     landmarks = rng.sample(node_ids, min(num_clusters, len(node_ids)))
-    assignment = {}
-    for node in node_ids:
-        assignment[node] = min(
-            range(len(landmarks)),
-            key=lambda i: physical.transport_latency(node, landmarks[i]),
-        )
+    index = {landmark: i for i, landmark in enumerate(landmarks)}
+    assignment = {
+        node: index[physical.nearest(node, landmarks, 1)[0]] for node in node_ids
+    }
     return assignment, landmarks
 
 
@@ -156,12 +154,17 @@ class MercurySystem(BaseSystem):
         for node in node_ids:
             cluster = self.clusters[node]
             leader = self.landmarks[cluster]
-            same = [peer for peer in by_cluster[cluster] if peer != node]
-            same.sort(key=lambda p: (physical.transport_latency(node, p), p))
-            if node in landmark_set:
+            is_leader = node in landmark_set
+            # by_cluster lists are ascending, so input-order ties are id ties.
+            same = physical.nearest(
+                node,
+                [peer for peer in by_cluster[cluster] if peer != node],
+                self.config.inner_cluster_peers if is_leader else self.config.max_peers,
+            )
+            if is_leader:
                 # Cluster leaders: nearest intra peers + the other leaders
                 # (the inter-cluster relay mesh).
-                peers = same[: self.config.inner_cluster_peers]
+                peers = same
                 other_leaders = sorted(
                     (l for l in self.landmarks if l != node),
                     key=lambda l: (physical.transport_latency(node, l), l),
@@ -172,9 +175,9 @@ class MercurySystem(BaseSystem):
             else:
                 # Regular nodes: the cluster leader plus nearest intra peers.
                 peers = [leader] if leader != node else []
-                peers += [
-                    p for p in same[: self.config.max_peers] if p not in peers
-                ][: self.config.max_peers - len(peers)]
+                peers += [p for p in same if p not in peers][
+                    : self.config.max_peers - len(peers)
+                ]
             self._peers[node] = peers
         # Connections are TCP sessions — symmetric.  Mirror every edge so the
         # outburst can flow both ways (nearest-neighbour selection alone can

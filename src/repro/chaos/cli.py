@@ -11,7 +11,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..errors import ReproError

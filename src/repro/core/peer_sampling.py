@@ -18,7 +18,7 @@ of views, so no node — honest or malicious — dominates the sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..net.events import Message
 from ..net.faults import Behavior

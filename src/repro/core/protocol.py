@@ -30,7 +30,7 @@ from ..net.node import Deployment, Network, ProtocolNode
 from ..net.simulator import Simulator
 from ..net.topology import PhysicalNetwork
 from ..obs import Observability
-from ..overlay.base import Overlay, TransportSpace
+from ..overlay.base import Overlay
 from ..overlay.encoding import OverlayCertificate, certify_overlays, decode_overlay
 from ..overlay.paths import find_disjoint_paths
 from ..overlay.robust_tree import build_overlay_family
@@ -734,11 +734,10 @@ class HermesSystem(Deployment):
             return sum(self.physical.transport_latency(node, other) for other in sample)
 
         center = min(node_ids, key=lambda n: (centrality(n), n))
-        by_distance = sorted(
-            (n for n in node_ids if n != center),
-            key=lambda n: (self.physical.transport_latency(center, n), n),
+        # node_ids is ascending, so nearest's input-order ties are id ties.
+        return [center] + self.physical.nearest(
+            center, [n for n in node_ids if n != center], self.config.committee_size - 1
         )
-        return [center] + by_distance[: self.config.committee_size - 1]
 
     # -- driving ----------------------------------------------------------
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 __all__ = ["ActivityKind", "ActivityRecord", "ActivityTrace", "reconstruct_path", "cross_check"]
 

@@ -18,7 +18,7 @@ so sweeps resume for free and rerun nothing that already finished.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..load.arrival import make_arrivals
 from ..load.capacity import CapacityConfig, CapacityModel

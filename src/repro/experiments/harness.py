@@ -10,8 +10,8 @@ memo is there so a sweep pays it once per process, not once per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from ..core.config import HermesConfig
 from ..core.protocol import HermesSystem

@@ -13,7 +13,7 @@ fee-less run stays byte-identical to the pre-fee protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..crypto.hashing import hash_bytes
 

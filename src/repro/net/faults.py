@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 

@@ -19,6 +19,7 @@ Inverse-gamma sampling uses the reciprocal relationship: if
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -30,9 +31,11 @@ from .sampling import gamma_block, normal_block
 __all__ = ["LatencyParameters", "LatencyModel", "MIN_LATENCY_MS"]
 
 # Floor applied to every sample: physical links never deliver in < 0.1 ms.
-# Shared with the pair-specific matrix model (repro.net.region_matrix) so
-# every sampling path clamps to the same physical floor.
 MIN_LATENCY_MS = 0.1
+
+# Largest |z| CPython's normalvariate can return (see inter_floor_ms), with a
+# relative margin for the rounding of its acceptance test.
+_NORMAL_Z_MAX = 2.0 * math.sqrt(53.0 * math.log(2.0)) * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +67,7 @@ class LatencyModel:
     ) -> None:
         self.parameters = parameters if parameters is not None else LatencyParameters()
         self._rng = rng if rng is not None else random.Random(0)
+        self._pair_rng = random.Random(0)
 
     def sample(self, src: Region, dst: Region) -> float:
         """One latency draw in milliseconds for a link from *src* to *dst*."""
@@ -117,14 +121,36 @@ class LatencyModel:
         The draw depends only on ``(seed, {u, v})``, never on query order, so
         overlay construction and the transport layer agree on the latency of
         every pair without sharing mutable state.
+        It re-seeds one generator with the bytes ``derive_rng(seed, "pair",
+        lo, hi)`` hashes instead of allocating one per pair.
         """
 
-        from ..utils.rng import derive_rng
-
-        rng = derive_rng(seed, "pair", min(u, v), max(u, v))
+        lo, hi = (u, v) if u < v else (v, u)
+        digest = hashlib.sha256(f"{seed}/pair/{lo}/{hi}".encode()).digest()
+        rng = self._pair_rng
+        rng.seed(int.from_bytes(digest[:8], "big"))
         if src == dst:
             return self._sample_intra(rng)
         return self._sample_inter(rng)
+
+    @property
+    def inter_floor_ms(self) -> float:
+        """A lower bound on every inter-regional draw :meth:`_sample_inter`
+        can return, so callers can rule pairs out without drawing them.
+
+        CPython's ``normalvariate`` is Kinderman–Monahan: it draws
+        ``u1 = random()`` and ``u2 = 1 - random()``, sets
+        ``z = 4·e^{-1/2}/√2 · (u1 - 1/2) / u2`` and accepts only if
+        ``z²/4 <= -ln(u2)``.  ``random()`` is a multiple of 2⁻⁵³ below 1, so
+        ``u2 >= 2⁻⁵³`` and every accepted ``|z| <= 2·√(53 ln 2) ≈ 12.12``.
+        With the paper's µ = 90 ms, σ² = 20 that is ≈ 35.8 ms, against an
+        intra-regional median of ≈ 7 ms.
+        """
+
+        p = self.parameters
+        return max(
+            MIN_LATENCY_MS, p.inter_mean - _NORMAL_Z_MAX * math.sqrt(p.inter_variance)
+        )
 
     def expected(self, src: Region, dst: Region) -> float:
         """The distribution mean — used as the deterministic edge label

@@ -223,6 +223,36 @@ class PhysicalNetwork:
             self._pair_cache[key] = cached
         return cached
 
+    def nearest(self, node: int, candidates: Iterable[int], k: int) -> list[int]:
+        """The *k* candidates closest to *node* by :meth:`transport_latency`,
+        ties in input order — exactly ``sorted(candidates, key=...)[:k]``.
+
+        Only pairs whose latency can change the answer are drawn.  Same-region
+        pairs, physical links and cached pairs are read first; a fresh
+        cross-region draw is never below ``LatencyModel.inter_floor_ms``, so
+        if the *k*-th known latency is under that floor no undrawn candidate
+        can displace it, and the rest are never sampled.
+        """
+
+        if k <= 0:
+            return []
+        region = self.regions[node]
+        latencies, cache = self.latencies, self._pair_cache
+        known: list[tuple[float, int, int]] = []
+        rest: list[tuple[int, int]] = []
+        for index, other in enumerate(candidates):
+            key = (node, other) if node < other else (other, node)
+            if self.regions[other] == region or key in latencies or key in cache:
+                known.append((self.transport_latency(node, other), index, other))
+            else:
+                rest.append((index, other))
+        known.sort()
+        floor = self.latency_model.inter_floor_ms
+        if rest and (len(known) < k or known[k - 1][0] >= floor):
+            known += [(self.transport_latency(node, o), i, o) for i, o in rest]
+            known.sort()
+        return [other for _, _, other in known[:k]]
+
     def region_of(self, node: int) -> Region:
         return self.regions[node]
 
@@ -441,8 +471,9 @@ def generate_physical_network(
 
     # Each physical link gets one latency draw from the regional model; this
     # fixed label is what overlay construction optimizes against and what the
-    # simulator uses as the link's base delay.  A custom model (e.g. the
-    # pair-specific MatrixLatencyModel) may be supplied.
+    # simulator uses as the link's base delay.  A custom model may be
+    # supplied; nearest() trusts its inter_floor_ms to bound every
+    # cross-region pair draw.
     if latency_model is None:
         latency_model = LatencyModel(latency_parameters, derive_rng(seed, "latency"))
     latencies = {

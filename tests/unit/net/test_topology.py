@@ -1,10 +1,14 @@
 """Unit tests for physical network generation and mutation."""
 
+import dataclasses
 import hashlib
 import json
+from functools import lru_cache
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.net.latency import LatencyModel
@@ -239,3 +243,65 @@ class TestVersionAndPairCache:
         # Now a direct link: the label, not the stale cached draw.
         assert network.transport_latency(u, v) == network.latency(u, v)
         assert network.transport_latency(u, v) != internet
+
+
+@lru_cache(maxsize=None)
+def _nearest_base() -> PhysicalNetwork:
+    return generate_physical_network(40, min_degree=4, seed=3)
+
+
+def _fresh() -> PhysicalNetwork:
+    """The shared 40-node network with an empty per-pair cache."""
+
+    return dataclasses.replace(_nearest_base(), _pair_cache={})
+
+
+@st.composite
+def _nearest_queries(draw):
+    network = _fresh()
+    nodes = network.nodes()
+    node = draw(st.sampled_from(nodes))
+    region = network.region_of(node)
+    cross_only = draw(st.booleans())  # an all-cross-region cluster
+    pool = [n for n in nodes if not cross_only or network.region_of(n) != region]
+    candidates = draw(st.permutations(pool))[: draw(st.integers(0, len(pool)))]
+    if draw(st.booleans()):  # every physical link of the node
+        candidates += [n for n in network.adjacency[node] if n not in candidates]
+    if not cross_only and node not in candidates and draw(st.booleans()):
+        candidates.insert(draw(st.integers(0, len(candidates))), node)
+    for other in draw(st.lists(st.sampled_from(nodes), max_size=8)):
+        network.transport_latency(node, other)  # pre-cached pairs
+    floor = network.latency_model.inter_floor_ms
+    tie = draw(st.sampled_from([None, 3.0, floor, 60.0, 90.0]))
+    if tie is not None and candidates:
+        for other in draw(st.lists(st.sampled_from(candidates), max_size=6)):
+            key = (min(node, other), max(node, other))
+            if other != node and key not in network.latencies:
+                network._pair_cache[key] = tie  # equal-latency ties
+    k = draw(st.integers(0, len(candidates) + 2))
+    return network, node, candidates, k
+
+
+class TestNearest:
+    @given(_nearest_queries())
+    def test_equals_the_full_sort(self, query):
+        network, node, candidates, k = query
+        got = network.nearest(node, candidates, k)
+        reference = sorted(candidates, key=lambda c: network.transport_latency(node, c))
+        assert got == reference[:k]
+
+    def test_draws_no_cross_region_pair_it_can_rule_out(self):
+        network = _fresh()
+        region = network.region_of(0)
+        assert network.nearest(0, network.nodes(), 3)[0] == 0
+        drawn = [key for key in network._pair_cache if 0 in key]
+        assert drawn
+        assert all(network.region_of(u) == network.region_of(v) for u, v in drawn)
+        assert sum(network.region_of(n) == region for n in network.nodes()) >= 3
+
+    def test_falls_through_when_the_known_pairs_run_out(self):
+        network = _fresh()
+        region = network.region_of(0)
+        others = [n for n in network.nodes() if network.region_of(n) != region]
+        got = network.nearest(0, others, 2)
+        assert got == sorted(others, key=lambda c: network.transport_latency(0, c))[:2]

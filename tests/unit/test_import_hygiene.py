@@ -62,3 +62,14 @@ def test_the_real_customers_still_get_it_on_demand():
         """
     )
     assert out.strip() == "2"
+
+
+def test_no_unused_imports_in_src():
+    tool = SRC.parent / "tools" / "check_unused_imports.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), str(SRC / "repro")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout
