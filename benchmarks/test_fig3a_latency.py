@@ -6,15 +6,18 @@ reproduce is the ordering and the spread ranking; see EXPERIMENTS.md for the
 absolute-number discussion.
 """
 
+import pytest
+
 from conftest import MAIN_N, report
 
 from repro.experiments import fig3a_latency
 
 
-def test_fig3a_latency(benchmark, env_main):
+@pytest.mark.usefixtures("env_main")  # the memoized environment, built untimed
+def test_fig3a_latency(benchmark):
     config = fig3a_latency.Fig3aConfig(num_nodes=MAIN_N, transactions=10)
-    result = benchmark.pedantic(
-        fig3a_latency.run, args=(config, env_main), rounds=1, iterations=1
+    result, _ = benchmark.pedantic(
+        fig3a_latency.FIGURE.run, args=(config,), rounds=1, iterations=1
     )
     report("fig3a_latency", fig3a_latency.format_result(result))
 

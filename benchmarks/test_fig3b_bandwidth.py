@@ -5,17 +5,20 @@ KB/min.  The shape to reproduce: L∅ cheapest, HERMES second, Narwhal the most
 expensive by a clear factor.
 """
 
+import pytest
+
 from conftest import MAIN_N, report
 
 from repro.experiments import fig3b_bandwidth
 
 
-def test_fig3b_bandwidth(benchmark, env_main):
+@pytest.mark.usefixtures("env_main")  # the memoized environment, built untimed
+def test_fig3b_bandwidth(benchmark):
     config = fig3b_bandwidth.Fig3bConfig(
         num_nodes=MAIN_N, duration_ms=60_000.0, tx_interval_ms=2_000.0
     )
-    result = benchmark.pedantic(
-        fig3b_bandwidth.run, args=(config, env_main), rounds=1, iterations=1
+    result, _ = benchmark.pedantic(
+        fig3b_bandwidth.FIGURE.run, args=(config,), rounds=1, iterations=1
     )
     report("fig3b_bandwidth", fig3b_bandwidth.format_result(result))
 

@@ -5,17 +5,20 @@ Mercury 89% → 55%.  The shape to reproduce: HERMES the most robust at every
 fraction, Mercury the least (cluster-leader funneling), L∅/Narwhal between.
 """
 
+import pytest
+
 from conftest import ATTACK_N, report
 
 from repro.experiments import fig5b_robustness
 
 
-def test_fig5b_robustness(benchmark, env_attack):
+@pytest.mark.usefixtures("env_attack")  # the memoized environment, built untimed
+def test_fig5b_robustness(benchmark):
     config = fig5b_robustness.Fig5bConfig(
         num_nodes=ATTACK_N, fractions=(0.10, 0.20, 0.33), trials=10
     )
-    result = benchmark.pedantic(
-        fig5b_robustness.run, args=(config, env_attack), rounds=1, iterations=1
+    result, _ = benchmark.pedantic(
+        fig5b_robustness.FIGURE.run, args=(config,), rounds=1, iterations=1
     )
     report("fig5b_robustness", fig5b_robustness.format_result(result))
 

@@ -10,7 +10,7 @@ Top-level convenience re-exports. The subpackages are:
 - :mod:`repro.core` — the HERMES dissemination protocol
 - :mod:`repro.mempool` — transactions, mempools, block ordering
 - :mod:`repro.baselines` — L-zero, Narwhal, Mercury, gossip, simple tree
-- :mod:`repro.attacks` — legacy attack drivers (now thin aliases over the zoo)
+- :mod:`repro.attacks` — the Fig. 5a front-running driver
 - :mod:`repro.adversary` — strategy zoo: attacker agents, economics, fairness
 - :mod:`repro.chaos` — fault-injection campaigns with online invariant checking
 - :mod:`repro.load` — open-loop workload generation and link capacity modeling

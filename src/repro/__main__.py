@@ -24,59 +24,36 @@ repro bench history`` folds bench records into cross-run trajectories (see
 ``docs/observability.md``, "Measuring a sweep").
 """
 
+import importlib
 import sys
+
+#: Sub-command words -> ``"module:function"`` (relative to ``repro``); the
+#: function takes the argv after the words and returns the exit code.
+#: Anything else runs the report.
+COMMANDS = {
+    "sweep": "runner.cli:main",
+    "chaos": "chaos.cli:main",
+    "load": "load.cli:main",
+    "adversary": "adversary.cli:main",
+    "population": "population.cli:main",
+    "shard": "sharding.cli:main",
+    "analyze": "obs.analysis.cli:analyze_main",
+    "report": "obs.analysis.cli:report_main",
+    "bench-gate": "obs.analysis.cli:bench_gate_main",
+    "analyze-sweep": "obs.analysis.cli:analyze_sweep_main",
+    "bench history": "obs.analysis.cli:bench_history_main",
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "sweep":
-        from .runner.cli import main as sweep_main
-
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        from .chaos.cli import main as chaos_main
-
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "load":
-        from .load.cli import main as load_main
-
-        return load_main(argv[1:])
-    if argv and argv[0] == "adversary":
-        from .adversary.cli import main as adversary_main
-
-        return adversary_main(argv[1:])
-    if argv and argv[0] == "population":
-        from .population.cli import main as population_main
-
-        return population_main(argv[1:])
-    if argv and argv[0] == "shard":
-        from .sharding.cli import main as shard_main
-
-        return shard_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        from .obs.analysis.cli import analyze_main
-
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "report":
-        from .obs.analysis.cli import report_main
-
-        return report_main(argv[1:])
-    if argv and argv[0] == "bench-gate":
-        from .obs.analysis.cli import bench_gate_main
-
-        return bench_gate_main(argv[1:])
-    if argv and argv[0] == "analyze-sweep":
-        from .obs.analysis.cli import analyze_sweep_main
-
-        return analyze_sweep_main(argv[1:])
-    if argv and argv[0] == "bench":
-        if len(argv) < 2 or argv[1] != "history":
-            print("usage: python -m repro bench history [RECORD ...]", file=sys.stderr)
-            return 2
-        from .obs.analysis.cli import bench_history_main
-
-        return bench_history_main(argv[2:])
+    for name, target in COMMANDS.items():
+        words = name.split()
+        if argv[: len(words)] == words:
+            module, _, function = target.partition(":")
+            command = getattr(importlib.import_module(f"repro.{module}"), function)
+            return command(argv[len(words) :])
     from .experiments.report import main as report_main
 
     report_main(argv)

@@ -14,8 +14,8 @@ Examples::
 
 Prints one row per (strategy, trial) with the verdict, extracted value and
 fairness metrics, then per-strategy means.  For grid sweeps across protocols
-and fractions use the resumable figure runner instead:
-``repro.experiments.fig7_adversary.run_parallel`` (task ``fig7.point``).
+and fractions use the resumable figure grid instead:
+``python -m repro sweep --figure fig7`` (``fig7_adversary.FIGURE.run``).
 """
 
 from __future__ import annotations

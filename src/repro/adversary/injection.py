@@ -19,8 +19,8 @@ differs per protocol, and those differences are the paper's point (§VIII-F):
   observable, every honest node has already locked the victim's position.
 
 These helpers started life in :mod:`repro.attacks.frontrun` and moved here
-when the strategy zoo became their primary consumer; the old module re-exports
-them unchanged.
+when the strategy zoo became their primary consumer; the Fig. 5a driver
+imports them from here.
 """
 
 from __future__ import annotations

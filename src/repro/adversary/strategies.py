@@ -182,8 +182,7 @@ class FlooderNode(ProtocolNode):
     """Sends junk to one target at a fixed rate.
 
     Registered with an id outside the protocol population, so it participates
-    in no overlay — pure background pressure on the target's inbox.  (Moved
-    here from :mod:`repro.attacks.overload`, which re-exports it.)
+    in no overlay — pure background pressure on the target's inbox.
     """
 
     def __init__(

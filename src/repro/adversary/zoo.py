@@ -16,7 +16,7 @@
 
 The legacy censorship and overload trials live here too
 (:func:`run_censorship_trial`, :func:`run_overload_trial`), re-implemented on
-the strategy agents; :mod:`repro.attacks` re-exports them unchanged.
+the strategy agents.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def run_censorship_trial(
     The adversary is :class:`~repro.adversary.strategies.BlackoutStrategy` —
     its entire effect is the coalition's ``DROP_RELAY`` behaviour, so the
     fault plan (and therefore every measurement) is bit-identical to the
-    pre-zoo :mod:`repro.attacks.censorship` implementation.  The factory
+    pre-zoo censorship driver's.  The factory
     keeps the legacy single-argument contract (no observe hook).
     """
 

@@ -1,25 +1,12 @@
-"""Adversary drivers: front-running, censorship, and targeted overload.
+"""The Fig. 5a front-running driver.
 
-These modules inject the same adversary into HERMES and every baseline so the
-protocols can be compared under identical attack pressure (Figs. 5a/5b).
-
-.. deprecated::
-    The censorship and overload trials (and the per-protocol injection
-    levers) migrated to the strategy zoo in :mod:`repro.adversary`; this
-    package re-exports them unchanged.  :mod:`frontrun` remains the Fig. 5a
-    driver, now built on the zoo's levers.
+:mod:`frontrun` injects the same scripted adversary into HERMES and every
+baseline so the protocols can be compared under identical attack pressure,
+built on the per-protocol levers of :mod:`repro.adversary.injection`.  The
+censorship and overload trials, and every other strategy, live in the
+strategy zoo (:mod:`repro.adversary`).
 """
 
-from .censorship import CensorshipResult, run_censorship_trial
 from .frontrun import FrontRunResult, FrontRunTrial, run_front_running_trial
-from .overload import OverloadResult, run_overload_trial
 
-__all__ = [
-    "CensorshipResult",
-    "FrontRunResult",
-    "FrontRunTrial",
-    "OverloadResult",
-    "run_censorship_trial",
-    "run_front_running_trial",
-    "run_overload_trial",
-]
+__all__ = ["FrontRunResult", "FrontRunTrial", "run_front_running_trial"]

@@ -28,8 +28,6 @@ from typing import Callable
 from ..adversary.injection import (
     adversarial_strategy_for,
     censorship_is_deniable,
-    default_adversarial_submit,
-    mercury_direct_injection,
 )
 from ..baselines.base import BaseSystem
 from ..core.protocol import HermesSystem
@@ -39,12 +37,6 @@ from ..mempool.transaction import Transaction
 from ..net.faults import Behavior, FaultPlan
 
 __all__ = ["FrontRunResult", "FrontRunTrial", "run_front_running_trial"]
-
-# The per-protocol levers moved to repro.adversary.injection when the strategy
-# zoo became their primary consumer; the historical private names stay bound
-# for callers that reached in.
-_default_adversarial_submit = default_adversarial_submit
-_mercury_direct_injection = mercury_direct_injection
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from ..mempool.transaction import Transaction
+from ..mempool.transaction import Transaction, reset_tx_ids
+from ..net.events import reset_message_ids
 from ..net.stats import LatencySummary, summarize_latencies
 from ..obs import Observability
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import (
     PROTOCOL_NAMES,
     ExperimentEnvironment,
@@ -30,21 +32,16 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE",
     "Fig3aConfig",
     "Fig3aResult",
     "run",
     "format_result",
     "PAPER_VALUES",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-# The repetition cell this figure submits to the sweep runner: one protocol's
-# full workload (registered in repro.runner.tasks).
-CELL_TASK = "fig3a.protocol"
 
 # Protocol -> paper-reported average latency in ms.
 PAPER_VALUES = {"mercury": 77.10, "hermes": 83.22, "narwhal": 106.61, "lzero": 172.02}
@@ -84,62 +81,11 @@ class Fig3aResult:
         return sorted(self.summaries, key=lambda name: self.summaries[name].mean)
 
 
-def run(
-    config: Fig3aConfig | None = None,
-    env: ExperimentEnvironment | None = None,
-    obs: Observability | None = None,
-) -> Fig3aResult:
-    """Measure the Fig. 3a latency table.
-
-    With *obs* set, each protocol run is traced/instrumented and the
-    ``delivery.latency_ms`` histogram (labelled per protocol) is filled from
-    the same latency population the returned summaries are computed from.
-    """
-
-    if config is None:
-        config = Fig3aConfig()
-    if env is None:
-        env = build_environment(
-            num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-        )
-    factories = protocol_factories(
-        env,
-        hermes_overrides={"gossip_fallback_enabled": False},
-        obs=obs,
-        narwhal_config=config._narwhal_config(),
-    )
-    origins = _workload(config, env)
-
-    summaries: dict[str, LatencySummary] = {}
-    overheads: dict[str, float] = {}
-    for name in PROTOCOL_NAMES:
-        with factories[name]() as system:
-            # Construction rebinds the tracer clock to this system's
-            # simulator, so open the per-protocol span only afterwards.
-            span = obs.span("fig3a.protocol", protocol=name) if obs is not None else None
-            system.start()
-            for origin in origins:
-                system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
-            system.run(until_ms=config.horizon_ms)
-        summaries[name] = system.stats.latency_summary()
-        setup = system.stats.setup_overheads()
-        overheads[name] = sum(setup) / len(setup) if setup else 0.0
-        if obs is not None:
-            record_latency_metrics(obs, system.stats, protocol=name)
-            span.end()
-    return Fig3aResult(config=config, summaries=summaries, setup_overhead_ms=overheads)
-
-
 def _workload(config: Fig3aConfig, env: ExperimentEnvironment) -> list[int]:
     """The deterministic transaction-origin workload for *config*."""
 
     rng = derive_rng(config.seed, "fig3a-origins")
     return [rng.choice(env.physical.nodes()) for _ in range(config.transactions)]
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
 
 
 def cell_params(config: Fig3aConfig) -> list[dict[str, Any]]:
@@ -164,13 +110,17 @@ def cell_params(config: Fig3aConfig) -> list[dict[str, Any]]:
     return cells
 
 
-def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
+def run_cell(
+    params: Mapping[str, Any], *, obs: Observability | None = None
+) -> dict[str, Any]:
     """Measure one protocol's workload; the ``fig3a.protocol`` runner task.
 
     Self-contained and fully seeded: the cell rebuilds (or fetches from the
-    per-process cache) the same environment and workload ``run`` uses, so a
-    sweep of these cells reproduces the figure no matter how it is scheduled
-    across processes.
+    per-process cache) the environment and workload its parameters name, so
+    a sweep of these cells reproduces the figure no matter how it is
+    scheduled across processes.  With *obs* set the run is traced and
+    instrumented, and the ``delivery.latency_ms`` histogram (labelled per
+    protocol) is filled from the latency population the cell returns.
     """
 
     narwhal_validators = params.get("narwhal_validators")
@@ -191,14 +141,21 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     factories = protocol_factories(
         env,
         hermes_overrides={"gossip_fallback_enabled": False},
+        obs=obs,
         narwhal_config=config._narwhal_config(),
     )
     name = str(params["protocol"])
     with factories[name]() as system:
+        # Construction rebinds the tracer clock to this system's simulator,
+        # so open the per-protocol span only afterwards.
+        span = obs.span("fig3a.protocol", protocol=name) if obs is not None else None
         system.start()
         for origin in _workload(config, env):
             system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
         system.run(until_ms=config.horizon_ms)
+    if obs is not None:
+        record_latency_metrics(obs, system.stats, protocol=name)
+        span.end()
     return {
         "protocol": name,
         "latencies": system.stats.all_delivery_latencies(),
@@ -206,21 +163,16 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def from_records(
-    config: Fig3aConfig, records: Iterable[Mapping[str, Any]]
-) -> Fig3aResult:
-    """Fold stored run records back into the figure's result shape.
+def fold(config: Fig3aConfig, results: Iterable[Mapping[str, Any]]) -> Fig3aResult:
+    """Fold the cells' results into the figure's result shape.
 
-    The summaries are computed from each record's raw latency population, so
-    they match what an in-process run derives from ``NetworkStats`` exactly.
+    The summaries are computed from each cell's raw latency population, so
+    they match what ``NetworkStats.latency_summary`` derives in-process.
     """
 
     summaries: dict[str, LatencySummary] = {}
     overheads: dict[str, float] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        result = record["result"]
+    for result in results:
         name = result["protocol"]
         summaries[name] = summarize_latencies(result["latencies"])
         setup = result["setup_overheads"]
@@ -228,37 +180,21 @@ def from_records(
     return Fig3aResult(config=config, summaries=summaries, setup_overhead_ms=overheads)
 
 
-def run_parallel(
-    config: Fig3aConfig | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the figure's repetition grid through :func:`repro.runner.run_sweep`.
+def run(config: Fig3aConfig, *, obs: Observability) -> Fig3aResult:
+    """The figure with every cell traced and instrumented by *obs*.
 
-    Returns ``(result, sweep_report)``; with *results_dir* set, completed
-    cells are skipped on re-invocation (resume).
+    The same cells :data:`FIGURE` runs, executed in this process (an
+    :class:`~repro.obs.Observability` bundle cannot cross to a worker), each
+    from fresh id counters as the sweep runner executes them, so the numbers
+    equal ``FIGURE.run(config)``'s.
     """
 
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig3aConfig()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
+    results = []
+    for params in cell_params(config):
+        reset_tx_ids()
+        reset_message_ids()
+        results.append(run_cell(params, obs=obs))
+    return fold(config, results)
 
 
 def format_result(result: Fig3aResult) -> str:
@@ -290,3 +226,16 @@ def format_result(result: Fig3aResult) -> str:
             f"{result.config.transactions} txs"
         ),
     )
+
+
+FIGURE = Figure(
+    name="fig3a",
+    task="fig3a.protocol",
+    description="dissemination latency CDF across protocols (paper Fig. 3a)",
+    config=Fig3aConfig,
+    quick={"num_nodes": 80, "transactions": 4},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

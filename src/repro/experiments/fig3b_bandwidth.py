@@ -22,6 +22,7 @@ from typing import Any, Iterable, Mapping
 from ..mempool.transaction import Transaction
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import (
     PROTOCOL_NAMES,
     ExperimentEnvironment,
@@ -30,19 +31,15 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE",
     "Fig3bConfig",
     "Fig3bResult",
-    "run",
     "format_result",
     "PAPER_VALUES",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig3b.protocol"
 
 PAPER_VALUES = {"lzero": 50.0, "hermes": 192.0, "mercury": 322.0, "narwhal": 730.0}
 
@@ -65,31 +62,6 @@ class Fig3bResult:
 
     def ordering(self) -> list[str]:
         return sorted(self.kb_per_minute, key=lambda n: self.kb_per_minute[n])
-
-
-def run(
-    config: Fig3bConfig | None = None,
-    env: ExperimentEnvironment | None = None,
-) -> Fig3bResult:
-    if config is None:
-        config = Fig3bConfig()
-    if env is None:
-        env = build_environment(
-            num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-        )
-    results: dict[str, float] = {}
-    hermes_cert_extra = 0.0
-    for name in PROTOCOL_NAMES:
-        kb_per_minute, cert_extra = _measure_protocol(config, env, name)
-        results[name] = kb_per_minute
-        if name == "hermes":
-            hermes_cert_extra = cert_extra
-
-    return Fig3bResult(
-        config=config,
-        kb_per_minute=results,
-        hermes_with_per_tx_encoding=results["hermes"] + hermes_cert_extra,
-    )
 
 
 def _submit_schedule(
@@ -140,11 +112,6 @@ def _measure_protocol(
     return kb_per_minute, cert_extra
 
 
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
-
-
 def cell_params(config: Fig3bConfig) -> list[dict[str, Any]]:
     """The repetition grid: one sustained run per protocol."""
 
@@ -185,57 +152,20 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def from_records(
-    config: Fig3bConfig, records: Iterable[Mapping[str, Any]]
-) -> Fig3bResult:
-    """Fold stored run records back into the figure's result shape."""
+def fold(config: Fig3bConfig, results: Iterable[Mapping[str, Any]]) -> Fig3bResult:
+    """Fold the cells' results into the figure's result shape."""
 
-    results: dict[str, float] = {}
+    kb_per_minute: dict[str, float] = {}
     hermes_cert_extra = 0.0
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        result = record["result"]
-        results[result["protocol"]] = result["kb_per_minute"]
+    for result in results:
+        kb_per_minute[result["protocol"]] = result["kb_per_minute"]
         if result["protocol"] == "hermes":
             hermes_cert_extra = result["cert_extra_kb_per_minute"]
     return Fig3bResult(
         config=config,
-        kb_per_minute=results,
-        hermes_with_per_tx_encoding=results["hermes"] + hermes_cert_extra,
+        kb_per_minute=kb_per_minute,
+        hermes_with_per_tx_encoding=kb_per_minute["hermes"] + hermes_cert_extra,
     )
-
-
-def run_parallel(
-    config: Fig3bConfig | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the figure's grid through the sweep runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig3bConfig()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig3bResult) -> str:
@@ -257,3 +187,16 @@ def format_result(result: Fig3bResult) -> str:
         f"{result.hermes_with_per_tx_encoding:.2f} KB/min"
     )
     return f"{table}\n{extra}"
+
+
+FIGURE = Figure(
+    name="fig3b",
+    task="fig3b.protocol",
+    description="bandwidth overhead per protocol (paper Fig. 3b)",
+    config=Fig3bConfig,
+    quick={"num_nodes": 80},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

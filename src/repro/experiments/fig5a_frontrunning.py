@@ -19,6 +19,7 @@ from typing import Any, Iterable, Mapping
 from ..attacks.frontrun import run_front_running_trial
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import (
     PROTOCOL_NAMES,
     ExperimentEnvironment,
@@ -27,19 +28,15 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE",
     "Fig5aConfig",
     "Fig5aResult",
-    "run",
     "format_result",
     "PAPER_VALUES",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig5a.trial"
 
 # protocol -> {fraction: paper success rate}
 PAPER_VALUES = {
@@ -85,56 +82,6 @@ class Fig5aResult:
         return sorted(self.success_rates, key=lambda p: self.success_rates[p][fraction])
 
 
-def run(
-    config: Fig5aConfig | None = None,
-    env: ExperimentEnvironment | None = None,
-) -> Fig5aResult:
-    if config is None:
-        config = Fig5aConfig()
-    if env is None:
-        env = build_environment(
-            num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-        )
-    factories = protocol_factories(
-        env, hermes_overrides={"gossip_fallback_enabled": False}
-    )
-    nodes = env.physical.nodes()
-    pairs = _trial_pairs(config, env)
-
-    rates: dict[str, dict[float, float]] = {}
-    violations: dict[str, dict[float, int]] = {}
-    censored: dict[str, dict[float, int]] = {}
-    for name in PROTOCOL_NAMES:
-        factory = factories[name]
-        rates[name] = {}
-        violations[name] = {}
-        censored[name] = {}
-        for fraction in config.fractions:
-            wins = 0
-            evidence = 0
-            suppressed = 0
-            for trial, (victim, proposer) in enumerate(pairs):
-                result = run_front_running_trial(
-                    factory,
-                    nodes,
-                    fraction,
-                    victim,
-                    proposer,
-                    horizon_ms=config.horizon_ms,
-                    seed=_trial_seed(fraction, trial),
-                )
-                wins += result.verdict.attacker_won
-                suppressed += result.verdict.victim_censored
-                if result.violation_summary is not None:
-                    evidence += result.violation_summary["total"]
-            rates[name][fraction] = wins / config.trials
-            violations[name][fraction] = evidence
-            censored[name][fraction] = suppressed
-    return Fig5aResult(
-        config=config, success_rates=rates, violations=violations, censored=censored
-    )
-
-
 def _trial_pairs(
     config: Fig5aConfig, env: ExperimentEnvironment
 ) -> list[tuple[int, int]]:
@@ -147,11 +94,6 @@ def _trial_pairs(
 
 def _trial_seed(fraction: float, trial: int) -> int:
     return 1000 * int(fraction * 100) + trial
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
 
 
 def cell_params(config: Fig5aConfig) -> list[dict[str, Any]]:
@@ -180,8 +122,7 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
 
     ``trials`` travels with every cell so the full (victim, proposer) pair
     list — drawn once per figure from the config seed — can be rebuilt and
-    indexed by ``trial``, keeping the cell bit-compatible with the serial
-    loop in :func:`run`.
+    indexed by ``trial``.
     """
 
     config = Fig5aConfig(
@@ -226,18 +167,13 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def from_records(
-    config: Fig5aConfig, records: Iterable[Mapping[str, Any]]
-) -> Fig5aResult:
-    """Fold stored trial records back into per-(protocol, fraction) rates."""
+def fold(config: Fig5aConfig, results: Iterable[Mapping[str, Any]]) -> Fig5aResult:
+    """Fold the trials' results into per-(protocol, fraction) rates."""
 
     wins: dict[str, dict[float, int]] = {}
     evidence: dict[str, dict[float, int]] = {}
     suppressed: dict[str, dict[float, int]] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        result = record["result"]
+    for result in results:
         by_fraction = wins.setdefault(result["protocol"], {})
         by_fraction[result["fraction"]] = (
             by_fraction.get(result["fraction"], 0) + result["attacker_won"]
@@ -259,38 +195,6 @@ def from_records(
     return Fig5aResult(
         config=config, success_rates=rates, violations=evidence, censored=suppressed
     )
-
-
-def run_parallel(
-    config: Fig5aConfig | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the figure's grid through the sweep runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig5aConfig()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig5aResult) -> str:
@@ -320,3 +224,16 @@ def format_result(result: Fig5aResult) -> str:
             f"{result.config.trials} trials/point"
         ),
     )
+
+
+FIGURE = Figure(
+    name="fig5a",
+    task="fig5a.trial",
+    description="front-running resistance vs adversary fraction (paper Fig. 5a)",
+    config=Fig5aConfig,
+    quick={"num_nodes": 60, "trials": 6},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

@@ -18,6 +18,7 @@ from typing import Any, Iterable, Mapping
 from ..adversary.zoo import run_censorship_trial
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import (
     PROTOCOL_NAMES,
     ExperimentEnvironment,
@@ -26,19 +27,15 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE",
     "Fig5bConfig",
     "Fig5bResult",
-    "run",
     "format_result",
     "PAPER_VALUES",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig5b.trial"
 
 # The §VII-A gossip fallback is part of the protocol under test here.
 _HERMES_OVERRIDES = {
@@ -83,46 +80,6 @@ class Fig5bResult:
         )
 
 
-def run(
-    config: Fig5bConfig | None = None,
-    env: ExperimentEnvironment | None = None,
-) -> Fig5bResult:
-    if config is None:
-        config = Fig5bConfig()
-    if env is None:
-        env = build_environment(
-            num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-        )
-    factories = protocol_factories(env, hermes_overrides=dict(_HERMES_OVERRIDES))
-    nodes = env.physical.nodes()
-    senders = _trial_senders(config, env)
-
-    coverage: dict[str, dict[float, float]] = {}
-    violations: dict[str, dict[float, int]] = {}
-    for name in PROTOCOL_NAMES:
-        factory = factories[name]
-        coverage[name] = {}
-        violations[name] = {}
-        for fraction in config.fractions:
-            trial_coverages = []
-            evidence = 0
-            for trial, sender in enumerate(senders):
-                result = run_censorship_trial(
-                    lambda plan: factory(plan),
-                    nodes,
-                    fraction,
-                    sender,
-                    horizon_ms=config.horizon_ms,
-                    seed=_trial_seed(fraction, trial),
-                )
-                trial_coverages.append(result.coverage)
-                if result.violation_summary is not None:
-                    evidence += result.violation_summary["total"]
-            coverage[name][fraction] = statistics.mean(trial_coverages)
-            violations[name][fraction] = evidence
-    return Fig5bResult(config=config, coverage=coverage, violations=violations)
-
-
 def _trial_senders(config: Fig5bConfig, env: ExperimentEnvironment) -> list[int]:
     """The deterministic sender of every trial index."""
 
@@ -133,11 +90,6 @@ def _trial_senders(config: Fig5bConfig, env: ExperimentEnvironment) -> list[int]
 
 def _trial_seed(fraction: float, trial: int) -> int:
     return 2000 * int(fraction * 100) + trial
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
 
 
 def cell_params(config: Fig5bConfig) -> list[dict[str, Any]]:
@@ -203,17 +155,12 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def from_records(
-    config: Fig5bConfig, records: Iterable[Mapping[str, Any]]
-) -> Fig5bResult:
-    """Fold stored trial records back into mean coverage per cell."""
+def fold(config: Fig5bConfig, results: Iterable[Mapping[str, Any]]) -> Fig5bResult:
+    """Fold the trials' results into mean coverage per cell."""
 
     samples: dict[str, dict[float, list[float]]] = {}
     evidence: dict[str, dict[float, int]] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        result = record["result"]
+    for result in results:
         by_fraction = samples.setdefault(result["protocol"], {})
         by_fraction.setdefault(result["fraction"], []).append(result["coverage"])
         # Records written before the violation column existed fold as zero.
@@ -229,38 +176,6 @@ def from_records(
         for name, by_fraction in samples.items()
     }
     return Fig5bResult(config=config, coverage=coverage, violations=evidence)
-
-
-def run_parallel(
-    config: Fig5bConfig | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the figure's grid through the sweep runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig5bConfig()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig5bResult) -> str:
@@ -287,3 +202,16 @@ def format_result(result: Fig5bResult) -> str:
             f"{result.config.trials} trials/point"
         ),
     )
+
+
+FIGURE = Figure(
+    name="fig5b",
+    task="fig5b.trial",
+    description="delivery robustness under censorship (paper Fig. 5b)",
+    config=Fig5bConfig,
+    quick={"num_nodes": 60, "trials": 4},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

@@ -22,8 +22,9 @@ from typing import Any, Iterable, Mapping
 
 from ..load.arrival import make_arrivals
 from ..load.capacity import CapacityConfig, CapacityModel
-from ..load.driver import LoadDriver, LoadResult
+from ..load.driver import KNEE_GOODPUT_RATIO, LoadDriver, LoadResult
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import (
     PROTOCOL_NAMES,
     ExperimentEnvironment,
@@ -32,22 +33,15 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE",
     "Fig6Config",
     "Fig6Result",
     "KNEE_GOODPUT_RATIO",
-    "run",
     "format_result",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig6.point"
-
-#: A rate saturates once goodput drops below this fraction of offered load.
-KNEE_GOODPUT_RATIO = 0.85
 
 #: Offered rates (tx/s) swept by default — chosen so the default capacity
 #: (32 KB/s uplinks) puts the knee inside the sweep for every protocol:
@@ -130,25 +124,6 @@ def _run_point(
         return driver.run(config.duration_ms, drain_ms=config.drain_ms)
 
 
-def run(config: Fig6Config | None = None) -> Fig6Result:
-    if config is None:
-        config = Fig6Config()
-    env = build_environment(
-        num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-    )
-    curves: dict[str, list[LoadResult]] = {}
-    for protocol in config.protocols:
-        curves[protocol] = [
-            _run_point(config, env, protocol, rate) for rate in config.rates_tps
-        ]
-    return Fig6Result(config=config, curves=curves)
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
-
-
 def cell_params(config: Fig6Config) -> list[dict[str, Any]]:
     """The sweep grid: one cell per (protocol, offered rate)."""
 
@@ -204,16 +179,12 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     return result.to_json()
 
 
-def from_records(
-    config: Fig6Config, records: Iterable[Mapping[str, Any]]
-) -> Fig6Result:
-    """Fold stored run records back into per-protocol saturation curves."""
+def fold(config: Fig6Config, results: Iterable[Mapping[str, Any]]) -> Fig6Result:
+    """Fold the points' results into per-protocol saturation curves."""
 
     curves: dict[str, list[LoadResult]] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        point = LoadResult.from_json(record["result"])
+    for result in results:
+        point = LoadResult.from_json(result)
         curves.setdefault(point.protocol, []).append(point)
     for curve in curves.values():
         curve.sort(key=lambda point: point.offered_tps)
@@ -223,38 +194,6 @@ def from_records(
         if protocol in curves
     }
     return Fig6Result(config=config, curves=ordered)
-
-
-def run_parallel(
-    config: Fig6Config | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the saturation sweep through the runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig6Config()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig6Result) -> str:
@@ -300,3 +239,16 @@ def format_result(result: Fig6Result) -> str:
             knee_line += f"; p95 inflation low→high rate: {inflation:.1f}x"
         tables.append(f"{table}\n{knee_line}")
     return "\n\n".join(tables)
+
+
+FIGURE = Figure(
+    name="fig6",
+    task="fig6.point",
+    description="offered-load saturation sweep under finite link capacity (extension)",
+    config=Fig6Config,
+    quick={"num_nodes": 24, "rates_tps": (2.0, 8.0, 24.0), "duration_ms": 4_000.0},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

@@ -37,24 +37,21 @@ from ..adversary.economics import ValueModel
 from ..adversary.zoo import run_adversary_trial
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import ExperimentEnvironment, build_environment, protocol_factories
 
 __all__ = [
+    "FIGURE",
     "Fig7Config",
     "Fig7Cell",
     "Fig7Result",
     "PROTOCOLS",
     "STRATEGIES",
-    "run",
     "format_result",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig7.point"
 
 #: The figure's protocol axis: the fig5a four plus the commit-then-reveal
 #: defense (which exists in the harness but stays out of PROTOCOL_NAMES so
@@ -166,11 +163,6 @@ def _environment(config: Fig7Config) -> ExperimentEnvironment:
     )
 
 
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
-
-
 def cell_params(config: Fig7Config) -> list[dict[str, Any]]:
     """The repetition grid: one cell per (protocol, strategy, fraction, trial)."""
 
@@ -204,7 +196,7 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
 
     ``trials`` travels with every cell so the (victim, proposer) pair list —
     drawn once per figure from the config seed — can be rebuilt and indexed
-    by ``trial``, keeping cells bit-compatible with the serial :func:`run`.
+    by ``trial``.
     """
 
     config = Fig7Config(
@@ -263,16 +255,11 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def from_records(
-    config: Fig7Config, records: Iterable[Mapping[str, Any]]
-) -> Fig7Result:
-    """Fold stored trial records into per-(protocol, strategy, fraction) cells."""
+def fold(config: Fig7Config, results: Iterable[Mapping[str, Any]]) -> Fig7Result:
+    """Fold the trials' results into per-(protocol, strategy, fraction) cells."""
 
     sums: dict[tuple[str, str, float], dict[str, float]] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        result = record["result"]
+    for result in results:
         key = (result["protocol"], result["strategy"], result["fraction"])
         cell = sums.setdefault(
             key,
@@ -312,55 +299,6 @@ def from_records(
         for key, values in sums.items()
     }
     return Fig7Result(config=config, cells=cells)
-
-
-def run(
-    config: Fig7Config | None = None,
-    env: ExperimentEnvironment | None = None,
-) -> Fig7Result:
-    """Run the full grid serially (the runner-free path)."""
-
-    if config is None:
-        config = Fig7Config()
-    if env is None:
-        env = _environment(config)
-    records = [
-        {"status": "ok", "result": run_cell(params)}
-        for params in cell_params(config)
-    ]
-    return from_records(config, records)
-
-
-def run_parallel(
-    config: Fig7Config | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the figure's grid through the sweep runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig7Config()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig7Result) -> str:
@@ -410,3 +348,16 @@ def format_result(result: Fig7Result) -> str:
             f"{top:.0%} malicious)"
         ),
     )
+
+
+FIGURE = Figure(
+    name="fig7",
+    task="fig7.point",
+    description="strategy-zoo adversary grid: economics and fairness (extension)",
+    config=Fig7Config,
+    quick={"num_nodes": 60, "fractions": (0.20, 0.33), "trials": 4},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

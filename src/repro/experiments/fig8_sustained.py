@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..load.capacity import CapacityConfig, CapacityModel
+from ..load.driver import KNEE_GOODPUT_RATIO
 from ..mempool.mempool import MempoolPolicy
 from ..population.clients import ClientPopulation, PopulationConfig
 from ..population.driver import PopulationDriver, PopulationResult
 from ..population.fees import FeeMarket, FeeMarketConfig
 from ..population.pipeline import run_ingest
 from ..utils.tables import format_table
-from .fig6_saturation import KNEE_GOODPUT_RATIO
+from .figure import Figure
 from .harness import (
     PROTOCOL_NAMES,
     ExperimentEnvironment,
@@ -41,19 +42,15 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE",
     "Fig8Config",
     "Fig8Result",
     "KNEE_GOODPUT_RATIO",
-    "run",
     "format_result",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig8.point"
 
 #: Offered rates (tx/s) swept by default.  The same modest 32 KB/s uplinks
 #: as Fig. 6, so the wire protocols keep their knees inside the sweep; the
@@ -196,30 +193,6 @@ def _run_point(
         return driver.run(config.duration_ms, drain_ms=config.drain_ms)
 
 
-def _environment_for(config: Fig8Config) -> ExperimentEnvironment | None:
-    if all(protocol == "ingest" for protocol in config.protocols):
-        return None
-    return build_environment(
-        num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-    )
-
-
-def run(config: Fig8Config | None = None) -> Fig8Result:
-    if config is None:
-        config = Fig8Config()
-    env = _environment_for(config)
-    curves: dict[str, list[PopulationResult]] = {}
-    for protocol in config.protocols:
-        curves[protocol] = [
-            _run_point(config, env, protocol, rate) for rate in config.rates_tps
-        ]
-    return Fig8Result(config=config, curves=curves)
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
-
 _CELL_FIELDS: tuple[str, ...] = (
     "num_nodes",
     "f",
@@ -281,16 +254,12 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     return result.to_json()
 
 
-def from_records(
-    config: Fig8Config, records: Iterable[Mapping[str, Any]]
-) -> Fig8Result:
-    """Fold stored run records back into per-protocol sustained curves."""
+def fold(config: Fig8Config, results: Iterable[Mapping[str, Any]]) -> Fig8Result:
+    """Fold the points' results into per-protocol sustained curves."""
 
     curves: dict[str, list[PopulationResult]] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        point = PopulationResult.from_json(record["result"])
+    for result in results:
+        point = PopulationResult.from_json(result)
         curves.setdefault(point.protocol, []).append(point)
     for curve in curves.values():
         curve.sort(key=lambda point: point.offered_tps)
@@ -300,38 +269,6 @@ def from_records(
         if protocol in curves
     }
     return Fig8Result(config=config, curves=ordered)
-
-
-def run_parallel(
-    config: Fig8Config | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the sustained sweep through the runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig8Config()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig8Result) -> str:
@@ -379,3 +316,22 @@ def format_result(result: Fig8Result) -> str:
             knee_line += f"; base-fee escalation at top rate: {escalation:.2f}x"
         tables.append(f"{table}\n{knee_line}")
     return "\n\n".join(tables)
+
+
+FIGURE = Figure(
+    name="fig8",
+    task="fig8.point",
+    description="sustained million-client population load with a fee market (extension)",
+    config=Fig8Config,
+    quick={
+        "num_nodes": 16,
+        "rates_tps": (2.0, 8.0, 24.0),
+        "duration_ms": 20_000.0,
+        "drain_ms": 3_000.0,
+        "num_clients": 100_000,
+    },
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

@@ -34,21 +34,18 @@ from ..sharding.system import ShardedSystem
 from ..sharding.trial import run_sharded_adversary_trial
 from ..sharding.workload import ShardedLoadDriver, ShardedLoadResult
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import build_environment
 
 __all__ = [
+    "FIGURE",
     "Fig9Config",
     "Fig9Result",
-    "run",
     "format_result",
-    "CELL_TASK",
     "cell_params",
     "run_cell",
-    "from_records",
-    "run_parallel",
+    "fold",
 ]
-
-CELL_TASK = "fig9.point"
 
 #: Marks the goodput (honest open-loop load) cells of the grid.
 NO_STRATEGY = "none"
@@ -205,32 +202,6 @@ def _run_fairness_cell(
     }
 
 
-def run(config: Fig9Config | None = None) -> Fig9Result:
-    if config is None:
-        config = Fig9Config()
-    goodput: dict[tuple[int, str], ShardedLoadResult] = {}
-    fairness: dict[tuple[int, str, str, float], dict[str, Any]] = {}
-    for num_shards in config.shard_counts:
-        for protocol in config.protocols:
-            goodput[(num_shards, protocol)] = _run_goodput_cell(
-                config, num_shards, protocol
-            )
-            for strategy in config.strategies:
-                if strategy == NO_STRATEGY:
-                    continue
-                for fraction in config.fractions:
-                    fairness[(num_shards, protocol, strategy, fraction)] = (
-                        _run_fairness_cell(
-                            config, num_shards, protocol, strategy, fraction
-                        )
-                    )
-    return Fig9Result(config=config, goodput=goodput, fairness=fairness)
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner integration (see repro.runner and docs/runner.md)
-# ----------------------------------------------------------------------
-
 _CELL_FIELDS: tuple[str, ...] = (
     "total_nodes",
     "f",
@@ -303,7 +274,7 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     num_shards = int(params["num_shards"])
     protocol = str(params["protocol"])
     strategy = str(params.get("strategy", NO_STRATEGY))
-    # Warm the shared mirrored environment exactly like the direct path.
+    # Warm the memoized per-shard environment the deployment builds on.
     build_environment(
         num_nodes=config.total_nodes // num_shards,
         f=config.f,
@@ -324,17 +295,12 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     return {"kind": "fairness", **cell}
 
 
-def from_records(
-    config: Fig9Config, records: Iterable[Mapping[str, Any]]
-) -> Fig9Result:
-    """Fold stored run records back into the scaling grid."""
+def fold(config: Fig9Config, results: Iterable[Mapping[str, Any]]) -> Fig9Result:
+    """Fold the cells' results into the scaling grid."""
 
     goodput: dict[tuple[int, str], ShardedLoadResult] = {}
     fairness: dict[tuple[int, str, str, float], dict[str, Any]] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        doc = record["result"]
+    for doc in results:
         if doc.get("kind") == "goodput":
             goodput[(int(doc["num_shards"]), str(doc["protocol"]))] = (
                 ShardedLoadResult.from_json(doc["result"])
@@ -348,38 +314,6 @@ def from_records(
             )
             fairness[key] = dict(doc)
     return Fig9Result(config=config, goodput=goodput, fairness=fairness)
-
-
-def run_parallel(
-    config: Fig9Config | None = None,
-    *,
-    jobs: int = 1,
-    results_dir: str | None = None,
-    resume: bool = True,
-    timeout_s: float | None = None,
-    progress=None,
-    telemetry=None,
-):
-    """Run the scaling grid through the runner; see ``docs/runner.md``.
-
-    Returns ``(result, sweep_report)``.
-    """
-
-    from ._sweep import run_cells
-
-    if config is None:
-        config = Fig9Config()
-    report = run_cells(
-        CELL_TASK,
-        cell_params(config),
-        jobs=jobs,
-        results_dir=results_dir,
-        resume=resume,
-        timeout_s=timeout_s,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return from_records(config, report.records), report
 
 
 def format_result(result: Fig9Result) -> str:
@@ -463,3 +397,21 @@ def format_result(result: Fig9Result) -> str:
                 )
             )
     return "\n\n".join(tables)
+
+
+FIGURE = Figure(
+    name="fig9",
+    task="fig9.point",
+    description="sharding scaling grid: aggregate goodput and cross-shard fairness (extension)",
+    config=Fig9Config,
+    quick={
+        "shard_counts": (1, 2),
+        "total_nodes": 32,
+        "duration_ms": 3_000.0,
+        "trials": 2,
+    },
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

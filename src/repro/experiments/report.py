@@ -45,36 +45,31 @@ def generate_report(
 ) -> str:
     """Run all experiments and return the combined text report.
 
-    *obs*, when given, instruments the Fig. 3a latency runs (the headline
+    The four sweep-shaped figures (3a, 3b, 5a, 5b) run their
+    ``python -m repro sweep --figure`` grids (the ``--quick`` ones with
+    *quick*) through ``FIGURE.run`` — across *jobs* worker processes and,
+    with *results_dir*, resumable: a re-invocation loads completed cells from
+    the store instead of re-running them.  *obs*, when given, instead
+    instruments the Fig. 3a cells in this process (the headline
     measurement); the caller is responsible for exporting the artifacts.
-
-    With ``jobs > 1`` or *results_dir* set, the four sweep-shaped figures
-    (3a, 3b, 5a, 5b) are submitted as repetition grids to
-    :func:`repro.runner.run_sweep` — parallel across *jobs* worker
-    processes and, with *results_dir*, resumable: a re-invocation loads
-    completed cells from the store instead of re-running them.  Because the
-    runner executes every cell as a fresh, fully-seeded process-independent
-    unit, the sweep-path numbers are self-consistent across any ``jobs``
-    value but can differ from the inline serial path (which shares one
-    transaction-id counter across all protocol runs); see ``docs/runner.md``.
+    Every cell starts from fresh id counters either way, so the tables read
+    the same numbers however they were computed.
     """
 
     if quick:
-        n_main, n_attack, trials, txs = 80, 60, 6, 4
+        n_main, n_attack = 80, 60
     else:
-        n_main, n_attack, trials, txs = 200, 150, 20, 10
+        n_main, n_attack = 200, 150
 
-    use_runner = jobs > 1 or results_dir is not None
-    # Fig. 3a instrumentation is in-process; with obs active it stays inline.
-    runner_fig3a = use_runner and obs is None
-
-    def _store_dir(figure: str) -> str | None:
-        if results_dir is None:
-            return None
-        return os.path.join(results_dir, figure)
+    def figure(module) -> str:
+        config = module.FIGURE.make_config(quick=quick, seed=seed)
+        if obs is not None and module is fig3a_latency:
+            return module.format_result(module.run(config, obs=obs))
+        store = None if results_dir is None else os.path.join(results_dir, module.FIGURE.name)
+        result, _ = module.FIGURE.run(config, jobs=jobs, results_dir=store, resume=resume)
+        return module.format_result(result)
 
     env_main = build_environment(num_nodes=n_main, f=1, k=10, seed=seed)
-    env_attack = build_environment(num_nodes=n_attack, f=1, k=10, seed=seed)
 
     sections = []
     sections.append(
@@ -87,24 +82,8 @@ def generate_report(
             fig2_overlays.run(fig2_overlays.Fig2Config(num_nodes=n_main, seed=seed))
         )
     )
-    fig3a_config = fig3a_latency.Fig3aConfig(
-        num_nodes=n_main, transactions=txs, seed=seed
-    )
-    if runner_fig3a:
-        fig3a_result, _ = fig3a_latency.run_parallel(
-            fig3a_config, jobs=jobs, results_dir=_store_dir("fig3a"), resume=resume
-        )
-    else:
-        fig3a_result = fig3a_latency.run(fig3a_config, env=env_main, obs=obs)
-    sections.append(fig3a_latency.format_result(fig3a_result))
-    fig3b_config = fig3b_bandwidth.Fig3bConfig(num_nodes=n_main, seed=seed)
-    if use_runner:
-        fig3b_result, _ = fig3b_bandwidth.run_parallel(
-            fig3b_config, jobs=jobs, results_dir=_store_dir("fig3b"), resume=resume
-        )
-    else:
-        fig3b_result = fig3b_bandwidth.run(fig3b_config, env=env_main)
-    sections.append(fig3b_bandwidth.format_result(fig3b_result))
+    sections.append(figure(fig3a_latency))
+    sections.append(figure(fig3b_bandwidth))
     sections.append(
         fig4_roles.format_result(
             fig4_roles.run(
@@ -112,26 +91,8 @@ def generate_report(
             )
         )
     )
-    fig5a_config = fig5a_frontrunning.Fig5aConfig(
-        num_nodes=n_attack, trials=trials, seed=seed
-    )
-    if use_runner:
-        fig5a_result, _ = fig5a_frontrunning.run_parallel(
-            fig5a_config, jobs=jobs, results_dir=_store_dir("fig5a"), resume=resume
-        )
-    else:
-        fig5a_result = fig5a_frontrunning.run(fig5a_config, env=env_attack)
-    sections.append(fig5a_frontrunning.format_result(fig5a_result))
-    fig5b_config = fig5b_robustness.Fig5bConfig(
-        num_nodes=n_attack, trials=max(trials // 2, 4), seed=seed
-    )
-    if use_runner:
-        fig5b_result, _ = fig5b_robustness.run_parallel(
-            fig5b_config, jobs=jobs, results_dir=_store_dir("fig5b"), resume=resume
-        )
-    else:
-        fig5b_result = fig5b_robustness.run(fig5b_config, env=env_attack)
-    sections.append(fig5b_robustness.format_result(fig5b_result))
+    sections.append(figure(fig5a_frontrunning))
+    sections.append(figure(fig5b_robustness))
     header = (
         "HERMES reproduction — full experiment report\n"
         f"(environments: N={n_main} main, N={n_attack} attack sweeps; "

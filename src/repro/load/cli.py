@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = _sweep_config(args)
     try:
-        result, report = fig6_saturation.run_parallel(
+        result, report = fig6_saturation.FIGURE.run(
             config,
             jobs=args.jobs,
             results_dir=args.results_dir,

@@ -24,7 +24,11 @@ from ..net.stats import StreamingNetworkStats, summarize_latencies
 from ..utils.validation import require_positive
 from .arrival import ArrivalProcess, Injection
 
-__all__ = ["LoadDriver", "LoadResult"]
+__all__ = ["KNEE_GOODPUT_RATIO", "LoadDriver", "LoadResult"]
+
+#: A rate saturates once goodput drops below this fraction of offered load
+#: (the knee rule of the Fig. 6 and Fig. 8 sweeps).
+KNEE_GOODPUT_RATIO = 0.85
 
 
 @dataclass(frozen=True, slots=True)

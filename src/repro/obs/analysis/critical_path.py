@@ -121,23 +121,32 @@ class CriticalPath:
 
 
 class _SendIndex:
-    """``net.send`` records indexed by (src, dst, tx_id) for hop matching."""
+    """``net.send`` records indexed by (protocol, src, dst, tx_id) for hop
+    matching.  The protocol is part of the key because every protocol's run
+    numbers its transactions from zero, so one trace repeats tx ids."""
 
-    def __init__(self, events: Iterable[ReadEvent]) -> None:
-        self._by_edge: dict[tuple[int, int, int], list[ReadEvent]] = {}
-        for event in events:
+    def __init__(self, trace: Trace) -> None:
+        self._by_edge: dict[tuple[str | None, int, int, int], list[ReadEvent]] = {}
+        for event in trace.events:
             if event.name != "net.send":
                 continue
             tx_id = event.attrs.get("tx_id")
             if tx_id is None:
                 continue
-            key = (int(event.attrs["src"]), int(event.attrs["dst"]), int(tx_id))
+            key = (
+                trace.protocol_of(event),
+                int(event.attrs["src"]),
+                int(event.attrs["dst"]),
+                int(tx_id),
+            )
             self._by_edge.setdefault(key, []).append(event)
 
-    def match(self, src: int, dst: int, tx_id: int, arrive_ms: float) -> ReadEvent | None:
+    def match(
+        self, protocol: str | None, src: int, dst: int, tx_id: int, arrive_ms: float
+    ) -> ReadEvent | None:
         """The send whose computed arrival coincides with *arrive_ms*."""
 
-        candidates = self._by_edge.get((src, dst, tx_id))
+        candidates = self._by_edge.get((protocol, src, dst, tx_id))
         if not candidates:
             return None
         best = min(
@@ -160,7 +169,7 @@ def critical_path(
     target = tree.last_delivery()
     if target is None or tree.origin is None:
         return None
-    index = _index if _index is not None else _SendIndex(trace.events)
+    index = _index if _index is not None else _SendIndex(trace)
     dispatch_ms = tree.dispatch_ms if tree.dispatch_ms is not None else tree.submit_ms
     if dispatch_ms is None:
         dispatch_ms = 0.0
@@ -172,7 +181,7 @@ def critical_path(
     for src, dst in zip(path, path[1:]):
         delivery = tree.deliveries[dst]
         arrive_ms = delivery.time_ms
-        send = index.match(src, dst, tree.tx_id, arrive_ms)
+        send = index.match(tree.protocol, src, dst, tree.tx_id, arrive_ms)
         if send is not None:
             attrs = send.attrs
             hold_ms = send.time_ms - prev_arrival
@@ -236,7 +245,7 @@ def critical_paths(
 ) -> list[CriticalPath]:
     """Critical paths for every tree that has at least one delivery."""
 
-    index = _SendIndex(trace.events)
+    index = _SendIndex(trace)
     paths = []
     for tree in trees:
         result = critical_path(tree, trace, _index=index)

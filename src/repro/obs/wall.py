@@ -7,7 +7,7 @@ lives *outside* the simulation — the sweep executor, its worker processes,
 and anything else whose cost is real seconds rather than simulated
 milliseconds.
 
-Three pieces:
+Two pieces:
 
 * :class:`WallClock` — a monotonic clock with a fixed origin, reporting
   offsets in seconds.  On Linux ``time.monotonic`` is ``CLOCK_MONOTONIC``,
@@ -15,8 +15,6 @@ Three pieces:
   comparable across processes on one machine — the property the sweep
   timeline uses to relate parent-side submit times to worker-side start
   times.
-* :class:`Stopwatch` — successive ``lap()`` deltas for straight-line phase
-  measurement (deserialize → execute → serialize).
 * :class:`PhaseTimer` — accumulates named phase durations via the
   ``with timer.phase("store_write"):`` context manager; re-entering a name
   adds to its total.
@@ -33,7 +31,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-__all__ = ["WallClock", "Stopwatch", "PhaseTimer"]
+__all__ = ["WallClock", "PhaseTimer"]
 
 
 class WallClock:
@@ -64,29 +62,6 @@ class WallClock:
         """The underlying clock value (for handing the origin to a child)."""
 
         return self._clock()
-
-
-class Stopwatch:
-    """Successive lap timing: each :meth:`lap` returns seconds since the last.
-
-    >>> watch = Stopwatch(clock=iter([1.0, 1.5, 4.0]).__next__)
-    >>> watch.lap()
-    0.5
-    >>> watch.lap()
-    2.5
-    """
-
-    __slots__ = ("_clock", "_last")
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._last = clock()
-
-    def lap(self) -> float:
-        now = self._clock()
-        elapsed = now - self._last
-        self._last = now
-        return max(0.0, elapsed)
 
 
 class PhaseTimer:

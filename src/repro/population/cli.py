@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = _sweep_config(args)
     try:
-        result, report = fig8_sustained.run_parallel(
+        result, report = fig8_sustained.FIGURE.run(
             config,
             jobs=args.jobs,
             results_dir=args.results_dir,

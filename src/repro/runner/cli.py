@@ -35,23 +35,9 @@ import json
 from typing import Any
 
 from ..errors import ConfigurationError, ReproError
+from .tasks import FIGURES, get_figure
 
 __all__ = ["main", "parse_axis"]
-
-_FIGURES = ("fig3a", "fig3b", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9")
-
-#: One-line descriptions for ``--list-figures`` (kept in _FIGURES order).
-_FIGURE_DESCRIPTIONS = {
-    "fig3a": "dissemination latency CDF across protocols (paper Fig. 3a)",
-    "fig3b": "bandwidth overhead per protocol (paper Fig. 3b)",
-    "fig5a": "front-running resistance vs adversary fraction (paper Fig. 5a)",
-    "fig5b": "delivery robustness under censorship (paper Fig. 5b)",
-    "fig6": "offered-load saturation sweep under finite link capacity (extension)",
-    "fig7": "strategy-zoo adversary grid: economics and fairness (extension)",
-    "fig8": "sustained million-client population load with a fee market (extension)",
-    "fig9": "sharding scaling grid: aggregate goodput and cross-shard fairness (extension)",
-}
-
 
 def parse_axis(text: str) -> tuple[str, list[Any]]:
     """``"key=v1,v2"`` → ``("key", [v1, v2])`` with JSON-typed values.
@@ -85,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     what = parser.add_mutually_exclusive_group()
     what.add_argument("--task", help="registered task name (see --list-tasks)")
     what.add_argument(
-        "--figure", choices=_FIGURES,
+        "--figure", choices=tuple(FIGURES),
         help="submit a figure script's repetition grid instead of an ad-hoc task",
     )
     what.add_argument(
@@ -130,75 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _figure_config(figure: str, *, seed: int, quick: bool):
-    """The (module, config) pair behind a ``--figure`` invocation."""
-
-    if figure == "fig3a":
-        from ..experiments import fig3a_latency as module
-
-        config = module.Fig3aConfig(
-            num_nodes=80 if quick else 200, transactions=4 if quick else 10, seed=seed
-        )
-    elif figure == "fig3b":
-        from ..experiments import fig3b_bandwidth as module
-
-        config = module.Fig3bConfig(num_nodes=80 if quick else 200, seed=seed)
-    elif figure == "fig5a":
-        from ..experiments import fig5a_frontrunning as module
-
-        config = module.Fig5aConfig(
-            num_nodes=60 if quick else 150, trials=6 if quick else 20, seed=seed
-        )
-    elif figure == "fig5b":
-        from ..experiments import fig5b_robustness as module
-
-        config = module.Fig5bConfig(
-            num_nodes=60 if quick else 150, trials=4 if quick else 10, seed=seed
-        )
-    elif figure == "fig6":
-        from ..experiments import fig6_saturation as module
-
-        config = module.Fig6Config(
-            num_nodes=24 if quick else 40,
-            rates_tps=(2.0, 8.0, 24.0) if quick else module.DEFAULT_RATES,
-            duration_ms=4_000.0 if quick else 6_000.0,
-            seed=seed,
-        )
-    elif figure == "fig7":
-        from ..experiments import fig7_adversary as module
-
-        config = module.Fig7Config(
-            num_nodes=60 if quick else 200,
-            fractions=(0.20, 0.33) if quick else (0.10, 0.20, 0.33),
-            trials=4 if quick else 10,
-            seed=seed,
-        )
-    elif figure == "fig8":
-        from ..experiments import fig8_sustained as module
-
-        config = module.Fig8Config(
-            num_nodes=16 if quick else 24,
-            rates_tps=(2.0, 8.0, 24.0) if quick else module.DEFAULT_RATES,
-            duration_ms=20_000.0 if quick else 60_000.0,
-            drain_ms=3_000.0 if quick else 5_000.0,
-            num_clients=100_000 if quick else 1_000_000,
-            seed=seed,
-        )
-    elif figure == "fig9":
-        from ..experiments import fig9_sharding as module
-
-        config = module.Fig9Config(
-            shard_counts=(1, 2) if quick else module.DEFAULT_SHARDS,
-            total_nodes=32 if quick else 48,
-            duration_ms=3_000.0 if quick else 5_000.0,
-            trials=2 if quick else 3,
-            seed=seed,
-        )
-    else:  # pragma: no cover - argparse's choices guard this
-        raise ConfigurationError(f"unknown figure {figure!r}")
-    return module, config
-
-
 def _build_telemetry(args: argparse.Namespace):
     """The optional SweepTelemetry collector behind --timeline/--progress."""
 
@@ -210,55 +127,48 @@ def _build_telemetry(args: argparse.Namespace):
     return SweepTelemetry(args.timeline, listener=listener)
 
 
-def _run_figure(args: argparse.Namespace) -> None:
-    module, config = _figure_config(args.figure, seed=args.seed, quick=args.quick)
-    telemetry = _build_telemetry(args)
-    try:
-        result, report = module.run_parallel(
-            config,
-            jobs=args.jobs,
-            results_dir=args.results_dir,
-            resume=args.resume,
-            timeout_s=args.timeout,
-            telemetry=telemetry,
-        )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(report.summary_line())
-    print(module.format_result(result))
-    if args.timeline:
-        print(f"timeline: {args.timeline} (analyze with `python -m repro analyze-sweep`)")
-
-
-def _run_task(args: argparse.Namespace) -> None:
-    from . import ResultStore, SweepSpec, latency_summaries, run_sweep
-
+def _grid(axes: list[str]) -> dict[str, list[Any]]:
     grid: dict[str, list[Any]] = {}
-    for axis in args.axes:
+    for axis in axes:
         key, values = parse_axis(axis)
         if key in grid:
             raise ConfigurationError(f"duplicate --set axis {key!r}")
         grid[key] = values
-    sweep = SweepSpec(task=args.task, grid=grid)
-    store = ResultStore(args.results_dir) if args.results_dir else None
+    return grid
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Submit the ``--figure`` or ``--task`` grid and print what it produced."""
+
+    from . import ResultStore, SweepSpec, latency_summaries, run_sweep
+
+    figure = get_figure(args.figure) if args.figure else None
+    sweep = None if figure else SweepSpec(task=args.task, grid=_grid(args.axes))
     telemetry = _build_telemetry(args)
+    options = dict(
+        jobs=args.jobs,
+        resume=args.resume,
+        timeout_s=args.timeout,
+        retries=args.retries,
+        telemetry=telemetry,
+    )
     try:
-        report = run_sweep(
-            sweep,
-            store=store,
-            jobs=args.jobs,
-            resume=args.resume,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            telemetry=telemetry,
-        )
+        if figure is not None:
+            config = figure.make_config(quick=args.quick, seed=args.seed)
+            result, report = figure.run(config, results_dir=args.results_dir, **options)
+        else:
+            store = ResultStore(args.results_dir) if args.results_dir else None
+            report = run_sweep(sweep, store=store, **options)
     finally:
         if telemetry is not None:
             telemetry.close()
     print(report.summary_line())
+    if figure is not None:
+        print(figure.format(result))
     if args.timeline:
         print(f"timeline: {args.timeline} (analyze with `python -m repro analyze-sweep`)")
+    if figure is not None:
+        return
     for record in report.records:
         if not record.ok:
             print(f"  FAILED {record['spec']['params']}: {record.get('error')}")
@@ -284,19 +194,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return 0
         if args.list_figures:
-            width = max(len(name) for name in _FIGURES)
-            for name in _FIGURES:
-                print(f"{name:<{width}}  {_FIGURE_DESCRIPTIONS.get(name, '')}")
+            width = max(len(name) for name in FIGURES)
+            for name in FIGURES:
+                print(f"{name:<{width}}  {get_figure(name).description}")
             return 0
-        if args.figure:
-            _run_figure(args)
-            return 0
-        if not args.task:
+        if not args.figure and not args.task:
             parser.error(
                 "one of --task, --figure, --list-tasks or --list-figures "
                 "is required"
             )
-        _run_task(args)
+        _run(args)
         return 0
     except ReproError as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -362,7 +362,7 @@ def run_sweep(
         for spec in pending:
             finish(*_execute_timed(spec, timeout_s, telemetry.clock))
     elif pending:
-        _run_parallel(pending, jobs, timeout_s, retries, finish, telemetry)
+        _run_pooled(pending, jobs, timeout_s, retries, finish, telemetry)
 
     report.records = [by_hash[spec.spec_hash] for spec in ordered]
     report.wall_seconds = time.perf_counter() - started
@@ -384,7 +384,7 @@ class _Worker:
     spec: RunSpec | None = None  # the run it holds; None until it reports ready
 
 
-def _run_parallel(
+def _run_pooled(
     pending: Iterable[RunSpec],
     jobs: int,
     timeout_s: float | None,

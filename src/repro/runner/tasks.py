@@ -18,8 +18,8 @@ Built-in tasks:
     cell for ad-hoc ``python -m repro sweep`` grids.
 ``fig3a.protocol`` / ``fig3b.protocol`` / ``fig5a.trial`` / ``fig5b.trial`` /
 ``fig6.point`` / ``fig7.point`` / ``fig8.point`` / ``fig9.point``
-    The repetition cells of the corresponding figure scripts (see each
-    ``repro.experiments.fig*`` module's ``run_cell``).
+    The repetition cells of the figures in :data:`FIGURES` (each figure
+    module's ``FIGURE.run_cell``), resolved on first request.
 ``selftest.*``
     Tiny diagnostic tasks (echo / sleep / crash / unpicklable) used by the
     harness's own tests and by operators validating a new results directory.
@@ -27,13 +27,21 @@ Built-in tasks:
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
 
-__all__ = ["register_task", "get_task", "task_names", "dissemination"]
+__all__ = [
+    "FIGURES",
+    "register_task",
+    "get_figure",
+    "get_task",
+    "task_names",
+    "dissemination",
+]
 
 TaskFn = Callable[[Mapping[str, Any]], Any]
 
@@ -52,17 +60,44 @@ def register_task(name: str) -> Callable[[TaskFn], TaskFn]:
     return decorate
 
 
-def get_task(name: str) -> TaskFn:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+#: The sweep-shaped figures: name -> the module that declares its ``FIGURE``
+#: (a :class:`repro.experiments.figure.Figure`).  Modules are imported on
+#: first request, so a sweep of one figure's cells loads no other figure.
+FIGURES = {
+    "fig3a": "repro.experiments.fig3a_latency",
+    "fig3b": "repro.experiments.fig3b_bandwidth",
+    "fig5a": "repro.experiments.fig5a_frontrunning",
+    "fig5b": "repro.experiments.fig5b_robustness",
+    "fig6": "repro.experiments.fig6_saturation",
+    "fig7": "repro.experiments.fig7_adversary",
+    "fig8": "repro.experiments.fig8_sustained",
+    "fig9": "repro.experiments.fig9_sharding",
+}
+
+
+def get_figure(name: str):
+    """The :class:`~repro.experiments.figure.Figure` registered as *name*."""
+
+    if name not in FIGURES:
         raise ConfigurationError(
-            f"unknown task {name!r}; known tasks: {', '.join(task_names())}"
+            f"unknown figure {name!r}; known figures: {', '.join(FIGURES)}"
         )
+    return importlib.import_module(FIGURES[name]).FIGURE
+
+
+def get_task(name: str) -> TaskFn:
+    if name not in _REGISTRY:
+        figure = name.partition(".")[0]
+        if figure not in FIGURES or get_figure(figure).task != name:
+            raise ConfigurationError(
+                f"unknown task {name!r}; known tasks: {', '.join(task_names())}"
+            )
+        _REGISTRY[name] = get_figure(figure).run_cell
+    return _REGISTRY[name]
 
 
 def task_names() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted({*_REGISTRY, *(get_figure(name).task for name in FIGURES)})
 
 
 # ----------------------------------------------------------------------
@@ -140,70 +175,6 @@ def dissemination(params: Mapping[str, Any]) -> dict[str, Any]:
         "kb_per_minute": stats.bandwidth_kb_per_minute(horizon_ms),
         "messages_dropped": stats.messages_dropped,
     }
-
-
-# ----------------------------------------------------------------------
-# Figure repetition cells (implemented next to their figure scripts; the
-# lazy imports keep `repro.runner` importable without pulling in the whole
-# experiments package, and avoid an import cycle with the fig modules'
-# own `run_parallel` entry points).
-# ----------------------------------------------------------------------
-
-
-@register_task("fig3a.protocol")
-def _fig3a_protocol(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig3a_latency
-
-    return fig3a_latency.run_cell(params)
-
-
-@register_task("fig3b.protocol")
-def _fig3b_protocol(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig3b_bandwidth
-
-    return fig3b_bandwidth.run_cell(params)
-
-
-@register_task("fig5a.trial")
-def _fig5a_trial(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig5a_frontrunning
-
-    return fig5a_frontrunning.run_cell(params)
-
-
-@register_task("fig5b.trial")
-def _fig5b_trial(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig5b_robustness
-
-    return fig5b_robustness.run_cell(params)
-
-
-@register_task("fig6.point")
-def _fig6_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig6_saturation
-
-    return fig6_saturation.run_cell(params)
-
-
-@register_task("fig7.point")
-def _fig7_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig7_adversary
-
-    return fig7_adversary.run_cell(params)
-
-
-@register_task("fig8.point")
-def _fig8_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig8_sustained
-
-    return fig8_sustained.run_cell(params)
-
-
-@register_task("fig9.point")
-def _fig9_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    from ..experiments import fig9_sharding
-
-    return fig9_sharding.run_cell(params)
 
 
 @register_task("chaos.run")

@@ -31,7 +31,7 @@ def _result():
     try:
         return _CACHED
     except NameError:
-        _CACHED = fig7.run(CONFIG)
+        _CACHED, _ = fig7.FIGURE.run(CONFIG)
         return _CACHED
 
 

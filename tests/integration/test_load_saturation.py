@@ -123,7 +123,7 @@ SWEEP = Fig6Config(
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return fig6_saturation.run(SWEEP)
+    return fig6_saturation.FIGURE.run(SWEEP)[0]
 
 
 class TestSaturation:
@@ -176,12 +176,8 @@ class TestResume:
             seed=0,
         )
         store = str(tmp_path / "fig6")
-        first_result, first = fig6_saturation.run_parallel(
-            config, results_dir=store
-        )
+        first_result, first = fig6_saturation.FIGURE.run(config, results_dir=store)
         assert first.executed == 1 and first.skipped == 0
-        second_result, second = fig6_saturation.run_parallel(
-            config, results_dir=store
-        )
+        second_result, second = fig6_saturation.FIGURE.run(config, results_dir=store)
         assert second.executed == 0 and second.skipped == 1
         assert first_result.curves == second_result.curves

@@ -203,9 +203,9 @@ class TestFig8Determinism:
             target_occupancy=100,
         )
         store = str(tmp_path / "fig8")
-        first_result, first = fig8_sustained.run_parallel(config, results_dir=store)
+        first_result, first = fig8_sustained.FIGURE.run(config, results_dir=store)
         assert first.executed == 1 and first.skipped == 0
-        second_result, second = fig8_sustained.run_parallel(config, results_dir=store)
+        second_result, second = fig8_sustained.FIGURE.run(config, results_dir=store)
         assert second.executed == 0 and second.skipped == 1
         assert first_result.curves == second_result.curves
         assert "ingest" in first_result.curves

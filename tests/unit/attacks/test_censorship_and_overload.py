@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.attacks.censorship import run_censorship_trial
-from repro.attacks.overload import FlooderNode, run_overload_trial
+from repro.adversary import FlooderNode, run_censorship_trial, run_overload_trial
 from repro.baselines.gossip import GossipConfig, GossipSystem
 from repro.baselines.simple_tree import SimpleTreeSystem
 

@@ -82,10 +82,11 @@ class TestFig2:
 
 
 class TestFig3a:
-    def test_runs_and_orders(self, env):
-        result = fig3a_latency.run(
-            fig3a_latency.Fig3aConfig(num_nodes=40, transactions=3, horizon_ms=6_000),
-            env=env,
+    def test_runs_and_orders(self):
+        result, _ = fig3a_latency.FIGURE.run(
+            fig3a_latency.Fig3aConfig(
+                num_nodes=40, k=3, transactions=3, horizon_ms=6_000, seed=1
+            )
         )
         assert set(result.summaries) == {"hermes", "lzero", "narwhal", "mercury"}
         assert result.setup_overhead_ms["hermes"] > 0
@@ -95,18 +96,18 @@ class TestFig3a:
 
 
 class TestFig3aSweep:
-    def test_run_parallel_serial_and_resume(self, env, tmp_path):
+    def test_figure_run_serial_and_resume(self, tmp_path):
         config = fig3a_latency.Fig3aConfig(
             num_nodes=40, f=1, k=3, transactions=3, horizon_ms=6_000, seed=1
         )
-        result, report = fig3a_latency.run_parallel(
+        result, report = fig3a_latency.FIGURE.run(
             config, jobs=1, results_dir=str(tmp_path)
         )
         assert report.executed == 4 and report.failed == 0
         assert set(result.summaries) == {"hermes", "lzero", "narwhal", "mercury"}
         assert all(s.count > 0 for s in result.summaries.values())
 
-        again, again_report = fig3a_latency.run_parallel(
+        again, again_report = fig3a_latency.FIGURE.run(
             config, jobs=1, results_dir=str(tmp_path)
         )
         assert again_report.executed == 0 and again_report.skipped == 4
@@ -114,25 +115,20 @@ class TestFig3aSweep:
         assert again.setup_overhead_ms == result.setup_overhead_ms
 
 
+FIG3B = fig3b_bandwidth.Fig3bConfig(
+    num_nodes=40, k=3, duration_ms=10_000, tx_interval_ms=2_000, seed=1
+)
+
+
 class TestFig3b:
-    def test_bandwidth_positive(self, env):
-        result = fig3b_bandwidth.run(
-            fig3b_bandwidth.Fig3bConfig(
-                num_nodes=40, duration_ms=10_000, tx_interval_ms=2_000
-            ),
-            env=env,
-        )
+    def test_bandwidth_positive(self):
+        result, _ = fig3b_bandwidth.FIGURE.run(FIG3B)
         assert all(v > 0 for v in result.kb_per_minute.values())
         assert result.hermes_with_per_tx_encoding > result.kb_per_minute["hermes"]
         assert "Fig. 3b" in fig3b_bandwidth.format_result(result)
 
-    def test_lzero_most_frugal(self, env):
-        result = fig3b_bandwidth.run(
-            fig3b_bandwidth.Fig3bConfig(
-                num_nodes=40, duration_ms=10_000, tx_interval_ms=2_000
-            ),
-            env=env,
-        )
+    def test_lzero_most_frugal(self):
+        result, _ = fig3b_bandwidth.FIGURE.run(FIG3B)
         assert result.ordering()[0] == "lzero"
 
 
@@ -151,22 +147,22 @@ class TestFig4:
 
 
 class TestFig5a:
-    def test_tiny_sweep(self, env):
+    def test_tiny_sweep(self):
         config = fig5a_frontrunning.Fig5aConfig(
-            num_nodes=40, fractions=(0.2,), trials=2, horizon_ms=2_500
+            num_nodes=40, k=3, fractions=(0.2,), trials=2, horizon_ms=2_500, seed=1
         )
-        result = fig5a_frontrunning.run(config, env=env)
+        result, _ = fig5a_frontrunning.FIGURE.run(config)
         for name, by_fraction in result.success_rates.items():
             assert 0.0 <= by_fraction[0.2] <= 1.0
         assert "Fig. 5a" in fig5a_frontrunning.format_result(result)
 
 
 class TestFig5b:
-    def test_tiny_sweep(self, env):
+    def test_tiny_sweep(self):
         config = fig5b_robustness.Fig5bConfig(
-            num_nodes=40, fractions=(0.2,), trials=2, horizon_ms=1_500
+            num_nodes=40, k=3, fractions=(0.2,), trials=2, horizon_ms=1_500, seed=1
         )
-        result = fig5b_robustness.run(config, env=env)
+        result, _ = fig5b_robustness.FIGURE.run(config)
         for name, by_fraction in result.coverage.items():
             assert 0.0 < by_fraction[0.2] <= 1.0
         assert "Fig. 5b" in fig5b_robustness.format_result(result)

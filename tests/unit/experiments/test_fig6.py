@@ -97,12 +97,8 @@ class TestKneeDetection:
 class TestRecordsFold:
     def test_from_records_sorts_by_offered_rate(self):
         config = Fig6Config(protocols=("hermes",))
-        records = [
-            {"status": "ok", "result": point("hermes", 20.0, 9.0).to_json()},
-            {"status": "ok", "result": point("hermes", 5.0, 5.0).to_json()},
-            {"status": "error"},
-        ]
-        result = fig6_saturation.from_records(config, records)
+        results = [point("hermes", 20.0, 9.0).to_json(), point("hermes", 5.0, 5.0).to_json()]
+        result = fig6_saturation.fold(config, results)
         offered = [p.offered_tps for p in result.curves["hermes"]]
         assert offered == [5.0, 20.0]
 

@@ -15,7 +15,7 @@ def small_config(**overrides):
     return fig7.Fig7Config(**defaults)
 
 
-def _record(protocol, strategy, fraction, trial, won, **extra):
+def _result(protocol, strategy, fraction, trial, won, **extra):
     result = {
         "protocol": protocol,
         "strategy": strategy,
@@ -31,7 +31,7 @@ def _record(protocol, strategy, fraction, trial, won, **extra):
         "violations": 0,
     }
     result.update(extra)
-    return {"status": "ok", "result": result}
+    return result
 
 
 class TestGrid:
@@ -59,14 +59,13 @@ class TestGrid:
 class TestFolding:
     def test_from_records_aggregates_per_cell(self):
         config = small_config()
-        records = [
-            _record("hermes", "sandwich", 0.10, 0, won=0),
-            _record("hermes", "sandwich", 0.10, 1, won=1),
-            _record("mercury", "sandwich", 0.10, 0, won=1, violations=4),
-            _record("mercury", "sandwich", 0.10, 1, won=1),
-            {"status": "error", "result": None},  # ignored
+        results = [
+            _result("hermes", "sandwich", 0.10, 0, won=0),
+            _result("hermes", "sandwich", 0.10, 1, won=1),
+            _result("mercury", "sandwich", 0.10, 0, won=1, violations=4),
+            _result("mercury", "sandwich", 0.10, 1, won=1),
         ]
-        result = fig7.from_records(config, records)
+        result = fig7.fold(config, results)
         hermes = result.cell("hermes", "sandwich", 0.10)
         assert hermes.success_rate == 0.5
         assert hermes.trials == 2
@@ -77,16 +76,16 @@ class TestFolding:
 
     def test_protocol_aggregates_and_ordering(self):
         config = small_config()
-        records = [
-            _record("hermes", "sandwich", f, t, won=0)
+        results = [
+            _result("hermes", "sandwich", f, t, won=0)
             for f in config.fractions
             for t in range(2)
         ] + [
-            _record("mercury", "sandwich", f, t, won=1)
+            _result("mercury", "sandwich", f, t, won=1)
             for f in config.fractions
             for t in range(2)
         ]
-        result = fig7.from_records(config, records)
+        result = fig7.fold(config, results)
         assert result.protocol_success_rate("hermes") == 0.0
         assert result.protocol_success_rate("mercury") == 1.0
         assert result.protocol_extracted_value("mercury") == 100.0
@@ -96,13 +95,13 @@ class TestFolding:
 class TestFormatting:
     def test_format_result_rows_and_missing_cells(self):
         config = small_config()
-        records = [
-            _record("hermes", "sandwich", 0.10, 0, won=0),
-            _record("hermes", "sandwich", 0.33, 0, won=1),
+        results = [
+            _result("hermes", "sandwich", 0.10, 0, won=0),
+            _result("hermes", "sandwich", 0.33, 0, won=1),
         ]
-        table = fig7.format_result(fig7.from_records(config, records))
+        table = fig7.format_result(fig7.fold(config, results))
         assert "Fig. 7" in table
         assert "hermes" in table
-        # Mercury produced no records, so its row is dropped entirely.
+        # Mercury produced no results, so its row is dropped entirely.
         assert "mercury" not in table
         assert "10% mal" in table and "33% mal" in table

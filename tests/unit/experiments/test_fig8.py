@@ -104,14 +104,10 @@ class TestKneeAndEscalation:
 
 
 class TestRecordsFold:
-    def test_from_records_sorts_and_skips_failures(self):
+    def test_fold_sorts_by_offered_rate(self):
         config = Fig8Config(protocols=("ingest",))
-        records = [
-            {"status": "ok", "result": point("ingest", 20.0, 9.0).to_json()},
-            {"status": "ok", "result": point("ingest", 5.0, 5.0).to_json()},
-            {"status": "error"},
-        ]
-        result = fig8_sustained.from_records(config, records)
+        results = [point("ingest", 20.0, 9.0).to_json(), point("ingest", 5.0, 5.0).to_json()]
+        result = fig8_sustained.fold(config, results)
         assert [p.offered_tps for p in result.curves["ingest"]] == [5.0, 20.0]
 
     def test_format_result_mentions_knee_and_fees(self):

@@ -1,6 +1,6 @@
-"""Wall-clock primitives: origin-anchored clocks, stopwatches, phase timers."""
+"""Wall-clock primitives: origin-anchored clocks and phase timers."""
 
-from repro.obs.wall import PhaseTimer, Stopwatch, WallClock
+from repro.obs.wall import PhaseTimer, WallClock
 
 
 class FakeClock:
@@ -42,22 +42,6 @@ class TestWallClock:
     def test_raw_exposes_the_underlying_clock(self):
         source = FakeClock(42.0)
         assert WallClock(clock=source).raw() == 42.0
-
-
-class TestStopwatch:
-    def test_laps_are_deltas_between_calls(self):
-        source = FakeClock()
-        watch = Stopwatch(clock=source)
-        source.advance(1.0)
-        assert watch.lap() == 1.0
-        source.advance(0.25)
-        assert watch.lap() == 0.25
-
-    def test_backward_clock_clamps_to_zero(self):
-        source = FakeClock(5.0)
-        watch = Stopwatch(clock=source)
-        source.t = 4.0
-        assert watch.lap() == 0.0
 
 
 class TestPhaseTimer:

@@ -229,23 +229,28 @@ class TestAggregation:
         assert means[("lzero",)] == pytest.approx(0.25)
 
 
-class TestSweepHelper:
-    def test_run_cells_raises_on_failure(self):
-        from repro.experiments._sweep import run_cells
+def _figure(task, cells):
+    from repro.experiments.figure import Figure
 
+    return Figure(
+        name="test", task=task, description="", config=dict, cells=lambda _: cells,
+        run_cell=get_task(task), fold=lambda _, results: results, format=str,
+    )
+
+
+class TestSweepHelper:
+    def test_figure_run_raises_on_failure(self):
         @register_task("_test.sweep_helper_fails")
         def _fails(params):
             raise RuntimeError("cell exploded")
 
         with pytest.raises(SweepExecutionError, match="cell exploded"):
-            run_cells("_test.sweep_helper_fails", [{}])
+            _figure("_test.sweep_helper_fails", [{}]).run({})
 
-    def test_run_cells_returns_report(self):
-        from repro.experiments._sweep import run_cells
-
-        report = run_cells("selftest.echo", [{"x": 1}, {"x": 2}])
+    def test_figure_run_folds_the_grid(self):
+        result, report = _figure("selftest.echo", [{"x": 1}, {"x": 2}]).run({})
         assert report.executed == 2
-        assert [r.result["x"] for r in report.records] == [1, 2]
+        assert result == [{"x": 1}, {"x": 2}]
 
 
 class TestCliHelpers:
@@ -303,3 +308,24 @@ class TestCliHelpers:
         )
         assert code == 0
         assert "0 executed, 2 resumed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode", [["--task", "selftest.echo", "--set", "x=1"], ["--figure", "fig3a"]]
+    )
+    def test_retries_reach_run_sweep(self, mode, monkeypatch):
+        import repro.runner
+        from repro.runner.cli import main
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def fake_run_sweep(specs, **options):
+            seen.update(options)
+            raise Stop  # before any cell runs
+
+        monkeypatch.setattr(repro.runner, "run_sweep", fake_run_sweep)
+        with pytest.raises(Stop):
+            main([*mode, "--retries", "5"])
+        assert seen["retries"] == 5

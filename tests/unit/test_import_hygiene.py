@@ -48,6 +48,22 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
     assert out.startswith("ran")
 
 
+def test_a_figure_task_loads_its_own_figure_and_no_other():
+    out = run_fresh(
+        """
+        import re
+        import repro.runner.cli
+        print(sum(1 for m in sys.modules if m == "repro" or m.startswith("repro.")))
+        from repro.runner import get_task
+        get_task("fig8.point")
+        print(sorted(m for m in sys.modules if re.match(r"repro\\.experiments\\.fig\\d", m)))
+        """
+    )
+    count, figures = out.splitlines()
+    assert int(count) <= 33  # 32 before the figure registry; the CLI stays light
+    assert figures == "['repro.experiments.fig8_sustained']"
+
+
 def test_the_real_customers_still_get_it_on_demand():
     out = run_fresh(
         """
