@@ -30,6 +30,9 @@ __all__ = ["KNEE_GOODPUT_RATIO", "LoadDriver", "LoadResult"]
 #: (the knee rule of the Fig. 6 and Fig. 8 sweeps).
 KNEE_GOODPUT_RATIO = 0.85
 
+#: Simulated milliseconds between mempool / capacity-queue samples.
+SAMPLE_INTERVAL_MS = 250.0
+
 
 @dataclass(frozen=True, slots=True)
 class LoadResult:
@@ -105,19 +108,16 @@ class LoadDriver:
         *,
         protocol: str = "",
         delivery_fraction: float = 0.99,
-        sample_interval_ms: float = 250.0,
         streaming: bool = False,
     ) -> None:
         if not 0.0 < delivery_fraction <= 1.0:
             raise ValueError(
                 f"delivery_fraction must be in (0, 1], got {delivery_fraction}"
             )
-        require_positive(sample_interval_ms, "sample_interval_ms")
         self.system = system
         self.arrivals = arrivals
         self.protocol = protocol or type(system).__name__
         self.delivery_fraction = delivery_fraction
-        self.sample_interval_ms = sample_interval_ms
         # Opt-in constant-memory mode: network.stats is swapped for a
         # StreamingNetworkStats before the run and _summarize reads sketches
         # instead of iterating per-transaction delivery maps.  Off by default
@@ -152,7 +152,7 @@ class LoadDriver:
 
     def _schedule_sampler(self, horizon_ms: float) -> None:
         self.system.simulator.schedule_call(
-            self.sample_interval_ms, self._tick, horizon_ms
+            SAMPLE_INTERVAL_MS, self._tick, horizon_ms
         )
 
     def _tick(self, horizon_ms: float) -> None:
@@ -160,8 +160,8 @@ class LoadDriver:
         # references itself, a cycle that would outlive the system's close().
         self._sample()
         simulator = self.system.simulator
-        if simulator.now + self.sample_interval_ms <= horizon_ms:
-            simulator.schedule_call(self.sample_interval_ms, self._tick, horizon_ms)
+        if simulator.now + SAMPLE_INTERVAL_MS <= horizon_ms:
+            simulator.schedule_call(SAMPLE_INTERVAL_MS, self._tick, horizon_ms)
 
     # -- the run -----------------------------------------------------------
 

@@ -9,13 +9,14 @@ Design notes
   for debugging Byzantine scenarios.  Hot callers use
   :meth:`Simulator.schedule_call` to pass the callable and its arguments
   separately, avoiding a lambda allocation per event.
-* Two interchangeable scheduler backends produce the **same total order**
-  (proved by the monotonicity argument in :class:`_CalendarQueue`): a binary
-  heap (C-speed ``heapq``, O(log n) per op) and a calendar queue (amortized
-  O(1) per op, wins when hundreds of thousands of events are pending and on
-  PyPy where pure-Python buckets JIT well).  ``scheduler="auto"`` (default)
-  starts on the heap and migrates to the calendar queue once the pending
-  count crosses :data:`AUTO_CALENDAR_THRESHOLD`.
+* The event list is one plain list kept in heap order by C-speed ``heapq``;
+  events run in ``(time, sequence)`` order, FIFO among equal timestamps.
+  There is deliberately no second backend.  A bucketed O(1) event list
+  (R. Brown, CACM 1988) that took over past 50,000 pending events was
+  measured and deleted: at N = 10,000 (the only run that ever got there) it
+  was slower for every protocol — Mercury's loop 35.5 s on it vs 9.9 s on
+  the heap — and no gated workload peaks above ~35,000 pending events
+  (``docs/performance.md``, "Event list").
 * Callbacks are plain callables; protocol nodes capture whatever state they
   need via closures, bound methods or ``schedule_call`` arguments.  The
   simulator itself knows nothing about networking.
@@ -36,203 +37,25 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> net.stats)
     from ..obs.profiler import SimulatorProfile, SimulatorProfiler
 
-__all__ = ["Simulator", "AUTO_CALENDAR_THRESHOLD"]
-
-# Pending-event count above which scheduler="auto" migrates from the heap to
-# the calendar queue.  Below this the heap's C-speed push/pop wins; above it
-# the calendar queue's O(1) operations and better locality take over.
-AUTO_CALENDAR_THRESHOLD = 50_000
-
-
-class _HeapScheduler:
-    """A binary heap of event tuples (the classic DES event list)."""
-
-    __slots__ = ("_queue",)
-
-    name = "heap"
-
-    def __init__(self, items: list | None = None) -> None:
-        self._queue = items if items is not None else []
-        heapq.heapify(self._queue)
-
-    def push(self, item: tuple) -> None:
-        heapq.heappush(self._queue, item)
-
-    def peek(self) -> tuple | None:
-        queue = self._queue
-        return queue[0] if queue else None
-
-    def pop(self) -> tuple:
-        return heapq.heappop(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def clear(self) -> None:
-        self._queue.clear()
-
-    def items(self) -> list:
-        return list(self._queue)
-
-
-class _CalendarQueue:
-    """A calendar-queue event list (R. Brown, CACM 1988).
-
-    Events hash into day buckets by ``day(t) = int(t / width)``; dequeue
-    scans forward from the current day and pops the smallest
-    ``(time, seq, ...)`` tuple among events of that day.
-
-    Order correctness: ``day(t)`` is monotone non-decreasing in ``t``
-    (division by a positive constant and truncation both preserve order), so
-    every event in the first non-empty day precedes every event of any later
-    day, and the within-day tuple comparison applies the same ``(time, seq)``
-    order the heap uses.  The two backends therefore produce byte-identical
-    runs — pinned by the golden-hash determinism tests.
-
-    The bucket count and width adapt: a rebuild targets ~1 event/day so
-    push, peek and pop all stay O(1) amortized regardless of queue size.
-    """
-
-    __slots__ = ("_width", "_nbuckets", "_buckets", "_size", "_day", "_stash")
-
-    name = "calendar"
-
-    _MIN_BUCKETS = 1024
-    _MAX_BUCKETS = 1 << 20
-
-    def __init__(self, items: list | None = None) -> None:
-        self._size = 0
-        self._day = 0
-        self._stash: tuple | None = None
-        self._rebuild(items or [], self._MIN_BUCKETS, 0.5)
-
-    def _rebuild(self, items: list, nbuckets: int, width: float) -> None:
-        self._width = width
-        self._nbuckets = nbuckets
-        self._buckets: list[list] = [[] for _ in range(nbuckets)]
-        self._size = len(items)
-        self._stash = None
-        if items:
-            times = [item[0] for item in items]
-            low, high = min(times), max(times)
-            # Target ~1 event per day across the pending span.
-            span = high - low
-            if span > 0.0:
-                self._width = max(span / len(items), 1e-9)
-            self._day = int(low / self._width)
-            width_, nb, buckets = self._width, nbuckets, self._buckets
-            for item in items:
-                buckets[int(item[0] / width_) % nb].append(item)
-
-    def push(self, item: tuple) -> None:
-        self._buckets[int(item[0] / self._width) % self._nbuckets].append(item)
-        self._size += 1
-        stash = self._stash
-        if stash is not None and item < stash:
-            self._stash = None
-        if self._size > 4 * self._nbuckets and self._nbuckets < self._MAX_BUCKETS:
-            self._rebuild(
-                self.items(), min(self._nbuckets * 4, self._MAX_BUCKETS), self._width
-            )
-
-    def peek(self) -> tuple | None:
-        if self._stash is not None:
-            return self._stash
-        if not self._size:
-            return None
-        width, nb, buckets = self._width, self._nbuckets, self._buckets
-        day = self._day
-        for _ in range(nb):
-            bucket = buckets[day % nb]
-            if bucket:
-                best = None
-                for item in bucket:
-                    if int(item[0] / width) == day and (best is None or item < best):
-                        best = item
-                if best is not None:
-                    self._day = day
-                    self._stash = best
-                    return best
-            day += 1
-        # Every pending event is more than a full calendar year ahead:
-        # jump straight to the global minimum (rare; O(size)).
-        best = None
-        for bucket in buckets:
-            for item in bucket:
-                if best is None or item < best:
-                    best = item
-        self._day = int(best[0] / width)
-        self._stash = best
-        return best
-
-    def pop(self) -> tuple:
-        item = self.peek()
-        if item is None:
-            raise IndexError("pop from an empty calendar queue")
-        self._buckets[int(item[0] / self._width) % self._nbuckets].remove(item)
-        self._size -= 1
-        self._stash = None
-        if (
-            self._size < self._nbuckets // 8
-            and self._nbuckets > self._MIN_BUCKETS
-        ):
-            self._rebuild(
-                self.items(), max(self._nbuckets // 4, self._MIN_BUCKETS), self._width
-            )
-        return item
-
-    def __len__(self) -> int:
-        return self._size
-
-    def clear(self) -> None:
-        for bucket in self._buckets:
-            bucket.clear()
-        self._size = 0
-        self._day = 0
-        self._stash = None
-
-    def items(self) -> list:
-        return [item for bucket in self._buckets for item in bucket]
-
-
-_SCHEDULERS = {"heap": _HeapScheduler, "calendar": _CalendarQueue}
+__all__ = ["Simulator"]
 
 
 class Simulator:
-    """A single-threaded discrete-event simulator with millisecond time.
+    """A single-threaded discrete-event simulator with millisecond time."""
 
-    ``scheduler`` selects the event-list backend: ``"heap"``, ``"calendar"``,
-    or ``"auto"`` (heap that migrates to a calendar queue when the pending
-    count crosses :data:`AUTO_CALENDAR_THRESHOLD`).  All backends replay
-    byte-identically; see the module docstring.
-    """
-
-    def __init__(self, scheduler: str = "auto") -> None:
-        if scheduler not in ("auto", "heap", "calendar"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; pick auto, heap or calendar"
-            )
+    def __init__(self) -> None:
         # Current simulation time in milliseconds.  A plain attribute, not a
         # property: protocol code reads it several times per event, and the
         # descriptor call was measurable at paper scale.  Treat as read-only.
         self.now: float = 0.0
-        self._scheduler_mode = scheduler
-        self._sched = _SCHEDULERS["heap" if scheduler == "auto" else scheduler]()
-        # Direct reference to the heap's underlying list while the heap is
-        # the active backend (None on the calendar queue): schedule_call and
-        # the run loop then use C-level heappush/heappop and len() without
-        # per-event method dispatch.
-        self._heap_list = self._sched._queue if self._sched.name == "heap" else None
+        # The event list: a heap of (time, sequence, fn, args) tuples.  The
+        # run loops hold a reference to it, so it is only ever emptied in
+        # place, never replaced.
+        self._queue: list[tuple] = []
         self._sequence = itertools.count()
         self._running = False
         self.events_processed = 0
         self._profiler: "SimulatorProfiler | None" = None
-
-    @property
-    def scheduler(self) -> str:
-        """The active backend: ``"heap"`` or ``"calendar"``."""
-
-        return self._sched.name
 
     # -- profiling hooks (see repro.obs.profiler) ----------------------
 
@@ -274,30 +97,29 @@ class Simulator:
 
         if delay_ms < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ms})")
-        item = (self.now + delay_ms, next(self._sequence), fn, args)
-        queue = self._heap_list
-        if queue is not None:
-            heapq.heappush(queue, item)
-            if (
-                len(queue) > AUTO_CALENDAR_THRESHOLD
-                and self._scheduler_mode == "auto"
-            ):
-                self._sched = _CalendarQueue(list(queue))
-                self._heap_list = None
-        else:
-            self._sched.push(item)
+        heapq.heappush(
+            self._queue, (self.now + delay_ms, next(self._sequence), fn, args)
+        )
 
     def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> None:
         """Run *callback* at absolute simulation time *time_ms*."""
 
         self.schedule_call(time_ms - self.now, callback)
 
-    def run(self, until_ms: float | None = None, max_events: int | None = None) -> float:
-        """Process events until the queue empties, *until_ms* passes, or
-        *max_events* have run.  Returns the final simulation time."""
+    def run(self, until_ms: float | None = None) -> float:
+        """Process events until the queue empties or *until_ms* passes.
+
+        With *until_ms* the clock ends exactly there, pending or not; an
+        *until_ms* earlier than ``now`` is rejected for the same reason a
+        negative delay is.  Returns the final simulation time.
+        """
 
         if self._running:
             raise SimulationError("simulator is not re-entrant")
+        if until_ms is not None and until_ms < self.now:
+            raise SimulationError(
+                f"cannot run until the past (until_ms={until_ms}, now={self.now})"
+            )
         self._running = True
         # The loop allocates one tuple per event and frees it within the same
         # iteration; generation-0 collections triggered by that churn cost
@@ -308,108 +130,67 @@ class Simulator:
         if reenable_gc:
             gc.disable()
         try:
+            limit = float("inf") if until_ms is None else until_ms
             if self._profiler is None:
-                self._run_fast(until_ms, max_events)
+                self._run_fast(limit)
             else:
-                self._run_profiled(until_ms, max_events)
+                self._run_profiled(limit)
+            if until_ms is not None:
+                self.now = until_ms
         finally:
             self._running = False
             if reenable_gc:
                 gc.enable()
         return self.now
 
-    def _run_fast(self, until_ms: float | None, max_events: int | None) -> None:
+    def _run_fast(self, limit: float) -> None:
         """The no-profiler hot loop: peek, pop, dispatch — nothing else.
 
-        The heap backend is inlined (direct list indexing + C heappop, no
-        method dispatch); infinity sentinels replace the per-event ``None``
-        checks.  A callback may migrate the backend to the calendar queue, so
-        the heap loop watches ``self._heap_list`` and falls back to the
-        generic peek/pop loop after a migration.
+        Direct list indexing and C ``heappop``, no method dispatch; the
+        infinity sentinel for an open-ended run replaces a per-event ``None``
+        check.
         """
 
-        processed = 0
-        limit = float("inf") if until_ms is None else until_ms
-        budget = float("inf") if max_events is None else max_events
+        queue = self._queue
         pop = heapq.heappop
-        while True:
-            queue = self._heap_list
-            if queue is not None:
-                while queue:
-                    head = queue[0]
-                    time = head[0]
-                    if time > limit:
-                        self.now = until_ms
-                        return
-                    pop(queue)
-                    self.now = time
-                    head[2](*head[3])
-                    processed += 1
-                    self.events_processed += 1
-                    if processed >= budget:
-                        return
-                    if self._heap_list is not queue:
-                        break  # migrated to the calendar queue mid-callback
-                else:
-                    if until_ms is not None:
-                        self.now = max(self.now, until_ms)
-                    return
-                continue
-            sched = self._sched
-            head = sched.peek()
-            if head is None:
-                if until_ms is not None:
-                    self.now = max(self.now, until_ms)
-                return
+        while queue:
+            head = queue[0]
             time = head[0]
             if time > limit:
-                self.now = until_ms
                 return
-            sched.pop()
+            pop(queue)
             self.now = time
             head[2](*head[3])
-            processed += 1
             self.events_processed += 1
-            if processed >= budget:
-                return
 
-    def _run_profiled(self, until_ms: float | None, max_events: int | None) -> None:
+    def _run_profiled(self, limit: float) -> None:
         """The instrumented loop — identical event order, plus attribution."""
 
+        queue = self._queue
         profiler = self._profiler
-        processed = 0
-        while True:
-            sched = self._sched
-            head = sched.peek()
-            if head is None:
-                if until_ms is not None:
-                    self.now = max(self.now, until_ms)
-                break
+        while queue:
+            head = queue[0]
             time = head[0]
-            if until_ms is not None and time > until_ms:
-                self.now = until_ms
-                break
-            sched.pop()
+            if time > limit:
+                return
+            heapq.heappop(queue)
             self.now = time
             fn = head[2]
             start = profiler.clock()
             fn(*head[3])
             profiler.record(fn, profiler.clock() - start)
-            processed += 1
             self.events_processed += 1
-            profiler.after_event(self.now, len(self._sched), self.events_processed)
-            if max_events is not None and processed >= max_events:
-                break
+            profiler.after_event(self.now, len(queue), self.events_processed)
 
     def pending_events(self) -> int:
         """Number of not-yet-processed events."""
 
-        return len(self._sched)
+        return len(self._queue)
 
     def clear(self) -> None:
         """Drop all pending events (used between experiment repetitions)."""
 
-        self._sched.clear()
+        self._queue.clear()
 
     def reset(self) -> None:
         """Return the simulator to its just-constructed state.
@@ -426,9 +207,7 @@ class Simulator:
 
         if self._running:
             raise SimulationError("cannot reset a running simulator")
-        mode = self._scheduler_mode
-        self._sched = _SCHEDULERS["heap" if mode == "auto" else mode]()
-        self._heap_list = self._sched._queue if self._sched.name == "heap" else None
+        self._queue.clear()
         self.now = 0.0
         self._sequence = itertools.count()
         self.events_processed = 0

@@ -25,7 +25,7 @@ across shards (p95 conservatively reported as the worst shard's p95).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any
 
 from ..load.arrival import ArrivalProcess, Injection
 from ..load.driver import LoadDriver, LoadResult
@@ -113,10 +113,8 @@ class ShardedLoadResult:
 class ShardedLoadDriver:
     """Split one global schedule across shards and run each slice (module doc).
 
-    *key_fn* maps an :class:`~repro.load.Injection` to the sharding key its
-    transaction carries; the default uses the origin node id (client
-    identity), which is what the fig9 grid measures.  Pass e.g. a Zipf
-    contract-key sampler to exercise the hot-key policy instead.
+    Every injection is placed by its origin node id (client identity), which
+    is what the fig9 grid measures.
     """
 
     def __init__(
@@ -126,15 +124,11 @@ class ShardedLoadDriver:
         *,
         protocol: str = "",
         delivery_fraction: float = 0.99,
-        sample_interval_ms: float = 250.0,
-        key_fn: Callable[[Injection], Hashable] | None = None,
     ) -> None:
         self.system = system
         self.arrivals = arrivals
         self.protocol = protocol or system.protocol
         self.delivery_fraction = delivery_fraction
-        self.sample_interval_ms = sample_interval_ms
-        self.key_fn = key_fn
 
     def _split(
         self, schedule: tuple[Injection, ...]
@@ -143,8 +137,7 @@ class ShardedLoadDriver:
             [] for _ in range(self.system.num_shards)
         ]
         for injection in schedule:
-            key = self.key_fn(injection) if self.key_fn is not None else None
-            placed = self.system.place(injection.time_ms, injection.origin, key)
+            placed = self.system.place(injection.time_ms, injection.origin)
             if not placed.routed and placed.origin_local == injection.origin:
                 # Same shard, same local id: pass the original object through
                 # (the k=1 identity path literally replays the input tuple).
@@ -173,7 +166,6 @@ class ShardedLoadDriver:
                 _FixedSchedule(tuple(slice_)),
                 protocol=self.protocol,
                 delivery_fraction=self.delivery_fraction,
-                sample_interval_ms=self.sample_interval_ms,
             )
             results.append(driver.run(duration_ms, drain_ms))
         return self._aggregate(schedule, results, duration_ms, drain_ms)

@@ -1,11 +1,10 @@
-"""Integration: kernel-optimization byte-identity (ISSUE tentpole criteria).
+"""Integration: kernel-optimization byte-identity.
 
-The optimized simulation kernel ships three independently switchable
-performance features — the calendar-queue event list, vectorized block
-sampling, and the GC pause around the run loop — all promising *byte-identical*
-results.  This suite replays a committed golden figure cell under every
-(scheduler x batching) combination and requires the pre-optimization hash,
-so any drift introduced by a fast path fails loudly.
+The optimized simulation kernel ships two performance features — vectorized
+block sampling, switchable, and the GC pause around the run loop, always on —
+both promising *byte-identical* results.  This suite replays a committed
+golden figure cell with batched and with scalar sampling and requires the
+pre-optimization hash, so any drift introduced by a fast path fails loudly.
 
 The golden hash below is the same fig3a cell pinned by
 ``test_load_saturation.py`` (computed on the pre-optimization tree), which
@@ -17,7 +16,6 @@ import hashlib
 
 import pytest
 
-import repro.net.simulator as simulator_mod
 from repro.experiments import fig3a_latency
 from repro.mempool.transaction import reset_tx_ids
 from repro.net import sampling
@@ -51,17 +49,8 @@ def _restore_batching():
 
 class TestOptimizationMatrix:
     @pytest.mark.parametrize("batching", [True, False], ids=["batched", "scalar"])
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_golden_cell_hash_is_invariant(self, scheduler, batching, monkeypatch):
+    def test_golden_cell_hash_is_invariant(self, batching):
         if batching and not sampling.batching_enabled():
             pytest.skip("NumPy unavailable: the batched path does not exist")
-        # Every simulator in the cell is constructed with the default "auto"
-        # mode; steering the migration threshold forces the chosen backend.
-        if scheduler == "calendar":
-            monkeypatch.setattr(simulator_mod, "AUTO_CALENDAR_THRESHOLD", 0)
-        else:
-            monkeypatch.setattr(
-                simulator_mod, "AUTO_CALENDAR_THRESHOLD", 10**12
-            )
         sampling.set_batching(batching)
         assert _cell_hash() == GOLDEN_HASH

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -23,6 +25,14 @@ class TestScheduling:
             simulator.schedule(1.0, lambda label=label: order.append(label))
         simulator.run()
         assert order == ["a", "b", "c"]
+
+    def test_many_ties_run_in_submission_order(self):
+        simulator = Simulator()
+        order = []
+        for i in range(200):
+            simulator.schedule(5.0, lambda i=i: order.append(i))
+        simulator.run()
+        assert order == list(range(200))
 
     def test_negative_delay_rejected(self):
         simulator = Simulator()
@@ -48,6 +58,82 @@ class TestScheduling:
         simulator.run()
         assert times == [1.0, 3.0]
 
+    def test_ties_scheduled_from_callbacks_queue_behind_existing_ties(self):
+        """An event scheduled *during* time t for time t runs after every
+        event already queued at t (larger sequence number)."""
+
+        simulator = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            simulator.schedule(0.0, lambda: order.append("nested"))
+
+        simulator.schedule(3.0, first)
+        simulator.schedule(3.0, lambda: order.append("second"))
+        simulator.run()
+        assert order == ["first", "second", "nested"]
+
+
+class TestOrderAgainstReference:
+    """The run order equals an independent sort by (time, insertion index)."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_large_self_scheduling_workload(self, seed):
+        # A random workload whose queue passes 50,000 pending events, with
+        # duplicate-prone delays so timestamp ties are common.  Every event
+        # is logged with the time and global insertion index it was
+        # scheduled under; the reference order is that log sorted.
+        rng = random.Random(seed)
+        simulator = Simulator()
+        scheduled = []
+        ran = []
+
+        def fire(ident):
+            ran.append(ident)
+            for _ in range(rng.randrange(0, 2)):
+                add(rng.choice((0.0, 1.0, 1.0, 2.5, 40.0)))
+
+        def add(delay):
+            ident = len(scheduled)
+            scheduled.append((simulator.now + delay, ident))
+            simulator.schedule_call(delay, fire, ident)
+
+        for _ in range(60_000):
+            add(float(rng.randrange(0, 200)))
+        assert simulator.pending_events() > 50_000
+        simulator.run(until_ms=400.0)
+        due = sorted(entry for entry in scheduled if entry[0] <= 400.0)
+        assert ran == [ident for _, ident in due]
+        assert simulator.pending_events() == len(scheduled) - len(due)
+
+    def test_queue_growing_mid_run_keeps_order(self):
+        # Twenty seed events fan out until 100,000 have been scheduled, so
+        # the queue grows from tiny to over 50,000 pending while it drains.
+        rng = random.Random(3)
+        simulator = Simulator()
+        scheduled = []
+        ran = []
+        peak = [0]
+
+        def fire(ident):
+            ran.append(ident)
+            for _ in range(rng.randrange(2, 4)):
+                if len(scheduled) < 100_000:
+                    add(rng.choice((0.0, 1.0, 1.0, 2.5, 40.0)))
+            peak[0] = max(peak[0], simulator.pending_events())
+
+        def add(delay):
+            ident = len(scheduled)
+            scheduled.append((simulator.now + delay, ident))
+            simulator.schedule_call(delay, fire, ident)
+
+        for _ in range(20):
+            add(rng.choice((0.0, 1.0, 2.5)))
+        simulator.run()
+        assert peak[0] > 50_000
+        assert ran == [ident for _, ident in sorted(scheduled)]
+
 
 class TestRun:
     def test_run_until_stops_the_clock(self):
@@ -72,13 +158,27 @@ class TestRun:
         assert simulator.run(until_ms=42.0) == 42.0
         assert simulator.now == 42.0
 
-    def test_max_events(self):
+    def test_until_in_the_past_rejected(self):
+        # Rewinding the clock would let later schedule() calls land before
+        # events that already ran — rejected with or without pending events.
         simulator = Simulator()
-        count = []
-        for _ in range(10):
-            simulator.schedule(1.0, lambda: count.append(1))
-        simulator.run(max_events=4)
-        assert len(count) == 4
+        simulator.schedule(15.0, lambda: None)
+        simulator.schedule(20.0, lambda: None)
+        simulator.run(until_ms=15.0)
+        with pytest.raises(SimulationError):
+            simulator.run(until_ms=5.0)
+        assert simulator.now == 15.0
+        simulator.run()
+        with pytest.raises(SimulationError):
+            simulator.run(until_ms=5.0)
+        assert simulator.now == 20.0
+
+    def test_until_now_is_a_no_op(self):
+        simulator = Simulator()
+        simulator.schedule(10.0, lambda: None)
+        simulator.run(until_ms=5.0)
+        assert simulator.run(until_ms=5.0) == 5.0
+        assert simulator.pending_events() == 1
 
     def test_events_processed_counter(self):
         simulator = Simulator()
