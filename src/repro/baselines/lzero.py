@@ -98,6 +98,8 @@ class LZeroNode(BaselineNode):
         if message.kind == LZERO_TX_KIND:
             tx, commitment = message.payload
             self.peer_commitments[sender] = commitment
+            if tx.tx_id in self.mempool.ids:
+                return  # a duplicate: deliver_locally would refuse it
             if self.deliver_locally(tx, sender=sender):
                 self._delivered_since_round.append(tx.tx_id)
                 if self.behavior is not Behavior.DROP_RELAY:
@@ -118,8 +120,7 @@ class LZeroNode(BaselineNode):
         message = Message(
             LZERO_TX_KIND, body, tx.size_bytes + _COMMITMENT_BYTES, tx_id=tx.tx_id
         )
-        for partner in self.partners:
-            self.send(partner, message)
+        self.network.send_many(self.node_id, self.partners, message)
 
     # -- reconciliation ----------------------------------------------------
 

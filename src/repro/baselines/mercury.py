@@ -26,6 +26,7 @@ lead to significant disruptions or network partitioning", §VIII-G).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from ..errors import ConfigurationError
 from ..mempool.transaction import Transaction
@@ -92,6 +93,8 @@ class MercuryNode(BaselineNode):
             return
         if message.kind == MERCURY_TX_KIND:
             tx: Transaction = message.payload
+            if tx.tx_id in self.mempool.ids:
+                return  # a duplicate: deliver_locally would refuse it
             fresh = self.deliver_locally(tx, sender=sender)
             # No relay accountability: a colluding node can silently censor
             # the transaction it is racing (marked by the observe hook).
@@ -104,14 +107,12 @@ class MercuryNode(BaselineNode):
         """Early outburst: push to every peer immediately."""
 
         message = Message(MERCURY_TX_KIND, tx, tx.size_bytes, tx_id=tx.tx_id)
-        for peer in self.peers:
-            if peer != skip:
-                self.send(peer, message)
+        peers = self.peers if skip is None else filterfalse(skip.__eq__, self.peers)
+        self.network.send_many(self.node_id, peers, message)
 
     def _vcs_round(self) -> None:
         message = Message(MERCURY_VCS_KIND, self.node_id, _VCS_UPDATE_BYTES)
-        for peer in self.peers:
-            self.send(peer, message)
+        self.network.send_many(self.node_id, self.peers, message)
         self.schedule(self.config.vcs_period_ms, self._vcs_round)
 
 

@@ -27,6 +27,7 @@ Fig. 5b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from ..errors import ConfigurationError
 from ..mempool.transaction import Transaction
@@ -76,6 +77,7 @@ class _BatchState:
     """Origin-side certificate assembly for one batch."""
 
     acks: set[int] = field(default_factory=set)
+    validator_acks: int = 0
     certified: bool = False
 
 
@@ -89,11 +91,13 @@ class NarwhalNode(BaselineNode):
         config: NarwhalConfig,
         validators: list[int],
         subscribers: list[int],
+        validator_set: frozenset[int],
         **kwargs,
     ) -> None:
         super().__init__(node_id, network, **kwargs)
         self.config = config
-        self.validators = validators
+        self.validators = validators  # fan-out order
+        self.validator_set = validator_set  # membership; one set per system
         self.subscribers = subscribers  # nodes that sync from us (validators only)
         self._batches: dict[int, Transaction] = {}
         self._certs: set[int] = set()
@@ -102,7 +106,7 @@ class NarwhalNode(BaselineNode):
 
     @property
     def is_validator(self) -> bool:
-        return bool(self.subscribers) or self.node_id in self.validators
+        return bool(self.subscribers) or self.node_id in self.validator_set
 
     # -- sending -----------------------------------------------------------
 
@@ -128,9 +132,8 @@ class NarwhalNode(BaselineNode):
         message = Message(
             BATCH_KIND, tx, tx.size_bytes + _BATCH_HEADER_BYTES, tx_id=tx.tx_id
         )
-        for validator in self.validators:
-            if validator != self.node_id:
-                self.send(validator, message)
+        others = filterfalse(self.node_id.__eq__, self.validators)
+        self.network.send_many(self.node_id, others, message)
 
     # -- receiving -----------------------------------------------------------
 
@@ -168,36 +171,35 @@ class NarwhalNode(BaselineNode):
         push = Message(
             BATCH_KIND, tx, tx.size_bytes + _BATCH_HEADER_BYTES, tx_id=tx.tx_id
         )
-        if self.node_id in self.validators:
+        skip = (self.node_id, sender, tx.origin).__contains__
+        if self.node_id in self.validator_set:
             # Worker batch sync: each validator relays the batch once to all
             # other validators so availability survives a faulty origin.
             # This all-to-all amplification is Narwhal's bandwidth price
             # ("intensive broadcast structure", §VIII-D).
-            for validator in self.validators:
-                if validator not in (self.node_id, sender, tx.origin):
-                    self.send(validator, push)
+            self.network.send_many(self.node_id, filterfalse(skip, self.validators), push)
         # Validators push the batch down to their subscribers.
-        for subscriber in self.subscribers:
-            if subscriber not in (self.node_id, sender, tx.origin):
-                self.send(subscriber, push)
+        self.network.send_many(self.node_id, filterfalse(skip, self.subscribers), push)
 
     def _on_ack(self, sender: int, tx_id: int) -> None:
         state = self._origin_state.get(tx_id)
         if state is None or state.certified:
             return
+        if sender in state.acks:
+            return  # counted already; the quorum test below has not moved
         state.acks.add(sender)
-        validator_acks = sum(1 for a in state.acks if a in set(self.validators))
+        if sender in self.validator_set:
+            state.validator_acks += 1
         quorum = int(self.config.ack_quorum_fraction * len(self.validators)) + 1
-        if validator_acks + 1 >= quorum:  # +1: the origin's own availability
+        if state.validator_acks + 1 >= quorum:  # +1: the origin's own availability
             state.certified = True
             self._broadcast_cert(tx_id)
 
     def _broadcast_cert(self, tx_id: int) -> None:
         self._on_cert(self.node_id, tx_id)
         message = Message(CERT_KIND, tx_id, _CERT_BYTES, tx_id=tx_id)
-        for validator in self.validators:
-            if validator != self.node_id:
-                self.send(validator, message)
+        others = filterfalse(self.node_id.__eq__, self.validators)
+        self.network.send_many(self.node_id, others, message)
 
     def _on_cert(self, sender: int, tx_id: int) -> None:
         if tx_id in self._certs:
@@ -206,9 +208,8 @@ class NarwhalNode(BaselineNode):
         self._maybe_record_usable(tx_id)
         if self.subscribers and self.behavior is not Behavior.DROP_RELAY:
             message = Message(CERT_KIND, tx_id, _CERT_BYTES, tx_id=tx_id)
-            for subscriber in self.subscribers:
-                if subscriber != self.node_id:
-                    self.send(subscriber, message)
+            others = filterfalse(self.node_id.__eq__, self.subscribers)
+            self.network.send_many(self.node_id, others, message)
 
     def _maybe_record_usable(self, tx_id: int) -> None:
         """Batch + certificate both present: the transaction is available to
@@ -236,7 +237,7 @@ class NarwhalSystem(BaseSystem):
         count = min(count, len(node_ids))
         rng = derive_rng(seed, "narwhal-validators")
         self.validators = sorted(rng.sample(node_ids, count))
-        validator_set = set(self.validators)
+        validator_set = self.validator_set = frozenset(self.validators)
 
         # Every non-validator subscribes to a few validators.
         self._subscribers: dict[int, list[int]] = {v: [] for v in self.validators}
@@ -258,6 +259,7 @@ class NarwhalSystem(BaseSystem):
             self.config,
             self.validators,
             self._subscribers.get(node_id, []),
+            self.validator_set,
             behavior=behavior,
             observe_hook=self.observe_hook,
         )

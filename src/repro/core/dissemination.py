@@ -8,7 +8,7 @@ does — re-verify all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..crypto.backend import CryptoBackend
 from ..mempool.transaction import Transaction
@@ -53,16 +53,23 @@ class DisseminationEnvelope:
     #: tagged for any other shard at admission — mis-routed traffic cannot
     #: leak across committees.
     shard_id: int | None = None
+    # H(m) and the binding, hashed once at construction: every relay
+    # re-verifies each copy it receives, and the fields it hashes are frozen.
+    _binding: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        binding = trs_binding(self.origin, self.sequence, self.tx.digest())
+        object.__setattr__(self, "_binding", binding)
 
     def binding(self) -> bytes:
         """The committee-signed byte string this envelope claims a seed for."""
 
-        return trs_binding(self.origin, self.sequence, self.tx.digest())
+        return self._binding
 
     def verify(self, backend: CryptoBackend, num_overlays: int) -> bool:
         """Check the TRS signature and that it really selects this overlay."""
 
-        if not backend.verify_combined(self.binding(), self.signature):
+        if not backend.verify_combined(self._binding, self.signature):
             return False
         return (
             backend.seed_from_signature(self.signature, num_overlays)

@@ -415,6 +415,7 @@ class HermesNode(ProtocolNode):
         if self.behavior is Behavior.DROP_RELAY or envelope.tx.tx_id in self.censor_ids:
             return  # Byzantine censorship: consume but never forward
         successors = self._forward_targets(envelope, overlay)
+        size = envelope.wire_bytes(self.backend)
         for successor in successors:
             self._trace(
                 ActivityKind.RELAYED, envelope.tx.tx_id, envelope.overlay_id,
@@ -425,7 +426,7 @@ class HermesNode(ProtocolNode):
                 Message(
                     DISSEMINATE_KIND,
                     envelope,
-                    envelope.wire_bytes(self.backend),
+                    size,
                     tx_id=envelope.tx.tx_id,
                     overlay_id=envelope.overlay_id,
                 ),

@@ -227,6 +227,16 @@ class FastCryptoBackend(CryptoBackend):
         self._member_keys: dict[int, bytes] = {}
         self._committee_secret: bytes | None = None
         self._threshold: int | None = None
+        # Memos of two pure functions, one entry per distinct input: the
+        # expected combined value of a binding and the seed of a (value,
+        # modulus).  Every copy is still compared; only the hashing is shared.
+        self._expected: dict[bytes, bytes] = {}
+        self._seeds: dict[tuple[bytes, int], int] = {}
+
+    def _expected_value(self, message: bytes) -> bytes:
+        if message not in self._expected:
+            self._expected[message] = hash_bytes(self._committee_secret, "combined", message)
+        return self._expected[message]
 
     def setup_committee(self, member_ids: Sequence[int], threshold: int) -> None:
         if threshold < 1 or threshold > len(member_ids):
@@ -285,7 +295,7 @@ class FastCryptoBackend(CryptoBackend):
             )
         # Deterministic in the message alone — mirrors the uniqueness of the
         # real combined signature H(m)^x across contributor subsets.
-        value = hash_bytes(self._committee_secret, "combined", message)
+        value = self._expected_value(message)
         return _FastCombined(value=value, contributors=tuple(valid_ids[: self._threshold]))
 
     def verify_combined(self, message: bytes, signature: object) -> bool:
@@ -293,12 +303,15 @@ class FastCryptoBackend(CryptoBackend):
             return False
         if self._committee_secret is None:
             return False
-        return signature.value == hash_bytes(self._committee_secret, "combined", message)
+        return signature.value == self._expected_value(message)
 
     def seed_from_signature(self, signature: object, modulus: int) -> int:
         if not isinstance(signature, _FastCombined):
             raise ThresholdNotReachedError("expected a combined threshold signature")
-        return hash_to_int("trs-seed", signature.value, modulus=modulus)
+        key = (signature.value, modulus)
+        if key not in self._seeds:
+            self._seeds[key] = hash_to_int("trs-seed", signature.value, modulus=modulus)
+        return self._seeds[key]
 
     def hash(self, payload: bytes) -> bytes:
         return hash_bytes(payload)

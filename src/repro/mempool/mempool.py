@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, KeysView
 
 from ..crypto.hashing import encode_piece
 from .transaction import Transaction
@@ -120,8 +120,13 @@ class Mempool:
     )
     _fifo: deque | None = field(default=None, repr=False, compare=False)
     _ttl_queue: deque | None = field(default=None, repr=False, compare=False)
+    #: A live view of the resident ids: ``tx_id in mempool.ids`` is one
+    #: C-level test, for relays that drop duplicate receipts before paying
+    #: a delivery attempt.  Read-only; it follows every add and removal.
+    ids: KeysView[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.ids = self._transactions.keys()
         if self.policy is not None:
             self.install_policy(self.policy, self.on_drop)
 

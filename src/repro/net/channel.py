@@ -5,22 +5,19 @@ module models the links.  Jitter multiplies the link's base latency by a
 lognormal factor close to 1, approximating queueing variation without moving
 the mean much.
 
-:class:`JitterStream` is the kernel's batched view of one jitter stream: it
-pre-draws standard normals in vectorized blocks (see
-:mod:`repro.net.sampling`) and turns them into lognormal factors one send at
-a time — byte-identical to calling :meth:`LossModel.jitter_factor` per send.
+:meth:`LossModel.jitter_factor` is the reference definition of one draw;
+the transport (:meth:`repro.net.node.Network.send_many`) draws the same
+factors from a buffered block of normals, byte-identical on the same rng.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import exp as _exp
 
 from ..utils.validation import require_probability
-from .sampling import BlockSampler
 
-__all__ = ["LossModel", "JitterStream"]
+__all__ = ["LossModel"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,46 +47,3 @@ class LossModel:
         if self.jitter_sigma == 0:
             return 1.0
         return rng.lognormvariate(0.0, self.jitter_sigma)
-
-
-class JitterStream:
-    """Blocked jitter sampling over one ``random.Random``, byte-identical.
-
-    While ``loss_probability == 0`` the wrapped generator feeds *only* the
-    jitter draws (``LossModel.drops`` short-circuits without consuming
-    randomness), so whole blocks can be pre-drawn without reordering the
-    stream.  The buffer holds standard normals — the accept/reject loop of
-    ``normalvariate`` never looks at ``sigma`` — so each factor is computed
-    against the *current* model's ``jitter_sigma`` at use time:
-    ``exp(z * sigma)`` is bitwise what ``rng.lognormvariate(0.0, sigma)``
-    would have returned for the same underlying uniforms.
-
-    With loss enabled, loss and jitter draws interleave on the shared
-    generator and batching would reorder them, so :meth:`factor` falls back
-    to the scalar path — byte-identical by construction, just not batched.
-    """
-
-    __slots__ = ("_rng", "_sampler", "_z", "_pos", "block_size")
-
-    def __init__(self, rng: random.Random, block_size: int = 4096) -> None:
-        self._rng = rng
-        self._sampler = BlockSampler(rng)
-        self._z: list[float] = []
-        self._pos = 0
-        self.block_size = block_size
-
-    def factor(self, model: LossModel) -> float:
-        """The next jitter factor of *model* drawn from the wrapped rng."""
-
-        sigma = model.jitter_sigma
-        if sigma == 0:
-            return 1.0
-        if model.loss_probability > 0:
-            return self._rng.lognormvariate(0.0, sigma)
-        pos = self._pos
-        z = self._z
-        if pos == len(z):
-            z = self._z = self._sampler.normals(0.0, 1.0, self.block_size)
-            pos = 0
-        self._pos = pos + 1
-        return _exp(z[pos] * sigma)

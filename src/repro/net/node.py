@@ -10,12 +10,15 @@ Two connectivity views coexist, matching the paper's setup:
   cached, so repeated sends see a stable RTT like a real TCP path would.
 
 Protocols implement :class:`ProtocolNode` and interact with the world only
-through it: ``send``, ``schedule`` and the ``on_start``/``on_message`` hooks.
+through it: ``send`` (or ``network.send_many`` for a fan-out), ``schedule``
+and the ``on_start``/``on_message`` hooks.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappush
+from math import exp as _exp
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import SimulationError
@@ -25,13 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> net.stats)
     from ..load.capacity import CapacityModel
     from ..obs import Observability
 from ..utils.rng import derive_rng
-from .channel import JitterStream, LossModel
+from .channel import LossModel
 from .events import ENVELOPE_OVERHEAD_BYTES, Message
+from .sampling import BlockSampler
 from .simulator import Simulator
 from .stats import NetworkStats
 from .topology import PhysicalNetwork
 
 __all__ = ["Deployment", "Network", "ProtocolNode"]
+
+# Jitter normals drawn per vectorized block on a lossless network.
+JITTER_BLOCK = 4096
 
 
 class Network:
@@ -65,10 +72,12 @@ class Network:
         self.seed = seed
         self._nodes: dict[int, "ProtocolNode"] = {}
         self._rng = derive_rng(seed, "network")
-        # Batched view of the jitter stream (byte-identical to per-send scalar
-        # draws, see JitterStream) and a per-pair base-latency cache keyed by
-        # PhysicalNetwork.version so topology churn invalidates it.
-        self._jitter = JitterStream(self._rng)
+        # Buffered standard normals of the jitter stream (see send_many) and a
+        # per-pair base-latency cache keyed by PhysicalNetwork.version so
+        # topology churn invalidates it.
+        self._sampler = BlockSampler(self._rng)
+        self._jitter_block: list[float] = []
+        self._jitter_pos = 0
         self._latency_cache: dict[tuple[int, int], float] = {}
         self._latency_version = physical.version
         # Chaos hooks (repro.chaos): an optional link disruptor consulted per
@@ -152,156 +161,160 @@ class Network:
             return self.physical.latency_model.parameters.inter_mean
 
     def send(self, src: int, dst: int, message: Message) -> None:
-        """Deliver *message* from *src* to *dst* after link latency + jitter.
+        """Deliver *message* from *src* to *dst*: :meth:`send_many` to one."""
 
-        Loss is sampled per transmission; dropped messages are only counted in
-        the drop statistic (the sender still paid the bytes).
+        self.send_many(src, (dst,), message)
+
+    def send_many(self, src: int, dsts: Iterable[int], message: Message) -> None:
+        """Transmit one *message* from *src* to each of *dsts*, in order.
+
+        The kernel's only transmission body.  Per destination: ``on_send``
+        witnesses the intent, both endpoints pay the wire bytes, then egress
+        capacity, the disruptor and loss may each drop it (counted only);
+        otherwise ``receiver.on_message(src, message)`` goes straight onto
+        the event list after base latency x disruption x jitter + processing
+        (+ capacity and service queueing).  Hooks, settings and stats dicts
+        are read once per fan-out.  Self is not skipped: callers filter.
         """
 
-        receiver = self._nodes.get(dst)
-        if receiver is None:
-            raise SimulationError(f"send to unknown node {dst}")
-        # Message.wire_size() and NetworkStats.record_send(), inlined: this
-        # method runs once per transmission and the two call frames were
-        # measurable at paper scale.  Keep in sync with both definitions.
+        # Message.wire_size() and NetworkStats.record_send(), inlined.
         wire = message.size_bytes + ENVELOPE_OVERHEAD_BYTES
+        nodes = self._nodes
         simulator = self.simulator
         now = simulator.now
-        if self.on_send is not None:
-            self.on_send(src, dst, message, now)
+        # The simulator's own event list and tie-break counter: pushing here
+        # is exactly Simulator.schedule_call, minus its frame.
+        queue, sequence = simulator._queue, simulator._sequence
         stats = self.stats
-        stats.bytes_sent[src] += wire
-        stats.messages_sent[src] += 1
-        stats.bytes_received[dst] += wire
-        stats.messages_received[dst] += 1
-        obs = self.obs
-        if obs is not None:
-            obs.metrics.counter("net.messages.sent", kind=message.kind).inc()
-            obs.metrics.counter("net.bytes.sent", kind=message.kind).inc(wire)
-        # Egress capacity runs before the wire: an overflowing uplink queue
-        # drops the message at the sender, before loss or disruption can act.
-        capacity = self.capacity
-        egress = None
-        if capacity is not None:
-            egress = capacity.admit_egress(src, wire, now)
-            if egress.dropped:
-                self.stats.record_capacity_drop(src, wire)
-                if obs is not None:
-                    obs.metrics.counter(
-                        "net.messages.capacity_dropped", kind=message.kind
-                    ).inc()
-                    obs.event(
-                        "net.capacity_drop",
-                        src=src,
-                        dst=dst,
-                        kind=message.kind,
-                        bytes=wire,
-                        tx_id=message.tx_id,
-                    )
-                return
-        latency_factor = 1.0
-        if self.disruptor is not None:
-            verdict = self.disruptor.apply(src, dst, now)
-            if verdict.dropped:
-                self.stats.record_drop(wire)
-                if obs is not None:
-                    obs.metrics.counter(
-                        "net.messages.disrupted", kind=message.kind
-                    ).inc()
-                return
-            latency_factor = verdict.latency_factor
-        loss_model = self.loss_model
-        if loss_model.loss_probability > 0 and loss_model.drops(self._rng):
-            self.stats.record_drop(wire)
-            if obs is not None:
-                obs.metrics.counter("net.messages.dropped", kind=message.kind).inc()
-                obs.event(
-                    "net.drop",
-                    src=src,
-                    dst=dst,
-                    kind=message.kind,
-                    bytes=wire,
-                    tx_id=message.tx_id,
-                )
-            return
+        bytes_sent, messages_sent = stats.bytes_sent, stats.messages_sent
+        bytes_received, messages_received = stats.bytes_received, stats.messages_received
+        on_send, on_receive = self.on_send, self.on_receive
+        obs, capacity, disruptor = self.obs, self.capacity, self.disruptor
+        loss = self.loss_model.loss_probability
+        sigma = self.loss_model.jitter_sigma
+        proc, service = self.processing_delay_ms, self.service_time_ms
         if self._latency_version != self.physical.version:
             self._latency_cache.clear()
             self._latency_version = self.physical.version
-        base = self._latency_cache.get((src, dst))
-        if base is None:
-            base = self.base_latency(src, dst)
-            self._latency_cache[(src, dst)] = base
-        link_ms = base * latency_factor * self._jitter.factor(loss_model)
-        delay = link_ms + self.processing_delay_ms
-        queue_ms = 0.0
-        if capacity is not None and egress is not None:
-            # Serialization: propagation starts when the last byte leaves the
-            # uplink, and delivery completes once the receiver's downlink has
-            # drained the message.
-            finish = capacity.ingress_finish(dst, wire, egress.finish_ms + delay)
-            delay = finish - now
-            queue_ms += egress.queued_ms
-            if obs is not None:
-                obs.metrics.histogram("net.capacity.queue_ms").observe(
-                    egress.queued_ms
-                )
-        if self.service_time_ms > 0:
-            arrival = now + delay
-            start = max(arrival, self._busy_until.get(dst, 0.0))
-            finish = start + self.service_time_ms
-            self._busy_until[dst] = finish
-            delay = finish - now
-            queue_ms += start - arrival
-            if obs is not None:
-                obs.metrics.histogram("net.service.queue_ms").observe(start - arrival)
-        if obs is not None:
-            # One record per scheduled transmission, decomposing its delay so
-            # the offline critical-path analysis can attribute every hop:
-            #   delay = queue + serialization + link + proc      (exactly)
-            # Serialization is the residual — with the capacity model off and
-            # service_time zero it is 0.0 by construction, so the identity
-            # holds in every configuration.
-            obs.event(
-                "net.send",
-                src=src,
-                dst=dst,
-                kind=message.kind,
-                bytes=wire,
-                msg_id=message.msg_id,
-                tx_id=message.tx_id,
-                overlay_id=message.overlay_id,
-                queue_ms=queue_ms,
-                serialization_ms=delay - queue_ms - link_ms - self.processing_delay_ms,
-                link_ms=link_ms,
-                proc_ms=self.processing_delay_ms,
-                delay_ms=delay,
-                deliver_ms=now + delay,
-            )
-        if self.on_receive is None:
-            # Flyweight scheduling: no closure allocation on the hot path.
-            simulator.schedule_call(delay, receiver.receive, src, message)
-        else:
-
-            def deliver() -> None:
-                if self.on_receive is not None:
-                    self.on_receive(src, dst, message, self.simulator.now)
-                receiver.receive(src, message)
-
-            simulator.schedule(delay, deliver)
-
-    def multicast(self, src: int, dsts: Iterable[int], message: Message) -> None:
-        """Send *message* to every destination (self is skipped)."""
-
+        latency_cache = self._latency_cache
         for dst in dsts:
-            if dst != src:
-                self.send(src, dst, message)
+            receiver = nodes.get(dst)
+            if receiver is None:
+                raise SimulationError(f"send to unknown node {dst}")
+            if on_send is not None:
+                on_send(src, dst, message, now)
+            bytes_sent[src] += wire
+            messages_sent[src] += 1
+            bytes_received[dst] += wire
+            messages_received[dst] += 1
+            if obs is not None:
+                obs.metrics.counter("net.messages.sent", kind=message.kind).inc()
+                obs.metrics.counter("net.bytes.sent", kind=message.kind).inc(wire)
+            # Egress capacity runs before the wire: an overflowing uplink
+            # queue drops the message at the sender, before loss or
+            # disruption can act.
+            egress = None
+            if capacity is not None:
+                egress = capacity.admit_egress(src, wire, now)
+                if egress.dropped:
+                    stats.record_capacity_drop(src, wire)
+                    if obs is not None:
+                        obs.metrics.counter("net.messages.capacity_dropped",
+                                            kind=message.kind).inc()
+                        obs.event("net.capacity_drop", src=src, dst=dst, kind=message.kind,
+                                  bytes=wire, tx_id=message.tx_id)
+                    continue
+            latency_factor = 1.0
+            if disruptor is not None:
+                verdict = disruptor.apply(src, dst, now)
+                if verdict.dropped:
+                    stats.record_drop(wire)
+                    if obs is not None:
+                        obs.metrics.counter("net.messages.disrupted", kind=message.kind).inc()
+                    continue
+                latency_factor = verdict.latency_factor
+            if loss > 0:
+                # LossModel.drops and .jitter_factor, interleaved on one rng.
+                if self._rng.random() < loss:
+                    stats.record_drop(wire)
+                    if obs is not None:
+                        obs.metrics.counter("net.messages.dropped", kind=message.kind).inc()
+                        obs.event("net.drop", src=src, dst=dst, kind=message.kind,
+                                  bytes=wire, tx_id=message.tx_id)
+                    continue
+                jitter = self._rng.lognormvariate(0.0, sigma) if sigma else 1.0
+            elif sigma:
+                # Lossless: the rng feeds jitter alone, so its normals are
+                # drawn a block ahead; exp(z * sigma) is bitwise what
+                # lognormvariate(0.0, sigma) returns for the same uniforms.
+                # Position and block live on self: a hook may send mid-loop.
+                pos, block = self._jitter_pos, self._jitter_block
+                if pos == len(block):
+                    block = self._jitter_block = self._sampler.normals(0.0, 1.0, JITTER_BLOCK)
+                    pos = 0
+                self._jitter_pos = pos + 1
+                jitter = _exp(block[pos] * sigma)
+            else:
+                jitter = 1.0
+            base = latency_cache.get((src, dst))
+            if base is None:
+                base = latency_cache[(src, dst)] = self.base_latency(src, dst)
+            link_ms = base * latency_factor * jitter
+            delay = link_ms + proc
+            queue_ms = 0.0
+            if egress is not None:
+                # Serialization: propagation starts when the last byte leaves
+                # the uplink, and delivery completes once the receiver's
+                # downlink has drained the message.
+                delay = capacity.ingress_finish(dst, wire, egress.finish_ms + delay) - now
+                queue_ms += egress.queued_ms
+                if obs is not None:
+                    obs.metrics.histogram("net.capacity.queue_ms").observe(egress.queued_ms)
+            if service > 0:
+                arrival = now + delay
+                start = max(arrival, self._busy_until.get(dst, 0.0))
+                finish = self._busy_until[dst] = start + service
+                delay = finish - now
+                queue_ms += start - arrival
+                if obs is not None:
+                    obs.metrics.histogram("net.service.queue_ms").observe(start - arrival)
+            if obs is not None:
+                # One record per scheduled transmission, decomposing its delay
+                # so the offline critical-path analysis can attribute every
+                # hop:  delay = queue + serialization + link + proc  (exactly).
+                # Serialization is the residual — with the capacity model off
+                # and service_time zero it is 0.0 by construction, so the
+                # identity holds in every configuration.
+                obs.event(
+                    "net.send", src=src, dst=dst, kind=message.kind, bytes=wire,
+                    msg_id=message.msg_id, tx_id=message.tx_id,
+                    overlay_id=message.overlay_id, queue_ms=queue_ms,
+                    serialization_ms=delay - queue_ms - link_ms - proc,
+                    link_ms=link_ms, proc_ms=proc, delay_ms=delay, deliver_ms=now + delay,
+                )
+            if on_receive is None:
+                heappush(queue, (now + delay, next(sequence), receiver.on_message,
+                                 (src, message)))
+            else:
+                heappush(queue, (now + delay, next(sequence), self._deliver_tapped,
+                                 (receiver, src, dst, message)))
+
+    def _deliver_tapped(self, receiver: "ProtocolNode", src: int, dst: int,
+                        message: Message) -> None:
+        """A delivery while an ``on_receive`` tap is installed: tap, then handle."""
+
+        if self.on_receive is not None:
+            self.on_receive(src, dst, message, self.simulator.now)
+        receiver.on_message(src, message)
 
 
 class ProtocolNode:
     """Base class for all protocol actors in the simulation.
 
     Subclasses override :meth:`on_start` and :meth:`on_message`; Byzantine
-    variants typically override :meth:`receive` or individual handlers.
+    variants override :meth:`on_message` or individual handlers.  The
+    transport calls ``on_message`` directly at delivery time, and a node
+    hands itself a message by calling it too.
     """
 
     def __init__(self, node_id: int, network: Network) -> None:
@@ -317,10 +330,7 @@ class ProtocolNode:
         return self.network.simulator.now
 
     def send(self, dst: int, message: Message) -> None:
-        self.network.send(self.node_id, dst, message)
-
-    def multicast(self, dsts: Iterable[int], message: Message) -> None:
-        self.network.multicast(self.node_id, dsts, message)
+        self.network.send_many(self.node_id, (dst,), message)
 
     def schedule(self, delay_ms: float, callback: Callable[[], None]) -> None:
         self.network.simulator.schedule(delay_ms, callback)
@@ -329,11 +339,6 @@ class ProtocolNode:
 
     def on_start(self) -> None:
         """Called once when the simulation starts."""
-
-    def receive(self, sender: int, message: Message) -> None:
-        """Transport-level entry point; dispatches to :meth:`on_message`."""
-
-        self.on_message(sender, message)
 
     def on_message(self, sender: int, message: Message) -> None:
         """Handle a delivered message.  Subclasses must override."""

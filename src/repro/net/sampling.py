@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # NumPy is imported lazily on the first batched draw: this module sits under
-# repro.net.channel and therefore on every import path, and eagerly paying
+# repro.net.node and therefore on every import path, and eagerly paying
 # NumPy's ~100 ms import would slow down every short-lived process (sweep
 # workers, CLI invocations) whether or not they ever sample in blocks.
 _np = None

@@ -148,20 +148,25 @@ class Simulator:
 
         Direct list indexing and C ``heappop``, no method dispatch; the
         infinity sentinel for an open-ended run replaces a per-event ``None``
-        check.
+        check.  Events are counted in a local and booked once, when the loop
+        ends or a callback raises.
         """
 
         queue = self._queue
         pop = heapq.heappop
-        while queue:
-            head = queue[0]
-            time = head[0]
-            if time > limit:
-                return
-            pop(queue)
-            self.now = time
-            head[2](*head[3])
-            self.events_processed += 1
+        count = 0
+        try:
+            while queue:
+                head = queue[0]
+                time = head[0]
+                if time > limit:
+                    return
+                pop(queue)
+                self.now = time
+                head[2](*head[3])
+                count += 1
+        finally:
+            self.events_processed += count
 
     def _run_profiled(self, limit: float) -> None:
         """The instrumented loop — identical event order, plus attribution."""

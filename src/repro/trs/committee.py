@@ -133,6 +133,6 @@ class TrsCommitteeMember:
         )
         if requester == self._node.node_id:
             # The committee member requested a seed itself.
-            self._node.receive(self._node.node_id, reply)
+            self._node.on_message(self._node.node_id, reply)
         else:
             self._node.send(requester, reply)

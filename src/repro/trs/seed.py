@@ -84,7 +84,7 @@ class TrsClient:
         for member in self.committee:
             if member == self._node.node_id:
                 # Committee members may send too; loop the request back.
-                self._node.receive(self._node.node_id, request)
+                self._node.on_message(self._node.node_id, request)
             else:
                 self._node.send(member, request)
         return sequence

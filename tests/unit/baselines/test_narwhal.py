@@ -44,6 +44,27 @@ class TestStructure:
             NarwhalConfig(ack_quorum_fraction=0)
 
 
+class TestAckQuorum:
+    def test_certifies_at_the_quorum_th_distinct_validator_ack(self, physical40):
+        """Subscriber and repeated acks never count toward the quorum."""
+
+        system = NarwhalSystem(physical40, config=NarwhalConfig(num_validators=8), seed=4)
+        origin = system.nodes[system.validators[0]]
+        tx = Transaction.create(origin=origin.node_id, created_at=0.0)
+        origin._broadcast_batch(tx)
+        state = origin._origin_state[tx.tx_id]
+        quorum = int(0.5 * 8) + 1  # the origin's own availability is the +1
+        others = [v for v in system.validators if v != origin.node_id]
+        subscriber = next(n for n in physical40.nodes() if n not in system.validator_set)
+        origin._on_ack(subscriber, tx.tx_id)
+        for validator in others[: quorum - 2]:
+            origin._on_ack(validator, tx.tx_id)
+            origin._on_ack(validator, tx.tx_id)
+        assert not state.certified and state.validator_acks == quorum - 2
+        origin._on_ack(others[quorum - 2], tx.tx_id)
+        assert state.certified
+
+
 class TestDissemination:
     def test_mempool_coverage(self, physical40):
         system = NarwhalSystem(physical40, seed=4)

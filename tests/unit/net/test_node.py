@@ -64,12 +64,16 @@ class TestDelivery:
         base = network.base_latency(0, 1)
         assert when == pytest.approx(base, rel=0.3)
 
-    def test_multicast_skips_self(self, network):
+    def test_send_many_delivers_one_message_to_each_destination(self, network):
         a = Recorder(0, network)
         b, c = Recorder(1, network), Recorder(2, network)
-        a.multicast([0, 1, 2], Message("k", "x", 5))
+        message = Message("k", "x", 5)
+        network.send_many(0, [2, 1], message)
         network.simulator.run()
-        assert len(b.received) == 1 and len(c.received) == 1
+        assert not a.received
+        assert [r[:2] for r in b.received + c.received] == [(0, "x"), (0, "x")]
+        assert network.stats.messages_sent[0] == 2
+        assert network.stats.bytes_sent[0] == 2 * message.wire_size()
 
     def test_bandwidth_accounting_includes_envelope(self, network):
         a, _b = Recorder(0, network), Recorder(1, network)
