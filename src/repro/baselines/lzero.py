@@ -143,7 +143,7 @@ class LZeroNode(BaselineNode):
             self.send(partner, Message(LZERO_DIGEST_KIND, known, size))
         self.schedule(self.config.reconcile_period_ms, self._reconcile_round)
 
-    def _on_digest(self, sender: int, known_ids: frozenset[int]) -> None:
+    def _on_digest(self, sender: int, known_ids: tuple[int, ...]) -> None:
         if self.behavior is Behavior.DROP_RELAY:
             return
         missing = self.mempool.absent_locally(known_ids)

@@ -603,7 +603,7 @@ class HermesNode(ProtocolNode):
                 self.send(peer, Message(GOSSIP_DIGEST_KIND, known, size))
         self.schedule(self.config.gossip_period_ms, self._gossip_round)
 
-    def _on_gossip_digest(self, sender: int, known_ids: frozenset[int]) -> None:
+    def _on_gossip_digest(self, sender: int, known_ids: tuple[int, ...]) -> None:
         missing = self.mempool.absent_locally(known_ids)
         if missing and self.behavior is not Behavior.DROP_RELAY:
             size = _DIGEST_BASE_BYTES + 8 * len(missing)

@@ -231,7 +231,6 @@ def format_result(result: Fig3aResult) -> str:
 FIGURE = Figure(
     name="fig3a",
     task="fig3a.protocol",
-    description="dissemination latency CDF across protocols (paper Fig. 3a)",
     config=Fig3aConfig,
     quick={"num_nodes": 80, "transactions": 4},
     cells=cell_params,

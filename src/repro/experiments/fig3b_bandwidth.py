@@ -192,7 +192,6 @@ def format_result(result: Fig3bResult) -> str:
 FIGURE = Figure(
     name="fig3b",
     task="fig3b.protocol",
-    description="bandwidth overhead per protocol (paper Fig. 3b)",
     config=Fig3bConfig,
     quick={"num_nodes": 80},
     cells=cell_params,

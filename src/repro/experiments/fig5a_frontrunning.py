@@ -229,7 +229,6 @@ def format_result(result: Fig5aResult) -> str:
 FIGURE = Figure(
     name="fig5a",
     task="fig5a.trial",
-    description="front-running resistance vs adversary fraction (paper Fig. 5a)",
     config=Fig5aConfig,
     quick={"num_nodes": 60, "trials": 6},
     cells=cell_params,

@@ -207,7 +207,6 @@ def format_result(result: Fig5bResult) -> str:
 FIGURE = Figure(
     name="fig5b",
     task="fig5b.trial",
-    description="delivery robustness under censorship (paper Fig. 5b)",
     config=Fig5bConfig,
     quick={"num_nodes": 60, "trials": 4},
     cells=cell_params,

@@ -244,7 +244,6 @@ def format_result(result: Fig6Result) -> str:
 FIGURE = Figure(
     name="fig6",
     task="fig6.point",
-    description="offered-load saturation sweep under finite link capacity (extension)",
     config=Fig6Config,
     quick={"num_nodes": 24, "rates_tps": (2.0, 8.0, 24.0), "duration_ms": 4_000.0},
     cells=cell_params,

@@ -353,7 +353,6 @@ def format_result(result: Fig7Result) -> str:
 FIGURE = Figure(
     name="fig7",
     task="fig7.point",
-    description="strategy-zoo adversary grid: economics and fairness (extension)",
     config=Fig7Config,
     quick={"num_nodes": 60, "fractions": (0.20, 0.33), "trials": 4},
     cells=cell_params,

@@ -321,7 +321,6 @@ def format_result(result: Fig8Result) -> str:
 FIGURE = Figure(
     name="fig8",
     task="fig8.point",
-    description="sustained million-client population load with a fee market (extension)",
     config=Fig8Config,
     quick={
         "num_nodes": 16,

@@ -402,7 +402,6 @@ def format_result(result: Fig9Result) -> str:
 FIGURE = Figure(
     name="fig9",
     task="fig9.point",
-    description="sharding scaling grid: aggregate goodput and cross-shard fairness (extension)",
     config=Fig9Config,
     quick={
         "shard_counts": (1, 2),

@@ -10,8 +10,9 @@ table renderer (``format``).  :meth:`Figure.run` submits the grid to
 so a figure reads the same numbers at any ``jobs``, in any cell order, and
 whatever the process ran before it.
 
-The registry is :data:`repro.runner.tasks.FIGURES` (figure name → module);
-a new figure is one module plus one line there.
+The registry is :data:`repro.runner.tasks.FIGURES` (figure name → module,
+task and ``--list-figures`` description); a new figure is one module plus
+one entry there.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class Figure:
     name: str
     #: The runner task that executes one cell (``run_cell``).
     task: str
-    #: One line for ``python -m repro sweep --list-figures``.
-    description: str
     config: type
     cells: Callable[[Any], list[dict[str, Any]]]
     run_cell: Callable[[Mapping[str, Any]], Any]

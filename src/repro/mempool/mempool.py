@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, KeysView
+from itertools import filterfalse
+from typing import Callable, Collection, KeysView
 
 from ..crypto.hashing import encode_piece
 from .transaction import Transaction
@@ -82,18 +84,17 @@ class Mempool:
 
     owner: int
     _transactions: dict[int, Transaction] = field(default_factory=dict)
-    _arrival: dict[int, float] = field(default_factory=dict)
-    # Commitment acceleration (compare=False: two mempools are equal iff
-    # their contents are — the caches are derived state).  _sorted_ids keeps
-    # the id set in order incrementally, _pieces holds each id's canonical
-    # encoding at the same index, and _commitment / _known_ids memoize the
-    # digest and the id set until the next add or removal.  list.insert is a
-    # C memmove, so maintaining sorted order costs far less than re-sorting
-    # the id set on every commitment.
+    # The resident ids in ascending order, and two columns aligned with it:
+    # each id's first-arrival time (a flat array of doubles, not one boxed
+    # float per entry; read through _arrival_of) and its canonical encoding.
+    # _commitment / _known_ids memoize the digest and the id tuple until the
+    # next add or removal.  list.insert is a C memmove, so maintaining sorted
+    # order costs far less than re-sorting the id set on every commitment.
     _sorted_ids: list[int] = field(default_factory=list, repr=False, compare=False)
+    _arrival: array = field(default_factory=lambda: array("d"), repr=False)
     _pieces: list[bytes] = field(default_factory=list, repr=False, compare=False)
     _commitment: bytes | None = field(default=None, repr=False, compare=False)
-    _known_ids: frozenset[int] | None = field(default=None, repr=False, compare=False)
+    _known_ids: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     # Admission/eviction policy.  None (the default, and what every protocol
     # node constructs) means unbounded: add() takes a single is-None branch
     # and is otherwise byte-identical to the historical behaviour.
@@ -146,14 +147,23 @@ class Mempool:
         if policy is not None and not self._admit(tx, now, policy):
             return False
         self._transactions[tx_id] = tx
-        self._arrival[tx_id] = now
         index = bisect_left(self._sorted_ids, tx_id)
         self._sorted_ids.insert(index, tx_id)
+        self._arrival.insert(index, now)
         self._pieces.insert(index, _encoded_id(tx_id))
         self._commitment = self._known_ids = None
         if policy is not None:
             self._index(tx, now)
         return True
+
+    def _arrival_of(self, tx_id: int) -> float | None:
+        """First-arrival time of resident *tx_id*, or None if not resident."""
+
+        ids = self._sorted_ids
+        index = bisect_left(ids, tx_id)
+        if index < len(ids) and ids[index] == tx_id:
+            return self._arrival[index]
+        return None
 
     # -- policy machinery -------------------------------------------------
 
@@ -189,7 +199,7 @@ class Mempool:
         heap = self._fee_heap
         while heap:
             _, neg_arrival, tx_id = heap[0]
-            if self._arrival.get(tx_id) == -neg_arrival:
+            if self._arrival_of(tx_id) == -neg_arrival:
                 return tx_id
             heapq.heappop(heap)
         return None
@@ -219,35 +229,35 @@ class Mempool:
         a million-transaction sustained run constant-memory.
         """
 
-        arrival = self._arrival
+        arrival = self._arrival_of
         bound = 4 * len(self._transactions) + 64
         if len(self._fee_heap) > bound:
             self._fee_heap = [
-                entry for entry in self._fee_heap if arrival.get(entry[2]) == -entry[1]
+                entry for entry in self._fee_heap if arrival(entry[2]) == -entry[1]
             ]
             heapq.heapify(self._fee_heap)
         if len(self._prio_heap) > bound:
             self._prio_heap = [
-                entry for entry in self._prio_heap if arrival.get(entry[2]) == entry[1]
+                entry for entry in self._prio_heap if arrival(entry[2]) == entry[1]
             ]
             heapq.heapify(self._prio_heap)
         if len(self._fifo) > bound:
             self._fifo = deque(
-                entry for entry in self._fifo if arrival.get(entry[1]) == entry[0]
+                entry for entry in self._fifo if arrival(entry[1]) == entry[0]
             )
         if len(self._ttl_queue) > bound:
             self._ttl_queue = deque(
-                entry for entry in self._ttl_queue if arrival.get(entry[1]) == entry[0]
+                entry for entry in self._ttl_queue if arrival(entry[1]) == entry[0]
             )
 
     def _discard(self, tx_id: int) -> None:
         """Remove *tx_id* from the live structures (heap entries die lazily)."""
 
         del self._transactions[tx_id]
-        del self._arrival[tx_id]
         index = bisect_left(self._sorted_ids, tx_id)
         # tx_id is present by precondition, so _sorted_ids[index] == tx_id.
         del self._sorted_ids[index]
+        del self._arrival[index]
         del self._pieces[index]
         self._commitment = self._known_ids = None
 
@@ -269,7 +279,7 @@ class Mempool:
             if arrival > cutoff:
                 break
             queue.popleft()
-            if self._arrival.get(tx_id) == arrival:
+            if self._arrival_of(tx_id) == arrival:
                 victim = self._transactions[tx_id]
                 self._discard(tx_id)
                 self._count_drop("expired", victim)
@@ -302,7 +312,7 @@ class Mempool:
             heap = self._prio_heap
             while heap:
                 _, arrival, tx_id = heapq.heappop(heap)
-                if self._arrival.get(tx_id) == arrival:
+                if self._arrival_of(tx_id) == arrival:
                     tx = self._transactions[tx_id]
                     self._discard(tx_id)
                     return tx, arrival
@@ -310,7 +320,7 @@ class Mempool:
         queue = self._fifo
         while queue:
             arrival, tx_id = queue.popleft()
-            if self._arrival.get(tx_id) == arrival:
+            if self._arrival_of(tx_id) == arrival:
                 tx = self._transactions[tx_id]
                 self._discard(tx_id)
                 return tx, arrival
@@ -328,9 +338,7 @@ class Mempool:
         self.on_drop = on_drop
         self._fee_heap, self._prio_heap = [], []
         self._fifo, self._ttl_queue = deque(), deque()
-        for tx_id, arrival in sorted(
-            self._arrival.items(), key=lambda kv: (kv[1], kv[0])
-        ):
+        for arrival, tx_id in sorted(zip(self._arrival, self._sorted_ids)):
             self._index(self._transactions[tx_id], arrival)
 
     def __contains__(self, tx_id: int) -> bool:
@@ -343,18 +351,16 @@ class Mempool:
         return self._transactions.get(tx_id)
 
     def arrival_time(self, tx_id: int) -> float:
-        try:
-            return self._arrival[tx_id]
-        except KeyError:
-            raise KeyError(f"transaction {tx_id} not in mempool of {self.owner}") from None
+        arrival = self._arrival_of(tx_id)
+        if arrival is None:
+            raise KeyError(f"transaction {tx_id} not in mempool of {self.owner}")
+        return arrival
 
     def in_arrival_order(self) -> list[Transaction]:
         """Transactions sorted by local first-arrival time (ties by id)."""
 
-        return sorted(
-            self._transactions.values(),
-            key=lambda tx: (self._arrival[tx.tx_id], tx.tx_id),
-        )
+        txs = self._transactions
+        return [txs[i] for _, i in sorted(zip(self._arrival, self._sorted_ids))]
 
     def in_priority_order(self) -> list[Transaction]:
         """Transactions by descending fee, then arrival time (fee market).
@@ -364,19 +370,19 @@ class Mempool:
         arrivals, and fee-less transactions fall back to pure arrival order.
         """
 
-        return sorted(
-            self._transactions.values(),
-            key=lambda tx: (-tx.fee, self._arrival[tx.tx_id], tx.tx_id),
-        )
+        txs = self._transactions
+        keyed = sorted((-txs[i].fee, a, i) for a, i in zip(self._arrival, self._sorted_ids))
+        return [txs[i] for _, _, i in keyed]
 
     # -- reconciliation --------------------------------------------------
 
-    def known_ids(self) -> frozenset[int]:
-        """The id set, built at most once per change of the pool's contents."""
+    def known_ids(self) -> tuple[int, ...]:
+        """The resident ids in ascending order, built at most once per change
+        of the pool's contents (the reconciliation digest's payload)."""
 
         cached = self._known_ids
         if cached is None:
-            cached = self._known_ids = frozenset(self._transactions)
+            cached = self._known_ids = tuple(self._sorted_ids)
         return cached
 
     def commitment(self) -> bytes:
@@ -395,12 +401,12 @@ class Mempool:
             ).digest()
         return cached
 
-    def missing_from(self, known_ids: frozenset[int] | set[int]) -> list[int]:
+    def missing_from(self, known_ids: Collection[int]) -> list[int]:
         """Ids we hold that the peer advertising *known_ids* lacks."""
 
         return sorted(self._transactions.keys() - known_ids)
 
-    def absent_locally(self, known_ids: frozenset[int] | set[int]) -> list[int]:
+    def absent_locally(self, known_ids: Collection[int]) -> list[int]:
         """Ids the peer holds that we lack (to be requested)."""
 
-        return sorted(known_ids.difference(self._transactions))
+        return sorted(filterfalse(self._transactions.__contains__, known_ids))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from ..types import Region
 from ..utils.validation import require_positive
-from .sampling import gamma_block, normal_block
 
 __all__ = ["LatencyParameters", "LatencyModel", "MIN_LATENCY_MS"]
 
@@ -75,45 +74,6 @@ class LatencyModel:
         if src == dst:
             return self._sample_intra(self._rng)
         return self._sample_inter(self._rng)
-
-    def sample_block(
-        self, src: Region, dst: Region, n: int, rng: random.Random | None = None
-    ) -> list[float]:
-        """*n* latency draws for the region pair, batched but byte-identical.
-
-        Exactly ``[self.sample(src, dst) for _ in range(n)]`` on the same
-        generator (see :mod:`repro.net.sampling` for the equivalence
-        contract); the underlying uniforms are drawn in one vectorized block
-        per call, which is how topology generation amortizes per-edge draws
-        at paper scale.
-        """
-
-        if src == dst:
-            return self.sample_intra_block(n, rng)
-        return self.sample_inter_block(n, rng)
-
-    def sample_intra_block(self, n: int, rng: random.Random | None = None) -> list[float]:
-        """*n* intra-regional draws — exactly *n* scalar ``_sample_intra``."""
-
-        p = self.parameters
-        draws = gamma_block(
-            rng if rng is not None else self._rng, p.intra_shape, 1.0 / p.intra_scale, n
-        )
-        return [
-            max(MIN_LATENCY_MS, 1.0 / g) if g > 0.0 else MIN_LATENCY_MS for g in draws
-        ]
-
-    def sample_inter_block(self, n: int, rng: random.Random | None = None) -> list[float]:
-        """*n* inter-regional draws — exactly *n* scalar ``_sample_inter``."""
-
-        p = self.parameters
-        draws = normal_block(
-            rng if rng is not None else self._rng,
-            p.inter_mean,
-            math.sqrt(p.inter_variance),
-            n,
-        )
-        return [max(MIN_LATENCY_MS, d) for d in draws]
 
     def sample_pair(self, seed: int, u: int, v: int, src: Region, dst: Region) -> float:
         """A *stable* latency draw for the unordered node pair ``(u, v)``.

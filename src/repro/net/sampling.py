@@ -7,12 +7,17 @@ block of ``n`` draws must return the exact floats that ``n`` scalar calls on
 the same ``random.Random`` would have returned, and must leave the generator
 in the exact state those calls would have left it in.
 
-This is achievable because CPython's ``random.Random`` and NumPy's legacy
-``RandomState`` share the same core generator (MT19937) *and* the same
-double-extraction recipe (two 32-bit words → one 53-bit double), so a
-``random.Random`` state can be transplanted into a ``RandomState``, a block
-of uniforms drawn vectorized, and the advanced state transplanted back —
-bit-for-bit the stream the scalar ``random()`` method would have produced.
+``random.Random`` already hands out its raw MT19937 words in bulk:
+``getrandbits(64 * n)`` is the next ``2n`` 32-bit words, least significant
+first, so its little-endian bytes viewed as ``'<u4'`` are the words in the
+order ``random()`` would consume them.  ``random()`` turns two words
+``a, b`` into ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, which NumPy
+evaluates exactly (every intermediate is an integer below 2⁵³), so a block
+of uniforms is bit-for-bit the stream ``n`` scalar ``random()`` calls would
+have produced — and the wrapped generator has advanced exactly that far.
+A block that drew speculatively past its last accepted candidate rewinds with
+``setstate`` and re-advances by the words it really used.
+
 On top of that uniform stream we re-implement the distribution algorithms of
 ``random.py`` (Kinderman–Monahan for normals, Cheng's GB for gammas) with one
 hard rule: **every transcendental that feeds an output value is computed with
@@ -21,14 +26,6 @@ libm by one ulp on a small fraction of inputs.  Vectorized transcendentals
 are used only for accept/reject *decisions*, and any decision within a guard
 band of the boundary is re-checked with ``math.log`` — so a one-ulp
 discrepancy can never flip an accept into a reject.
-
-State transplants cost tens of microseconds each (the 624-word MT key
-crosses the C boundary four times), so :class:`BlockSampler` keeps its NumPy
-mirror *persistent*: consecutive blocks drawn through the same sampler skip
-the transplant-in entirely (a cheap state comparison detects out-of-band
-scalar draws and resynchronizes).  Use one long-lived sampler per hot
-stream; the module-level ``*_block`` functions construct an ephemeral one
-and are meant for occasional or test use.
 
 When NumPy is unavailable (notably on PyPy, where the scalar interpreter is
 fast anyway) every block falls back to plain scalar draws, which is
@@ -44,7 +41,6 @@ from math import log as _log
 from math import sqrt as _sqrt
 
 __all__ = [
-    "have_numpy",
     "batching_enabled",
     "set_batching",
     "BlockSampler",
@@ -77,15 +73,11 @@ def _numpy():
     return _np
 
 
-def have_numpy() -> bool:
-    """True when NumPy can be imported (the vectorized path exists)."""
-
-    return _numpy() is not None
-
 # Constants from CPython's random.py (identical across 3.10–3.13).
 _NV_MAGICCONST = 4 * _exp(-0.5) / _sqrt(2.0)
 _LOG4 = _log(4.0)
 _SG_MAGICCONST = 1.0 + _log(4.5)
+_TWO_POW_MINUS_53 = 2.0**-53
 
 # Relative half-width of the boundary band inside which vectorized
 # accept/reject decisions are re-verified with scalar math.log.  NumPy's log
@@ -112,7 +104,7 @@ def set_batching(enabled: bool) -> None:
 
 
 class BlockSampler:
-    """A persistent vectorized view of one ``random.Random``'s draw stream.
+    """A vectorized view of one ``random.Random``'s draw stream.
 
     Every method returns exactly what the same number of scalar calls on the
     wrapped generator would have returned, and leaves the generator in the
@@ -120,53 +112,26 @@ class BlockSampler:
     be interleaved freely.
     """
 
-    __slots__ = ("_rng", "_bitgen", "_mirror", "_expected")
+    __slots__ = ("_rng",)
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._bitgen = None
-        self._mirror = None
-        self._expected: tuple | None = None
 
-    # -- mirror plumbing ------------------------------------------------
+    def _draw(self, n: int):
+        """The next *n* uniforms as a float64 array (*n* ``random()`` calls)."""
 
-    def _begin(self) -> tuple:
-        """Position the NumPy mirror at the wrapped rng's current state."""
-
-        state = self._rng.getstate()
-        if self._mirror is None:
-            self._bitgen = _np.random.MT19937()
-            self._mirror = _np.random.RandomState(self._bitgen)
-            self._expected = None
-        if state != self._expected:
-            self._seek(state, 0)
-        return state
-
-    def _seek(self, state: tuple, consumed: int) -> None:
-        """Point the mirror *consumed* uniforms past *state*."""
-
-        internal = state[1]
-        self._bitgen.state = {
-            "bit_generator": "MT19937",
-            "state": {
-                "key": _np.array(internal[:-1], dtype=_np.uint32),
-                "pos": internal[-1],
-            },
-        }
-        if consumed:
-            self._mirror.random_sample(consumed)
-
-    def _commit(self, state: tuple) -> None:
-        """Write the mirror's position back into the wrapped rng."""
-
-        mt = self._bitgen.state["state"]
-        expected = (
-            state[0],
-            tuple(mt["key"].tolist()) + (int(mt["pos"]),),
-            state[2],
+        words = _np.frombuffer(
+            self._rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
         )
-        self._rng.setstate(expected)
-        self._expected = expected
+        high = (words[0::2] >> 5).astype(_np.float64)
+        return (high * 67108864.0 + (words[1::2] >> 6)) * _TWO_POW_MINUS_53
+
+    def _rewind(self, state: tuple, used: int) -> None:
+        """Put the wrapped rng *used* uniforms past *state*."""
+
+        self._rng.setstate(state)
+        if used:
+            self._rng.getrandbits(64 * used)
 
     # -- distributions ---------------------------------------------------
 
@@ -178,10 +143,7 @@ class BlockSampler:
         if not batching_enabled():
             scalar = self._rng.random
             return [scalar() for _ in range(n)]
-        state = self._begin()
-        block = self._mirror.random_sample(n)
-        self._commit(state)
-        return block.tolist()
+        return self._draw(n).tolist()
 
     def normals(self, mu: float, sigma: float, n: int) -> list[float]:
         """The next *n* draws of ``rng.normalvariate(mu, sigma)``."""
@@ -191,16 +153,15 @@ class BlockSampler:
         if not batching_enabled():
             scalar = self._rng.normalvariate
             return [scalar(mu, sigma) for _ in range(n)]
-        state = self._begin()
         out: list[float] = []
-        consumed = 0
-        overdrawn = False
         while len(out) < n:
             need = n - len(out)
-            # Kinderman–Monahan accepts ~73% of candidate pairs; oversample
-            # so one chunk usually suffices.
-            pairs = max(64, need + (need >> 1) + 16)
-            u = self._mirror.random_sample(2 * pairs)
+            # Kinderman–Monahan accepts ~73% of candidate pairs.  The first
+            # chunk is sized to fall just short and the top-up to overshoot,
+            # so the rewind below re-advances over a small chunk only.
+            pairs = need + (need >> 1) + 16 if out else max(64, need * 4 // 3)
+            state = self._rng.getstate()
+            u = self._draw(2 * pairs)
             u1 = u[0::2]
             u2 = 1.0 - u[1::2]
             z = _NV_MAGICCONST * (u1 - 0.5) / u2
@@ -215,21 +176,13 @@ class BlockSampler:
             )
             for i in band:
                 ok[i] = zz[i] <= -_log(u2[i])
-            accepted = _np.flatnonzero(ok)
-            if len(accepted) >= need:
-                accepted = accepted[:need]
-                used_pairs = int(accepted[-1]) + 1
-                consumed += 2 * used_pairs
-                overdrawn = used_pairs < pairs
-                out.extend((mu + z[accepted] * sigma).tolist())
-                break
-            consumed += 2 * pairs
+            accepted = _np.flatnonzero(ok)[:need]
             out.extend((mu + z[accepted] * sigma).tolist())
-        if overdrawn:
-            # The final chunk was drawn speculatively past the n-th accept;
-            # rewind the mirror to the exact consumption point.
-            self._seek(state, consumed)
-        self._commit(state)
+            if len(out) == n:
+                used_pairs = int(accepted[-1]) + 1
+                if used_pairs < pairs:
+                    # Drawn speculatively past the n-th accept: rewind.
+                    self._rewind(state, 2 * used_pairs)
         return out
 
     def lognorms(self, mu: float, sigma: float, n: int) -> list[float]:
@@ -260,9 +213,10 @@ class BlockSampler:
         if not (batching_enabled() and alpha > 1.0):
             scalar = self._rng.gammavariate
             return [scalar(alpha, beta) for _ in range(n)]
-        state = self._begin()
-        buffer = self._mirror.random_sample(max(256, 2 * n + (n >> 1) + 16))
-        drawn = len(buffer)
+        state = self._rng.getstate()
+        chunk = max(256, 2 * n + (n >> 1) + 16)
+        buffer = self._draw(chunk).tolist()
+        drawn = chunk
         cursor = 0
         ainv = _sqrt(2.0 * alpha - 1.0)
         bbb = alpha - _LOG4
@@ -270,20 +224,20 @@ class BlockSampler:
         out: list[float] = []
         used = 0
         while len(out) < n:
-            if cursor == len(buffer):
-                buffer = self._mirror.random_sample(len(buffer))
-                drawn += len(buffer)
+            if cursor == chunk:
+                buffer = self._draw(chunk).tolist()
+                drawn += chunk
                 cursor = 0
-            u1 = float(buffer[cursor])
+            u1 = buffer[cursor]
             cursor += 1
             used += 1
             if not 1e-7 < u1 < 0.9999999:
                 continue
-            if cursor == len(buffer):
-                buffer = self._mirror.random_sample(len(buffer))
-                drawn += len(buffer)
+            if cursor == chunk:
+                buffer = self._draw(chunk).tolist()
+                drawn += chunk
                 cursor = 0
-            u2 = 1.0 - float(buffer[cursor])
+            u2 = 1.0 - buffer[cursor]
             cursor += 1
             used += 1
             v = _log(u1 / (1.0 - u1)) / ainv
@@ -293,8 +247,7 @@ class BlockSampler:
             if r + _SG_MAGICCONST - 4.5 * z >= 0.0 or r >= _log(z):
                 out.append(x * beta)
         if used < drawn:
-            self._seek(state, used)
-        self._commit(state)
+            self._rewind(state, used)
         return out
 
 

@@ -10,13 +10,16 @@ compute the paper's metrics: average latency, 5th–95th percentile spread
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .sketch import QuantileSketch, WindowedCounter, WindowedQuantiles
 
 __all__ = [
+    "DeliveryTimes",
     "NetworkStats",
     "StreamingNetworkStats",
     "LatencySummary",
@@ -122,6 +125,60 @@ def summarize_latencies(values: Sequence[float]) -> LatencySummary:
     )
 
 
+_NAN_ROW = array("d", [math.nan])
+
+
+class DeliveryTimes(Mapping):
+    """First deliveries of one item: node id -> time (ms), a read-only Mapping
+    that iterates in first-delivery order, like the dict it replaces.
+
+    Two flat columns instead of one dict entry and one boxed float per node:
+    ``_order`` holds the node ids in first-delivery order and ``_times`` is
+    indexed by node id, NaN where the node has no delivery yet.  Only
+    :meth:`NetworkStats.record_delivery` writes them.
+
+    >>> stats = NetworkStats()
+    >>> for node, ms in ((4, 9.5), (1, 3.0), (4, 12.0)):
+    ...     stats.record_delivery("tx", node, ms)
+    >>> stats.deliveries["tx"]
+    DeliveryTimes({4: 9.5, 1: 3.0})
+    """
+
+    __slots__ = ("_order", "_times")
+
+    def __init__(self) -> None:
+        self._order = array("q")
+        self._times = array("d")
+
+    def get(self, node: int, default=None):
+        try:
+            time_ms = self._times[node] if node >= 0 else math.nan
+        except (IndexError, TypeError):
+            return default
+        return time_ms if time_ms == time_ms else default
+
+    def __getitem__(self, node: int) -> float:
+        time_ms = self.get(node)
+        if time_ms is None:
+            raise KeyError(node)
+        return time_ms
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def values(self) -> list[float]:
+        return list(map(self._times.__getitem__, self._order))
+
+    def items(self) -> list[tuple[int, float]]:
+        return list(zip(self._order, self.values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
 @dataclass
 class NetworkStats:
     """Mutable counters filled in by the network layer and protocols."""
@@ -141,9 +198,9 @@ class NetworkStats:
     capacity_drops_by_node: dict[int, int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    # item id -> node id -> first delivery time (ms)
-    deliveries: dict[object, dict[int, float]] = field(
-        default_factory=lambda: defaultdict(dict)
+    # item id -> node id -> first delivery time (ms), in delivery order
+    deliveries: dict[object, DeliveryTimes] = field(
+        default_factory=lambda: defaultdict(DeliveryTimes)
     )
     # item id -> first transmission time of the item payload (ms)
     send_times: dict[object, float] = field(default_factory=dict)
@@ -188,7 +245,19 @@ class NetworkStats:
     def record_delivery(self, item: object, node: int, time_ms: float) -> None:
         """Record the first delivery of *item* at *node* (later ones ignored)."""
 
-        self.deliveries[item].setdefault(node, time_ms)
+        # Inline, no call but the append: this runs once per (node, item).
+        columns = self.deliveries[item]
+        times = columns._times
+        if node < 0:
+            raise ValueError(f"node ids must be non-negative, got {node}")
+        try:
+            known = times[node]
+            if known == known:  # NaN != NaN: not delivered yet
+                return
+        except IndexError:  # array over-allocates: O(N) to reach node N
+            times.extend(_NAN_ROW * (node + 1 - len(times)))
+        times[node] = time_ms
+        columns._order.append(node)
 
     # ------------------------------------------------------------------
     # Derived metrics

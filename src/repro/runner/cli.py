@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.list_figures:
             width = max(len(name) for name in FIGURES)
             for name in FIGURES:
-                print(f"{name:<{width}}  {get_figure(name).description}")
+                print(f"{name:<{width}}  {FIGURES[name].description}")
             return 0
         if not args.figure and not args.task:
             parser.error(

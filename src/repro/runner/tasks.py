@@ -30,12 +30,13 @@ from __future__ import annotations
 import importlib
 import os
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "FIGURES",
+    "FigureEntry",
     "register_task",
     "get_figure",
     "get_task",
@@ -60,18 +61,35 @@ def register_task(name: str) -> Callable[[TaskFn], TaskFn]:
     return decorate
 
 
-#: The sweep-shaped figures: name -> the module that declares its ``FIGURE``
-#: (a :class:`repro.experiments.figure.Figure`).  Modules are imported on
-#: first request, so a sweep of one figure's cells loads no other figure.
+class FigureEntry(NamedTuple):
+    """A figure's module (under ``repro.experiments``), cell task and
+    ``--list-figures`` line: listing reads these and imports no figure."""
+
+    module: str
+    task: str
+    description: str
+
+
+#: The sweep-shaped figures (each module declares one
+#: :class:`repro.experiments.figure.Figure` as ``FIGURE``), imported on first
+#: request, so a sweep of one figure's cells loads no other figure.
 FIGURES = {
-    "fig3a": "repro.experiments.fig3a_latency",
-    "fig3b": "repro.experiments.fig3b_bandwidth",
-    "fig5a": "repro.experiments.fig5a_frontrunning",
-    "fig5b": "repro.experiments.fig5b_robustness",
-    "fig6": "repro.experiments.fig6_saturation",
-    "fig7": "repro.experiments.fig7_adversary",
-    "fig8": "repro.experiments.fig8_sustained",
-    "fig9": "repro.experiments.fig9_sharding",
+    "fig3a": FigureEntry("fig3a_latency", "fig3a.protocol",
+                         "dissemination latency CDF across protocols (paper Fig. 3a)"),
+    "fig3b": FigureEntry("fig3b_bandwidth", "fig3b.protocol",
+                         "bandwidth overhead per protocol (paper Fig. 3b)"),
+    "fig5a": FigureEntry("fig5a_frontrunning", "fig5a.trial",
+                         "front-running resistance vs adversary fraction (paper Fig. 5a)"),
+    "fig5b": FigureEntry("fig5b_robustness", "fig5b.trial",
+                         "delivery robustness under censorship (paper Fig. 5b)"),
+    "fig6": FigureEntry("fig6_saturation", "fig6.point", "offered-load saturation "
+                        "sweep under finite link capacity (extension)"),
+    "fig7": FigureEntry("fig7_adversary", "fig7.point",
+                        "strategy-zoo adversary grid: economics and fairness (extension)"),
+    "fig8": FigureEntry("fig8_sustained", "fig8.point", "sustained million-client "
+                        "population load with a fee market (extension)"),
+    "fig9": FigureEntry("fig9_sharding", "fig9.point", "sharding scaling grid: "
+                        "aggregate goodput and cross-shard fairness (extension)"),
 }
 
 
@@ -82,13 +100,13 @@ def get_figure(name: str):
         raise ConfigurationError(
             f"unknown figure {name!r}; known figures: {', '.join(FIGURES)}"
         )
-    return importlib.import_module(FIGURES[name]).FIGURE
+    return importlib.import_module(f"repro.experiments.{FIGURES[name].module}").FIGURE
 
 
 def get_task(name: str) -> TaskFn:
     if name not in _REGISTRY:
         figure = name.partition(".")[0]
-        if figure not in FIGURES or get_figure(figure).task != name:
+        if figure not in FIGURES or FIGURES[figure].task != name:
             raise ConfigurationError(
                 f"unknown task {name!r}; known tasks: {', '.join(task_names())}"
             )
@@ -97,7 +115,7 @@ def get_task(name: str) -> TaskFn:
 
 
 def task_names() -> list[str]:
-    return sorted({*_REGISTRY, *(get_figure(name).task for name in FIGURES)})
+    return sorted({*_REGISTRY, *(entry.task for entry in FIGURES.values())})
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ class TestWorkload:
         system, txs = system80
         expected = {tx.tx_id for tx in txs}
         for node in system.nodes.values():
-            assert expected <= node.mempool.known_ids()
+            assert expected <= set(node.mempool.known_ids())
 
     def test_block_building_from_any_proposer(self, system80):
         system, txs = system80

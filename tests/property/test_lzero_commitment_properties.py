@@ -10,7 +10,7 @@ mempools that evict or expire a transaction and admit it again later.
 """
 
 import gc
-import weakref
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,15 +169,15 @@ class TestCommitmentStateCost:
     NODES, TXS = 60, 12
 
     def test_state_is_bounded_by_what_nodes_know(self, monkeypatch):
-        id_sets: list[weakref.ref] = []
+        id_sets: list[tuple[int, ...]] = []
 
-        def counting_frozenset(iterable=()):
-            built = frozenset(iterable)
-            id_sets.append(weakref.ref(built))
+        def counting_tuple(iterable=()):
+            built = tuple(iterable)
+            id_sets.append(built)
             return built
 
-        # The mempool module's only frozenset construction is known_ids().
-        monkeypatch.setattr(mempool_module, "frozenset", counting_frozenset, raising=False)
+        # The mempool module's only tuple construction is known_ids().
+        monkeypatch.setattr(mempool_module, "tuple", counting_tuple, raising=False)
 
         physical = generate_physical_network(self.NODES, seed=0)
         system = LZeroSystem(physical, seed=13)
@@ -219,8 +219,10 @@ class TestCommitmentStateCost:
         assert all(
             len(node.first_committed_at) == self.TXS for node in system.nodes.values()
         )
-        # No node keeps a per-round id set: of every set built during the run
-        # at most each mempool's memo is still alive.
+        # No node keeps a per-round id set: of every id tuple built during
+        # the run at most each mempool's memo is still referenced from
+        # outside this test (id_sets, the loop variable and getrefcount's
+        # argument hold three references; () is a shared singleton).
         gc.collect()
-        alive = sum(ref() is not None for ref in id_sets)
-        assert alive <= self.NODES
+        alive = sum(bool(ids) and sys.getrefcount(ids) > 3 for ids in id_sets)
+        assert 0 < alive <= self.NODES

@@ -67,7 +67,7 @@ class TestMempoolProperties:
             tx = Transaction.create(origin=0, created_at=0.0)
             lookup[tx_id] = tx
             pool.add(tx, 0.0)
-        local = pool.known_ids()
+        local = set(pool.known_ids())
         missing = set(pool.missing_from(frozenset(ids_b)))
         absent = set(pool.absent_locally(frozenset(ids_b)))
         assert missing == local - ids_b

@@ -80,7 +80,7 @@ class TestInterleaving:
     @settings(max_examples=60, deadline=None)
     def test_persistent_sampler_interleaves_with_scalar_draws(self, seed, plan):
         """One long-lived BlockSampler tracks a scalar twin through any mix of
-        block draws and out-of-band scalar draws (the resync path)."""
+        block draws and out-of-band scalar draws on the wrapped rng."""
 
         batched, scalar = random.Random(seed), random.Random(seed)
         sampler = BlockSampler(batched)
@@ -94,7 +94,7 @@ class TestInterleaving:
                 expected = [scalar.gammavariate(2.2, 0.4) for _ in range(n)]
                 assert sampler.gammas(2.2, 0.4, n) == expected
             else:
-                # Out-of-band scalar draw on the wrapped rng: the sampler must
-                # detect the moved state and resynchronize its mirror.
+                # Out-of-band scalar draw on the wrapped rng: the next block
+                # must start from the moved state.
                 assert batched.random() == scalar.random()
             assert batched.getstate() == scalar.getstate()

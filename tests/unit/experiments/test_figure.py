@@ -46,7 +46,7 @@ fig9   sharding scaling grid: aggregate goodput and cross-shard fairness (extens
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_grids_are_pinned(name):
     figure = get_figure(name)
-    assert figure.name == name and figure.task.startswith(f"{name}.")
+    assert figure.name == name and figure.task == FIGURES[name].task
     for quick, expected in zip((False, True), GRID_DIGESTS[name]):
         cells = figure.cells(figure.make_config(quick=quick))
         assert hashlib.sha256(canonical_json(cells).encode()).hexdigest() == expected

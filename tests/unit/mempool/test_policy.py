@@ -265,7 +265,7 @@ class TestIndexesExistOnlyUnderAPolicy:
         pool = Mempool(owner=0, policy=MempoolPolicy(max_size=1))
         assert pool.add(tx(1, fee=1.0), 0.0)
         assert pool.add(tx(2, fee=2.0), 1.0)
-        assert pool.evicted == 1 and pool.known_ids() == {2}
+        assert pool.evicted == 1 and set(pool.known_ids()) == {2}
 
 
 class TestKnownIdsMemo:
@@ -278,19 +278,25 @@ class TestKnownIdsMemo:
         assert not pool.add(tx(1, fee=1.0), 1.0)  # duplicate: no change
         assert pool.known_ids() is first
 
+    def test_is_the_ascending_id_tuple(self):
+        pool = Mempool(owner=0)
+        for tx_id in (5, 2, 9):
+            pool.add(tx(tx_id), 0.0)
+        assert pool.known_ids() == (2, 5, 9)
+
     def test_every_removal_path_invalidates(self):
         pool = Mempool(owner=0)
         pool.install_policy(MempoolPolicy(max_size=2, ttl_ms=50.0))
         pool.add(tx(1, fee=1.0), 0.0)
         pool.add(tx(2, fee=2.0), 0.0)
-        assert pool.known_ids() == {1, 2}
+        assert set(pool.known_ids()) == {1, 2}
         pool.add(tx(3, fee=3.0), 1.0)  # evicts 1
-        assert pool.known_ids() == {2, 3}
+        assert set(pool.known_ids()) == {2, 3}
         pool.pop_next(priority=True)  # serves 3
-        assert pool.known_ids() == {2}
+        assert set(pool.known_ids()) == {2}
         assert pool.expire(60.0) == 1  # expires 2
-        assert pool.known_ids() == frozenset()
+        assert set(pool.known_ids()) == set()
         pool.add(tx(1, fee=1.0), 61.0)  # re-admitted
-        assert pool.known_ids() == {1}
+        assert set(pool.known_ids()) == {1}
         assert pool.missing_from(frozenset({1, 9})) == []
         assert pool.absent_locally(frozenset({1, 9})) == [9]

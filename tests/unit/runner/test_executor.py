@@ -233,7 +233,7 @@ def _figure(task, cells):
     from repro.experiments.figure import Figure
 
     return Figure(
-        name="test", task=task, description="", config=dict, cells=lambda _: cells,
+        name="test", task=task, config=dict, cells=lambda _: cells,
         run_cell=get_task(task), fold=lambda _, results: results, format=str,
     )
 

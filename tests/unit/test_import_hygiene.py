@@ -25,6 +25,9 @@ def run_fresh(body: str) -> str:
 
 
 def test_cli_import_and_smoke_cells_never_load_networkx():
+    """Nor ``numpy.random``: block sampling reads its words from the wrapped
+    ``random.Random`` (6 MB a process saved)."""
+
     out = run_fresh(
         """
         import repro.runner.cli
@@ -36,16 +39,44 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
             "num_nodes": 30, "seed": 0,
         })
         assert "networkx" not in sys.modules, "fig5a.trial"
+        assert "numpy.random" not in sys.modules, "fig5a.trial"
         point = get_task("fig8.point")({
             "protocol": "lzero", "rate_tps": 4.0, "num_nodes": 16,
             "duration_ms": 2000.0, "drain_ms": 1000.0, "num_clients": 10000,
             "seed": 0,
         })
         assert "networkx" not in sys.modules, "fig8.point"
-        print("ran", sorted(trial)[:1], sorted(point)[:1])
+        assert "numpy.random" not in sys.modules, "fig8.point"
+
+        from repro.baselines import LZeroSystem
+        from repro.mempool.transaction import Transaction
+        from repro.net.topology import generate_physical_network
+        with LZeroSystem(generate_physical_network(60, seed=0), seed=13) as flood:
+            flood.start()
+            for origin in (0, 7, 31):
+                flood.submit(origin, Transaction.create(origin=origin, created_at=0.0))
+            flood.run(until_ms=1_500.0)
+            delivered = sum(len(nodes) for nodes in flood.stats.deliveries.values())
+        assert "numpy" in sys.modules, "the flood's jitter is drawn in blocks"
+        assert "numpy.random" not in sys.modules, "L-zero flood"
+        print("ran", sorted(trial)[:1], sorted(point)[:1], delivered)
         """
     )
-    assert out.startswith("ran")
+    assert out.startswith("ran") and out.split()[-1] == "180"
+
+
+def test_listing_figures_and_tasks_imports_no_figure_module():
+    out = run_fresh(
+        """
+        import contextlib, io, re
+        from repro.runner.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--list-figures"]) == 0
+            assert main(["--list-tasks"]) == 0
+        print(sorted(m for m in sys.modules if re.match(r"repro\\.experiments\\.fig", m)))
+        """
+    )
+    assert out.strip() == "[]"
 
 
 def test_a_figure_task_loads_its_own_figure_and_no_other():
