@@ -13,29 +13,25 @@ dissemination fairness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-__all__ = ["SequenceAuditor", "OriginView"]
-
-
-@dataclass
-class OriginView:
-    """What one receiver has observed from one origin."""
-
-    seen: set[int] = field(default_factory=set)
-    highest: int = -1
-    # gap sequence -> time it was first noticed
-    gaps: dict[int, float] = field(default_factory=dict)
+__all__ = ["SequenceAuditor"]
 
 
 class SequenceAuditor:
-    """Tracks per-origin sequence continuity for one receiving node."""
+    """Tracks per-origin sequence continuity for one receiving node.
+
+    Per origin it keeps the highest sequence number observed and, only while
+    one is open, the gaps below it (missing number -> time first noticed).
+    That is all of what has arrived: every number skipped when the highest
+    jumps becomes a gap and leaves only on arrival, so the observed set is
+    always ``{0..highest}`` minus the gaps.
+    """
 
     def __init__(self, gap_timeout_ms: float) -> None:
         if gap_timeout_ms <= 0:
             raise ValueError(f"gap_timeout_ms must be positive, got {gap_timeout_ms}")
         self.gap_timeout_ms = gap_timeout_ms
-        self._origins: dict[int, OriginView] = {}
+        self._highest: dict[int, int] = {}
+        self._gaps: dict[int, dict[int, float]] = {}
 
     def observe(self, origin: int, sequence: int, now: float) -> bool:
         """Record that *origin*'s message *sequence* arrived.
@@ -46,41 +42,36 @@ class SequenceAuditor:
 
         if sequence < 0:
             raise ValueError(f"sequence must be non-negative, got {sequence}")
-        view = self._origins.setdefault(origin, OriginView())
-        if sequence in view.seen:
+        highest = self._highest.get(origin, -1)
+        if sequence > highest:
+            if sequence > highest + 1:
+                gaps = self._gaps.setdefault(origin, {})
+                for missing in range(highest + 1, sequence):
+                    gaps[missing] = now
+            self._highest[origin] = sequence
+            return True
+        gaps = self._gaps.get(origin)
+        if gaps is None or sequence not in gaps:
             return False
-        view.seen.add(sequence)
-        view.gaps.pop(sequence, None)
-        if sequence > view.highest:
-            for missing in range(view.highest + 1, sequence):
-                if missing not in view.seen:
-                    view.gaps.setdefault(missing, now)
-            view.highest = sequence
+        del gaps[sequence]
+        if not gaps:
+            del self._gaps[origin]
         return True
 
     def expired_gaps(self, origin: int, now: float) -> list[int]:
         """Sequence numbers from *origin* missing for longer than the timeout."""
 
-        view = self._origins.get(origin)
-        if view is None:
-            return []
         return sorted(
             seq
-            for seq, first_noticed in view.gaps.items()
+            for seq, first_noticed in self._gaps.get(origin, {}).items()
             if now - first_noticed >= self.gap_timeout_ms
         )
 
     def origins_with_expired_gaps(self, now: float) -> list[int]:
-        return sorted(
-            origin
-            for origin in self._origins
-            if self.expired_gaps(origin, now)
-        )
+        return sorted(origin for origin in self._gaps if self.expired_gaps(origin, now))
 
     def pending_gaps(self, origin: int) -> list[int]:
-        view = self._origins.get(origin)
-        return sorted(view.gaps) if view else []
+        return sorted(self._gaps.get(origin, ()))
 
     def highest_seen(self, origin: int) -> int:
-        view = self._origins.get(origin)
-        return view.highest if view else -1
+        return self._highest.get(origin, -1)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 from heapq import heappush
 from math import exp as _exp
-from typing import TYPE_CHECKING, Callable, Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..errors import SimulationError
 
@@ -354,29 +355,39 @@ class ProtocolNode:
 
 
 class Deployment:
-    """The end of life every protocol system shares: ``close()`` and ``with``.
+    """The end of life every protocol system shares: ``close()``, ``with``,
+    or dropping the last reference.
 
     A system owns a :class:`~repro.net.simulator.Simulator`, a
     :class:`Network` and a ``nodes`` map, and those point at each other —
     nodes at the network, the network at the nodes, pending events at nodes'
-    bound methods.  Left alone, a finished run is cyclic garbage that waits
-    for a generation-2 collection.  :meth:`close` cuts every one of those
-    links, so reference counting frees the deployment as soon as the caller
-    drops it.  Read results (``stats``, mempools, logs) before closing; a
-    closed system can be inspected but not driven.
+    bound methods.  Left alone, a finished run would be cyclic garbage that
+    waits for a generation-2 collection.  :meth:`close` cuts every one of
+    those links, so reference counting frees the deployment as soon as the
+    caller drops it.  Unless a hook closes over it, the system object itself
+    is on none of those cycles, so dropping it runs its finalizer, which
+    closes it: a caller that never calls ``close()`` gets the same release
+    as a ``with`` block.  Read results (``stats``, mempools, logs) before
+    closing; a closed system can be inspected but not driven.
     """
 
-    simulator: Simulator
-    network: Network
-    nodes: dict
+    # What a constructor that raised part-way never built: close() skips it.
+    simulator: Simulator | None = None
+    network: Network | None = None
+    nodes: Mapping[int, ProtocolNode] = MappingProxyType({})
 
     def close(self) -> None:
         """Release the deployment's reference cycles (idempotent)."""
 
-        self.simulator.clear()
-        self.network.close()
+        if self.simulator is not None:
+            self.simulator.clear()
+        if self.network is not None:
+            self.network.close()
         for node in self.nodes.values():
             node.close()
+
+    def __del__(self) -> None:
+        self.close()
 
     def __enter__(self):
         return self

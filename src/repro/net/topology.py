@@ -11,9 +11,12 @@ random wiring left islands.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, MutableMapping, Sequence,
+)
 
 from ..errors import TopologyError
 from ..types import ALL_REGIONS, Region
@@ -29,6 +32,9 @@ __all__ = ["PhysicalNetwork", "generate_physical_network", "is_vertex_connected"
 # Probability that a random neighbour is chosen from the node's own region;
 # keeps the graph latency-clustered the way real P2P networks are.
 _SAME_REGION_BIAS = 0.5
+
+# An undrawn pair: every draw is at least MIN_LATENCY_MS, never NaN.
+_UNDRAWN = float("nan")
 
 # Above this size, validate="auto" switches from the exact node-connectivity
 # test (quadratic max-flow) to the O(V+E) structural check.
@@ -103,6 +109,14 @@ def _path_counter(
     return count
 
 
+class _CrossRegionDraws(dict):
+    """Cross-region per-pair draws keyed ``(lo, hi)``.  A missing pair reads
+    NaN, like an undrawn cell of a region's triangle."""
+
+    def __missing__(self, key: tuple[int, int]) -> float:
+        return _UNDRAWN
+
+
 def is_vertex_connected(adjacency: Mapping[int, Mapping[int, None]], t: int) -> bool:
     """Whether the graph is *t*-vertex-connected — exact, not a heuristic.
 
@@ -144,9 +158,18 @@ class PhysicalNetwork:
     latencies: Mapping[tuple[int, int], float]
     latency_model: LatencyModel = field(repr=False)
     pair_seed: int = 0
-    _pair_cache: dict[tuple[int, int], float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    # Per-pair draws of the pairs without a link (see transport_latency),
+    # NaN until drawn.  Same-region pairs live in one dense triangle per
+    # region over its members' local indices (ids ascending, then joins in
+    # join order): the pair of local indices i < j sits at j*(j-1)/2 + i.
+    # _slots maps a node to (its region's triangle, its local index);
+    # _entered counts the local indices a region has handed out.
+    # Cross-region pairs live in _cross.  Built by __post_init__, so
+    # dataclasses.replace gets empty tables.
+    _triangles: dict[Region, array] = field(init=False, repr=False, compare=False)
+    _entered: dict[Region, int] = field(init=False, repr=False, compare=False)
+    _slots: dict[int, tuple[array, int]] = field(init=False, repr=False, compare=False)
+    _cross: _CrossRegionDraws = field(init=False, repr=False, compare=False)
     # Bumped on every topology mutation; consumers holding derived caches
     # (e.g. Network's per-pair base-latency cache) compare it to decide when
     # to invalidate without the substrate having to know who they are.
@@ -154,6 +177,19 @@ class PhysicalNetwork:
     _graph_view: tuple[int, nx.Graph] | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        members: dict[Region, list[int]] = {}
+        for node in sorted(self.regions):
+            members.setdefault(self.regions[node], []).append(node)
+        self._triangles, self._entered, self._slots = {}, {}, {}
+        self._cross = _CrossRegionDraws()
+        for region, nodes in members.items():
+            n = len(nodes)
+            table = self._triangles[region] = array("d", [_UNDRAWN]) * (n * (n - 1) // 2)
+            self._entered[region] = n
+            for index, node in enumerate(nodes):
+                self._slots[node] = (table, index)
 
     @property
     def graph(self) -> nx.Graph:
@@ -205,7 +241,7 @@ class PhysicalNetwork:
 
         Physically adjacent pairs use their link label; other pairs use a
         deterministic per-pair draw from the regional model (the internet path
-        between them), cached so repeated queries are free.  Overlay
+        between them), kept so repeated queries are free.  Overlay
         construction and the simulator both read this, so optimizing an
         overlay against these numbers is meaningful.
         """
@@ -215,35 +251,52 @@ class PhysicalNetwork:
         key = (u, v) if u < v else (v, u)
         if key in self.latencies:
             return self.latencies[key]
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = self.latency_model.sample_pair(
+        store, at = self._pair_slot(u, v)
+        drawn = store[at]
+        if drawn != drawn:  # NaN: not drawn yet
+            drawn = store[at] = self.latency_model.sample_pair(
                 self.pair_seed, u, v, self.regions[u], self.regions[v]
             )
-            self._pair_cache[key] = cached
-        return cached
+        return drawn
+
+    def _pair_slot(
+        self, u: int, v: int
+    ) -> tuple[array | MutableMapping[tuple[int, int], float], int | tuple[int, int]]:
+        """Where the draw of the pair ``u != v`` lives: ``store[at]`` reads it
+        (NaN until drawn) and ``store[at] = x`` keeps it.  Raises ``KeyError``
+        for a node outside the membership."""
+
+        table, i = self._slots[u]
+        other, j = self._slots[v]
+        if table is other:
+            return table, (j * (j - 1) // 2 + i) if i < j else (i * (i - 1) // 2 + j)
+        return self._cross, (u, v) if u < v else (v, u)
 
     def nearest(self, node: int, candidates: Iterable[int], k: int) -> list[int]:
         """The *k* candidates closest to *node* by :meth:`transport_latency`,
         ties in input order — exactly ``sorted(candidates, key=...)[:k]``.
 
         Only pairs whose latency can change the answer are drawn.  Same-region
-        pairs, physical links and cached pairs are read first; a fresh
-        cross-region draw is never below ``LatencyModel.inter_floor_ms``, so
-        if the *k*-th known latency is under that floor no undrawn candidate
-        can displace it, and the rest are never sampled.
+        pairs, physical links and drawn cross-region pairs are read first; a
+        fresh cross-region draw is never below ``LatencyModel.inter_floor_ms``,
+        so if the *k*-th known latency is under that floor no undrawn
+        candidate can displace it, and the rest are never sampled.
         """
 
         if k <= 0:
             return []
-        region = self.regions[node]
-        latencies, cache = self.latencies, self._pair_cache
+        latencies, cross, slots = self.latencies, self._cross, self._slots
+        table = slots[node][0]
         known: list[tuple[float, int, int]] = []
         rest: list[tuple[int, int]] = []
         for index, other in enumerate(candidates):
             key = (node, other) if node < other else (other, node)
-            if self.regions[other] == region or key in latencies or key in cache:
+            if key in latencies:
+                known.append((latencies[key], index, other))
+            elif slots[other][0] is table:
                 known.append((self.transport_latency(node, other), index, other))
+            elif key in cross:
+                known.append((cross[key], index, other))
             else:
                 rest.append((index, other))
         known.sort()
@@ -276,15 +329,19 @@ class PhysicalNetwork:
             raise TopologyError("this PhysicalNetwork instance is immutable")
         links = self.adjacency[node] = {}
         self.regions[node] = region
+        # The next local index of the region's triangle: j undrawn pairs
+        # with the j members before it (a new region starts a new triangle).
+        index = self._entered.get(region, 0)
+        table = self._triangles.setdefault(region, array("d"))
+        table.extend(array("d", [_UNDRAWN]) * index)
+        self._entered[region] = index + 1
+        self._slots[node] = (table, index)
         for neighbor in neighbors:
             links[neighbor] = self.adjacency[neighbor][node] = None
             key = (min(node, neighbor), max(node, neighbor))
             self.latencies[key] = self.latency_model.sample_pair(
                 self.pair_seed, node, neighbor, region, self.regions[neighbor]
             )
-            # A pair that used to ride the internet path is now a direct
-            # link; its old per-pair draw must not shadow the new label.
-            self._pair_cache.pop(key, None)
         self.version += 1
 
     def remove_node(self, node: int) -> None:
@@ -298,10 +355,13 @@ class PhysicalNetwork:
         for neighbor in self.adjacency.pop(node):
             del self.adjacency[neighbor][node]
             self.latencies.pop((min(node, neighbor), max(node, neighbor)), None)
-        # Drop stale per-pair draws too: if this id rejoins later (possibly
-        # in a different region), transport_latency must re-sample.
-        for key in [k for k in self._pair_cache if node in k]:
-            del self._pair_cache[key]
+        # Forget the node's per-pair draws too: if this id rejoins later
+        # (possibly in a different region), transport_latency must re-sample.
+        # Its triangle cells become unreachable with its local index (a
+        # rejoin gets a fresh one); its cross-region draws are deleted.
+        self._slots.pop(node, None)
+        for other in self._slots:
+            self._cross.pop((node, other) if node < other else (other, node), None)
         self.version += 1
 
     def degree(self, node: int) -> int:

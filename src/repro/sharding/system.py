@@ -31,7 +31,7 @@ Cross-shard traffic enters through the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..load.capacity import CapacityConfig, CapacityModel
@@ -85,6 +85,9 @@ class ShardedSystem(Deployment):
     :class:`~repro.mempool.MempoolPolicy`; *fault_plans* / *observe_hooks*
     map shard id → the fault plan / hook for that shard's factory call.
     """
+
+    # Empty until the constructor builds the shards: close() skips it.
+    shards: Sequence[Shard] = ()
 
     def __init__(
         self,
@@ -147,7 +150,7 @@ class ShardedSystem(Deployment):
         overrides = dict(hermes_overrides or {})
         fault_plans = dict(fault_plans or {})
         observe_hooks = dict(observe_hooks or {})
-        self.shards: list[Shard] = []
+        self.shards = []
         for sid in range(num_shards):
             shard_obs = (
                 TaggedObservability(obs, shard=sid) if obs is not None else None

@@ -15,18 +15,26 @@ and first-use caches do not count as leaks.
 
 import collections
 import gc
+import itertools
+import math
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
 
+from repro.baselines import LZeroSystem
+from repro.core.config import HermesConfig
+from repro.core.protocol import HermesSystem
+from repro.errors import ConfigurationError
 from repro.experiments.harness import build_environment, protocol_factories
 from repro.mempool.transaction import Transaction
+from repro.net.topology import generate_physical_network
 from repro.runner.executor import _execute_record
 from repro.runner.spec import RunSpec, canonical_json
-from repro.sharding import ShardedSystem
+from repro.sharding import ShardedSystem, ShardMap, ShardMapConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -122,10 +130,10 @@ def test_a_finished_cell_leaves_no_cyclic_garbage(task, params, collector_paused
     assert unreachable == 0, f"{unreachable} unreachable objects after {task}: {leaked}"
 
 
-@pytest.mark.parametrize("protocol", EVERY_PROTOCOL + ("sharded",))
-def test_close_is_idempotent_and_leaves_the_environment_alone(
-    protocol, collector_paused
-):
+def run_one(protocol: str):
+    """``(system, origin_system)``: *protocol* (or a two-shard HERMES system)
+    on the 30-node environment, one transaction submitted and run."""
+
     env = build_environment(num_nodes=30, f=1, k=4, seed=0)
     if protocol == "sharded":
         system = ShardedSystem(2, 60, protocol="hermes", k=4)
@@ -135,8 +143,29 @@ def test_close_is_idempotent_and_leaves_the_environment_alone(
     system.start()
     origin_system.submit(3, Transaction.create(origin=3, created_at=0.0))
     system.run(until_ms=2_000.0)
+    return system, origin_system
+
+
+def pair_draws(physical) -> dict:
+    """Every per-pair draw *physical* keeps, by pair."""
+
+    draws = {}
+    for u, v in itertools.combinations(physical.nodes(), 2):
+        if not physical.has_edge(u, v):
+            store, at = physical._pair_slot(u, v)
+            if not math.isnan(store[at]):
+                draws[u, v] = store[at]
+    return draws
+
+
+@pytest.mark.parametrize("protocol", EVERY_PROTOCOL + ("sharded",))
+def test_close_is_idempotent_and_leaves_the_environment_alone(
+    protocol, collector_paused
+):
+    env = build_environment(num_nodes=30, f=1, k=4, seed=0)
+    system, origin_system = run_one(protocol)
     delivered = dict(origin_system.stats.deliveries)
-    pair_cache = dict(env.physical._pair_cache)
+    draws = pair_draws(env.physical)
     overlays = [overlay.copy() for overlay in env.overlays]
 
     system.close()
@@ -147,10 +176,57 @@ def test_close_is_idempotent_and_leaves_the_environment_alone(
     # Results stay readable; the memoized environment is untouched.
     assert dict(origin_system.stats.deliveries) == delivered
     assert origin_system.simulator.pending_events() == 0
-    assert env.physical._pair_cache == pair_cache
+    assert pair_draws(env.physical) == draws
     assert env.overlays == overlays
     del system, origin_system
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("protocol", EVERY_PROTOCOL + ("sharded",))
+def test_a_dropped_system_frees_itself_without_close(protocol, collector_paused):
+    """Dropping the last reference is ``close()``: the system object is on no
+    cycle, so its finalizer runs at the drop and refcounting frees the rest."""
+
+    system, origin_system = run_one(protocol)
+    network = weakref.ref(origin_system.network)
+    del system, origin_system
+    assert network() is None
+    assert gc.collect() == 0
+
+
+class Unbuildable(LZeroSystem):
+    """A system whose constructor raises before it builds anything."""
+
+    def __init__(self, physical) -> None:
+        raise ConfigurationError("refused")
+
+
+def tiny_physical():
+    return generate_physical_network(3, min_degree=2, seed=0)
+
+
+def hermes_short_of_overlays():
+    env = build_environment(num_nodes=30, f=1, k=4, seed=0)
+    return HermesSystem(env.physical, HermesConfig(num_overlays=4), overlays=env.overlays[:2])
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Unbuildable(tiny_physical()), id="before-anything"),
+    pytest.param(lambda: HermesSystem(tiny_physical()), id="hermes-committee"),
+    pytest.param(hermes_short_of_overlays, id="hermes-overlays"),
+    pytest.param(
+        lambda: ShardedSystem(2, 60, shard_map=ShardMap(ShardMapConfig(num_shards=3))),
+        id="sharded-map",
+    ),
+    pytest.param(lambda: ShardedSystem(2, 60, protocol="paxos"), id="sharded-protocol"),
+])
+def test_a_constructor_that_raises_finalizes_quietly(build):
+    """The finalizer of a half-built system closes only what was built."""
+
+    with pytest.raises(ConfigurationError):
+        build()
+    gc.collect()
 
 
 def test_a_worker_heap_stays_flat_over_repeated_cells(collector_paused):

@@ -1,6 +1,8 @@
 """Unit tests for receiver-side sequence auditing."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.sequencer import SequenceAuditor
 
@@ -78,3 +80,75 @@ class TestExpiry:
         auditor = SequenceAuditor(gap_timeout_ms=100.0)
         assert auditor.expired_gaps(42, 1000.0) == []
         assert auditor.highest_seen(42) == -1
+
+
+class OriginViewAuditor:
+    """The reference: one ``OriginView`` (observed set, highest, gaps) per
+    origin, the layout the auditor kept before it dropped the observed set."""
+
+    def __init__(self, gap_timeout_ms: float) -> None:
+        self.gap_timeout_ms = gap_timeout_ms
+        self._origins: dict[int, dict] = {}
+
+    def observe(self, origin: int, sequence: int, now: float) -> bool:
+        view = self._origins.setdefault(origin, {"seen": set(), "highest": -1, "gaps": {}})
+        if sequence in view["seen"]:
+            return False
+        view["seen"].add(sequence)
+        view["gaps"].pop(sequence, None)
+        if sequence > view["highest"]:
+            for missing in range(view["highest"] + 1, sequence):
+                if missing not in view["seen"]:
+                    view["gaps"].setdefault(missing, now)
+            view["highest"] = sequence
+        return True
+
+    def expired_gaps(self, origin: int, now: float) -> list[int]:
+        view = self._origins.get(origin)
+        if view is None:
+            return []
+        return sorted(
+            seq for seq, first in view["gaps"].items() if now - first >= self.gap_timeout_ms
+        )
+
+    def origins_with_expired_gaps(self, now: float) -> list[int]:
+        return sorted(o for o in self._origins if self.expired_gaps(o, now))
+
+    def pending_gaps(self, origin: int) -> list[int]:
+        view = self._origins.get(origin)
+        return sorted(view["gaps"]) if view else []
+
+    def highest_seen(self, origin: int) -> int:
+        view = self._origins.get(origin)
+        return view["highest"] if view else -1
+
+
+# (origin, sequence, time step): small ranges make duplicates, out-of-order
+# arrivals and gaps that later close the common case.
+_arrivals = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 9), st.sampled_from([0.0, 20.0, 60.0])),
+    max_size=40,
+)
+
+
+class TestAgainstOriginViews:
+    @example([(0, 0, 0.0), (0, 3, 20.0), (0, 3, 0.0), (0, 1, 60.0), (0, 2, 0.0), (0, 2, 0.0)])
+    @given(_arrivals)
+    def test_same_answers_after_every_arrival(self, arrivals):
+        auditor, reference = SequenceAuditor(100.0), OriginViewAuditor(100.0)
+        now = 0.0
+        for origin, sequence, step in arrivals:
+            now += step
+            assert auditor.observe(origin, sequence, now) == reference.observe(
+                origin, sequence, now
+            )
+            for probe in (now, now + 50.0, now + 100.0):
+                assert auditor.origins_with_expired_gaps(probe) == (
+                    reference.origins_with_expired_gaps(probe)
+                )
+            for other in range(4):
+                assert auditor.pending_gaps(other) == reference.pending_gaps(other)
+                assert auditor.highest_seen(other) == reference.highest_seen(other)
+                assert auditor.expired_gaps(other, now + 100.0) == (
+                    reference.expired_gaps(other, now + 100.0)
+                )

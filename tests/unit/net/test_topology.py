@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import math
 from functools import lru_cache
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
@@ -251,9 +252,16 @@ def _nearest_base() -> PhysicalNetwork:
 
 
 def _fresh() -> PhysicalNetwork:
-    """The shared 40-node network with an empty per-pair cache."""
+    """The shared 40-node network with empty per-pair tables."""
 
-    return dataclasses.replace(_nearest_base(), _pair_cache={})
+    return dataclasses.replace(_nearest_base())
+
+
+def _drawn(network: PhysicalNetwork, u: int, v: int) -> float:
+    """The kept draw of the pair without a link ``(u, v)``; NaN if undrawn."""
+
+    store, at = network._pair_slot(u, v)
+    return store[at]
 
 
 @st.composite
@@ -277,7 +285,8 @@ def _nearest_queries(draw):
         for other in draw(st.lists(st.sampled_from(candidates), max_size=6)):
             key = (min(node, other), max(node, other))
             if other != node and key not in network.latencies:
-                network._pair_cache[key] = tie  # equal-latency ties
+                store, at = network._pair_slot(node, other)
+                store[at] = tie  # equal-latency ties
     k = draw(st.integers(0, len(candidates) + 2))
     return network, node, candidates, k
 
@@ -294,7 +303,10 @@ class TestNearest:
         network = _fresh()
         region = network.region_of(0)
         assert network.nearest(0, network.nodes(), 3)[0] == 0
-        drawn = [key for key in network._pair_cache if 0 in key]
+        drawn = [
+            (0, n) for n in network.nodes()
+            if n != 0 and not network.has_edge(0, n) and not math.isnan(_drawn(network, 0, n))
+        ]
         assert drawn
         assert all(network.region_of(u) == network.region_of(v) for u, v in drawn)
         assert sum(network.region_of(n) == region for n in network.nodes()) >= 3
@@ -305,3 +317,131 @@ class TestNearest:
         others = [n for n in network.nodes() if network.region_of(n) != region]
         got = network.nearest(0, others, 2)
         assert got == sorted(others, key=lambda c: network.transport_latency(0, c))[:2]
+
+
+class CountingModel(LatencyModel):
+    """A latency model that counts its per-pair draws."""
+
+    calls = 0
+
+    def sample_pair(self, *args) -> float:
+        self.calls += 1
+        return super().sample_pair(*args)
+
+
+class DictPerPairNetwork(PhysicalNetwork):
+    """The reference layout: one ``(lo, hi) -> draw`` dict entry per pair, as
+    the per-region triangles replaced it (same draws, same query logic)."""
+
+    def __post_init__(self) -> None:
+        self._pair_cache: dict[tuple[int, int], float] = {}
+
+    def transport_latency(self, u: int, v: int) -> float:
+        if u == v:
+            return 0.0
+        key = (u, v) if u < v else (v, u)
+        if key in self.latencies:
+            return self.latencies[key]
+        cached = self._pair_cache.get(key)
+        if cached is None:
+            cached = self.latency_model.sample_pair(
+                self.pair_seed, u, v, self.regions[u], self.regions[v]
+            )
+            self._pair_cache[key] = cached
+        return cached
+
+    def nearest(self, node: int, candidates, k: int) -> list[int]:
+        if k <= 0:
+            return []
+        region = self.regions[node]
+        known, rest = [], []
+        for index, other in enumerate(candidates):
+            key = (node, other) if node < other else (other, node)
+            if self.regions[other] == region or key in self.latencies or key in self._pair_cache:
+                known.append((self.transport_latency(node, other), index, other))
+            else:
+                rest.append((index, other))
+        known.sort()
+        if rest and (len(known) < k or known[k - 1][0] >= self.latency_model.inter_floor_ms):
+            known += [(self.transport_latency(node, o), i, o) for i, o in rest]
+            known.sort()
+        return [other for _, _, other in known[:k]]
+
+    def add_node_with_links(self, node: int, region: Region, neighbors) -> None:
+        self.adjacency[node] = {}
+        self.regions[node] = region
+        for neighbor in neighbors:
+            self.adjacency[node][neighbor] = self.adjacency[neighbor][node] = None
+            key = (min(node, neighbor), max(node, neighbor))
+            self.latencies[key] = self.latency_model.sample_pair(
+                self.pair_seed, node, neighbor, region, self.regions[neighbor]
+            )
+            self._pair_cache.pop(key, None)
+
+    def remove_node(self, node: int) -> None:
+        self.regions.pop(node)
+        for neighbor in self.adjacency.pop(node):
+            del self.adjacency[neighbor][node]
+            self.latencies.pop((min(node, neighbor), max(node, neighbor)), None)
+        for key in [k for k in self._pair_cache if node in k]:
+            del self._pair_cache[key]
+
+
+_THREE_REGIONS = (Region.FRANKFURT, Region.TOKYO, Region.OHIO)
+
+
+def _twin(cls, base: PhysicalNetwork) -> PhysicalNetwork:
+    return cls(
+        adjacency={n: dict(links) for n, links in base.adjacency.items()},
+        regions=dict(base.regions),
+        latencies=dict(base.latencies),
+        latency_model=CountingModel(base.latency_model.parameters),
+        pair_seed=base.pair_seed,
+    )
+
+
+class TestPairTablesAgainstADictPerPair:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_values_and_draws_through_churn(self, data):
+        base = generate_physical_network(
+            18, min_degree=3, regions=_THREE_REGIONS, seed=data.draw(st.integers(0, 3))
+        )
+        tables, reference = _twin(PhysicalNetwork, base), _twin(DictPerPairNetwork, base)
+        left: dict[int, Region] = {}
+        next_id = base.num_nodes
+        for _ in range(data.draw(st.integers(1, 40))):
+            members = tables.nodes()
+            member = st.sampled_from(members)
+            op = data.draw(st.sampled_from(["latency", "nearest", "join", "leave", "rejoin"]))
+            if op == "latency":
+                u, v = data.draw(member), data.draw(member)
+                assert tables.transport_latency(u, v) == reference.transport_latency(u, v)
+            elif op == "nearest":
+                node = data.draw(member)
+                candidates = data.draw(st.lists(member, unique=True))
+                k = data.draw(st.integers(0, len(candidates) + 1))
+                assert tables.nearest(node, candidates, k) == reference.nearest(
+                    node, candidates, k
+                )
+            elif op == "leave" and len(members) > 4:
+                node = data.draw(member)
+                left[node] = tables.region_of(node)
+                for network in (tables, reference):
+                    network.remove_node(node)
+            elif op in ("join", "rejoin"):
+                if op == "rejoin" and left:  # in another region than before
+                    node = data.draw(st.sampled_from(sorted(left)))
+                    old = left.pop(node)
+                    region = data.draw(st.sampled_from([r for r in _THREE_REGIONS if r != old]))
+                else:
+                    node, next_id = next_id, next_id + 1
+                    region = data.draw(st.sampled_from(_THREE_REGIONS))
+                neighbors = data.draw(st.lists(member, min_size=1, max_size=3, unique=True))
+                for network in (tables, reference):
+                    network.add_node_with_links(node, region, neighbors)
+            assert tables.latency_model.calls == reference.latency_model.calls
+        for u in tables.nodes():
+            for v in tables.nodes():
+                assert tables.transport_latency(u, v) == reference.transport_latency(u, v)
+        assert tables.latency_model.calls == reference.latency_model.calls

@@ -15,11 +15,16 @@ exact and repeats run to run.  This script runs fixed cells under the stdlib
 * ``retained_bytes_per_delivery``: what the flood's ``system.run`` leaves
   allocated (``tracemalloc``, after ``simulator.clear()`` and a full
   collection; a block draw beforehand keeps NumPy's import out of it),
-  divided by the deliveries it recorded — the N × T state.
+  divided by the deliveries it recorded — the N × T state;
+* ``fig3a_peak_traced_kb``: the ``tracemalloc`` peak of the Fig. 3a cell
+  run the way ``benchmarks/e2e``'s child runs it — a cold environment, the
+  four systems each built, run and dropped without ``close()`` — so what a
+  dropped system keeps alive shows up as an exact number of bytes.
 
-Only ``system.run`` is profiled or traced — construction and submission
-are not part of the per-event path.  ``--scale small`` (the default, a few
-seconds) is Fig. 3a at N = 60 and the flood at N = 200, T = 20;
+Apart from that peak, only ``system.run`` is profiled or traced —
+construction and submission are not part of the per-event path.
+``--scale small`` (the default, a few seconds) is Fig. 3a at N = 60 and
+the flood at N = 200, T = 20;
 ``--scale bench`` is the sizes of the ``fig3a-paper-n1100`` and
 ``flood-n2000-t80`` benchmark workloads (a few minutes).  Transaction and
 message ids are reset before every run, so every count is a pure function
@@ -85,14 +90,11 @@ def _reset_ids() -> None:
     reset_message_ids()
 
 
-def fig3a_counts(params: dict, seed: int) -> dict[str, dict]:
-    """Counters for the four protocols of one paper-scale Fig. 3a cell."""
+def _fig3a_cell(params: dict, seed: int):
+    """``(factories, origins)`` of one paper-scale Fig. 3a cell."""
 
     from repro.baselines.narwhal import NarwhalConfig
-    from repro.experiments.harness import (
-        PROTOCOL_NAMES, build_environment, protocol_factories,
-    )
-    from repro.mempool.transaction import Transaction
+    from repro.experiments.harness import build_environment, protocol_factories
     from repro.utils.rng import derive_rng
 
     env = build_environment(
@@ -105,6 +107,16 @@ def fig3a_counts(params: dict, seed: int) -> dict[str, dict]:
     )
     rng = derive_rng(seed, "fig3a-origins")
     origins = [rng.choice(env.physical.nodes()) for _ in range(params["txs"])]
+    return factories, origins
+
+
+def fig3a_counts(params: dict, seed: int) -> dict[str, dict]:
+    """Counters for the four protocols of one paper-scale Fig. 3a cell."""
+
+    from repro.experiments.harness import PROTOCOL_NAMES
+    from repro.mempool.transaction import Transaction
+
+    factories, origins = _fig3a_cell(params, seed)
     counts = {}
     for name in PROTOCOL_NAMES:
         _reset_ids()
@@ -114,6 +126,34 @@ def fig3a_counts(params: dict, seed: int) -> dict[str, dict]:
                 system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
             counts[name] = _profiled_run(system, params["horizon_ms"])
     return counts
+
+
+def fig3a_peak_traced_kb(params: dict, seed: int) -> float:
+    """Peak KiB allocated (tracemalloc) while the Fig. 3a cell runs the way
+    the benchmark's child runs it: a cold environment, then each protocol
+    built, run and summarized, and dropped without ``close()`` when the next
+    system is bound to the same name."""
+
+    from repro.experiments.harness import PROTOCOL_NAMES, clear_environment_cache
+    from repro.mempool.transaction import Transaction
+
+    clear_environment_cache()
+    _reset_ids()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        factories, origins = _fig3a_cell(params, seed)
+        for name in PROTOCOL_NAMES:
+            system = factories[name]()
+            system.start()
+            for origin in origins:
+                system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
+            system.run(until_ms=params["horizon_ms"])
+            system.stats.latency_summary()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1024
 
 
 def _flood(params: dict, seed: int):
@@ -181,6 +221,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
     hermes = protocols["hermes"]
     flood = flood_counts(params["flood"], seed)
     retained = flood_retained_bytes(params["flood"], seed)
+    peak_kb = fig3a_peak_traced_kb(params["fig3a"], seed)
     return {
         "scale": scale,
         "seed": seed,
@@ -196,6 +237,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
         },
         "flood": flood,
         "retained_bytes_per_delivery": retained,
+        "fig3a_peak_traced_kb": peak_kb,
     }
 
 
@@ -224,6 +266,10 @@ def format_table(result: dict) -> str:
     lines.append(
         f"flood: {result['retained_bytes_per_delivery']:.1f} bytes retained "
         "per delivery (tracemalloc over system.run)"
+    )
+    lines.append(
+        f"fig3a: {result['fig3a_peak_traced_kb']:,.1f} KiB traced peak "
+        "(cold environment, four systems dropped without close())"
     )
     return "\n".join(lines)
 
