@@ -1,27 +1,22 @@
 """``python -m repro`` — CLI entry point.
 
-``python -m repro [report options]`` runs the full paper-reproduction
-report (see :mod:`repro.experiments.report`); ``python -m repro sweep ...``
-runs ad-hoc parameter sweeps through :mod:`repro.runner` (see
-``python -m repro sweep --help`` and ``docs/runner.md``); ``python -m repro
-chaos ...`` runs fault-injection campaigns with online invariant checking
-(see ``python -m repro chaos --help`` and ``docs/chaos.md``); ``python -m
-repro load ...`` sweeps offered load under finite link capacity (see
-``python -m repro load --help`` and ``docs/load.md``); ``python -m repro
-adversary ...`` runs attack strategies from the zoo against one protocol
-(see ``python -m repro adversary --help`` and ``docs/adversary.md``); ``python -m
-repro population ...`` sweeps sustained client-population load with a fee
-market and bounded mempools (see ``python -m repro population --help`` and
-``docs/population.md``); ``python -m repro shard ...`` runs sharded
-multi-proposer deployments and the cross-shard partition drill (see
-``python -m repro shard --help`` and ``docs/sharding.md``);
-``python -m repro analyze / report / bench-gate`` run the trace analytics,
-run-report and
-regression-gate front ends (see :mod:`repro.obs.analysis` and
-``docs/observability.md``); ``python -m repro analyze-sweep`` attributes a
-sweep's wall time from a ``repro.sweeptrace/1`` timeline and ``python -m
-repro bench history`` folds bench records into cross-run trajectories (see
-``docs/observability.md``, "Measuring a sweep").
+``python -m repro [report options]`` runs the full paper-reproduction report
+(:mod:`repro.experiments.report`).  The sub-commands in :data:`COMMANDS`, each
+of which answers ``--help``:
+
+* ``sweep`` — every figure (``--figure NAME``, its config fields set with
+  ``--set field=value``) and ad-hoc task grids (``--task NAME``) through
+  :mod:`repro.runner` (``docs/runner.md``).  The load, adversary-zoo and
+  population sweeps are ``--figure fig6``, ``fig7`` and ``fig8``;
+* ``chaos`` — fault-injection campaigns with online invariant checking
+  (``docs/chaos.md``);
+* ``shard`` — sharded multi-proposer deployments and the cross-shard
+  partition drill (``docs/sharding.md``);
+* ``analyze`` / ``report`` / ``bench-gate`` — trace analytics, run reports and
+  the regression gate (:mod:`repro.obs.analysis`, ``docs/observability.md``);
+* ``analyze-sweep`` / ``bench history`` — a sweep's wall time attributed from
+  its ``repro.sweeptrace/1`` timeline, and bench records folded into
+  cross-run trajectories (``docs/observability.md``, "Measuring a sweep").
 """
 
 import importlib
@@ -33,9 +28,6 @@ import sys
 COMMANDS = {
     "sweep": "runner.cli:main",
     "chaos": "chaos.cli:main",
-    "load": "load.cli:main",
-    "adversary": "adversary.cli:main",
-    "population": "population.cli:main",
     "shard": "sharding.cli:main",
     "analyze": "obs.analysis.cli:analyze_main",
     "report": "obs.analysis.cli:report_main",

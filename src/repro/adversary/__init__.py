@@ -13,8 +13,10 @@ subsystem:
 * :mod:`fairness` — γ-receive-order-fairness and pairwise inversion rate
   over per-node receive orders;
 * :mod:`zoo` — :func:`run_adversary_trial` scoring one strategy against one
-  protocol, plus the migrated legacy censorship/overload trials;
-* :mod:`cli` — ``python -m repro adversary``.
+  protocol, plus the migrated legacy censorship/overload trials.
+
+On the command line the zoo runs as the Fig. 7 grid,
+``python -m repro sweep --figure fig7`` (:mod:`repro.experiments.fig7_adversary`).
 
 See ``docs/adversary.md`` for a worked example and
 ``docs/threat_model.md`` for how the zoo maps onto the paper's §VIII

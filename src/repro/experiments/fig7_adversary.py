@@ -75,6 +75,8 @@ class Fig7Config:
     victim_fee: float = 1.0
     fee_premium: float = 1.0
     background_txs: int = 10
+    #: The proposer seals its block this long after the victim arrives;
+    #: negative means no cutoff.
     proposal_delay_ms: float = 250.0
     horizon_ms: float = 4_000.0
     seed: int = 0
@@ -231,7 +233,9 @@ def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
         value_model=config.value_model(),
         victim_fee=config.victim_fee,
         background_txs=config.background_txs,
-        proposal_delay_ms=config.proposal_delay_ms,
+        proposal_delay_ms=(
+            None if config.proposal_delay_ms < 0 else config.proposal_delay_ms
+        ),
         horizon_ms=config.horizon_ms,
         seed=_trial_seed(strategy, fraction, trial),
     )

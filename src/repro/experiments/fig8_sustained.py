@@ -231,13 +231,9 @@ def cell_params(config: Fig8Config) -> list[dict[str, Any]]:
 
 
 def _config_from_params(params: Mapping[str, Any]) -> Fig8Config:
-    defaults = Fig8Config()
-    kwargs: dict[str, Any] = {}
-    for name in _CELL_FIELDS:
-        default = getattr(defaults, name)
-        value = params.get(name, default)
-        kwargs[name] = type(default)(value)
-    return Fig8Config(**kwargs)
+    return FIGURE.make_config(
+        **{name: params[name] for name in _CELL_FIELDS if name in params}
+    )
 
 
 def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:

@@ -258,13 +258,9 @@ def cell_params(config: Fig9Config) -> list[dict[str, Any]]:
 
 
 def _config_from_params(params: Mapping[str, Any]) -> Fig9Config:
-    defaults = Fig9Config()
-    kwargs: dict[str, Any] = {}
-    for name in _CELL_FIELDS:
-        default = getattr(defaults, name)
-        value = params.get(name, default)
-        kwargs[name] = type(default)(value)
-    return Fig9Config(**kwargs)
+    return FIGURE.make_config(
+        **{name: params[name] for name in _CELL_FIELDS if name in params}
+    )
 
 
 def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:

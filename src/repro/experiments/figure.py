@@ -2,7 +2,9 @@
 
 A figure is a repetition grid of independent, fully seeded cells.  Each
 figure module declares one :class:`Figure`: its config class (whose defaults
-are the full-size figure) plus the ``--quick`` overrides, the grid
+are the full-size figure, and whose fields ``sweep --figure NAME --set
+field=value`` sets through :meth:`Figure.make_config`) plus the ``--quick``
+overrides, the grid
 (``cells``), the cell function (``run_cell``, the runner task ``task``), the
 fold of the cells' results into the figure's result shape (``fold``) and the
 table renderer (``format``).  :meth:`Figure.run` submits the grid to
@@ -17,12 +19,24 @@ one entry there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
-from ..errors import SweepExecutionError
+from ..errors import ConfigurationError, SweepExecutionError
 
 __all__ = ["Figure"]
+
+
+def _like(default: Any, value: Any) -> Any:
+    """*value*, made a float where *default* is one and *value* an int.
+
+    JSON and the shell spell ``120000.0`` as ``120000``; without this the two
+    would hash to different cells.  A bool is never converted.
+    """
+
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -38,10 +52,39 @@ class Figure:
     #: Config overrides of the smaller ``--quick`` figure.
     quick: Mapping[str, Any] = field(default_factory=dict)
 
-    def make_config(self, *, quick: bool = False, seed: int = 0):
-        """The full-size (or ``--quick``) config at *seed*."""
+    def make_config(self, *, quick: bool = False, **overrides: Any):
+        """The full-size (or ``--quick``) config with *overrides* applied last.
 
-        return self.config(**(self.quick if quick else {}), seed=seed)
+        Each override names a config field.  A tuple field takes a list (or
+        tuple) of values; any other field takes exactly one value, bare or as a
+        one-element list.  An int given for a float, or per element for a
+        tuple of floats, becomes a float.  Raises
+        :class:`~repro.errors.ConfigurationError` on an unknown field or on
+        several values for a scalar one.
+        """
+
+        defaults = self.config()
+        names = [spec.name for spec in fields(self.config)]
+        unknown = sorted(set(overrides) - set(names))
+        if unknown:
+            raise ConfigurationError(
+                f"{self.name} has no config field {', '.join(map(repr, unknown))}; "
+                f"valid fields: {', '.join(names)}"
+            )
+        values = dict(self.quick) if quick else {}
+        for name, value in overrides.items():
+            default = getattr(defaults, name)
+            items = list(value) if isinstance(value, (list, tuple)) else [value]
+            if isinstance(default, tuple):
+                element = default[0] if default else None
+                values[name] = tuple(_like(element, item) for item in items)
+            elif len(items) == 1:
+                values[name] = _like(default, items[0])
+            else:
+                raise ConfigurationError(
+                    f"{self.name} field {name!r} takes one value, got {len(items)}"
+                )
+        return self.config(**values)
 
     def run(
         self,

@@ -19,7 +19,7 @@ The capacity hook defaults to ``None``: every experiment that does not
 install a model runs byte-identically to before this package existed.  The
 saturation experiment itself lives in
 :mod:`repro.experiments.fig6_saturation` and on the command line as
-``python -m repro load``.
+``python -m repro sweep --figure fig6``.
 """
 
 from .arrival import (

@@ -15,7 +15,8 @@ package puts *people* behind those arrivals and an *economy* around them:
   reference curve.
 
 Streaming sketches live in :mod:`repro.net.sketch`; mempool admission
-control in :class:`repro.mempool.MempoolPolicy`.  See ``docs/population.md``.
+control in :class:`repro.mempool.MempoolPolicy`.  The Fig. 8 sweep runs as
+``python -m repro sweep --figure fig8``; see ``docs/population.md``.
 """
 
 from .clients import ClientPopulation, PopulationConfig, Submission, WealthTier

@@ -12,9 +12,13 @@ Two modes:
 
 * ``--figure fig3a|fig3b|fig5a|fig5b|fig6|fig7|fig8|fig9`` submits the
   corresponding figure script's repetition grid and prints the figure table
-  (``--list-figures`` enumerates them with one-line descriptions)::
+  (``--list-figures`` enumerates them with one-line descriptions).  Here
+  ``--set field=value`` sets one field of the figure's config dataclass
+  (after ``--quick``); a tuple field takes the whole comma list::
 
       python -m repro sweep --figure fig5a --jobs 4 --results-dir results/f5a
+      python -m repro sweep --figure fig6 --set protocols=hermes,lzero \\
+          --set rates_tps=5,40 --set duration_ms=3000 --set seed=1
 
 With ``--results-dir`` every completed cell lands as one JSON record in a
 content-addressed store, and re-invoking the same sweep resumes: finished
@@ -83,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--set", dest="axes", metavar="KEY=V1[,V2...]", action="append", default=[],
-        help="one grid axis; repeat for a cartesian product (task mode only)",
+        help="task mode: one grid axis, repeat for a cartesian product; "
+        "figure mode: one config field (a tuple field takes the whole list)",
     )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1 = serial)")
     parser.add_argument(
@@ -108,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render a live console line (cells done, runs/s, per-worker "
         "utilization, ETA) from the telemetry stream",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (figure mode)")
     parser.add_argument(
         "--quick", action="store_true",
         help="smaller, faster figure configuration (figure mode)",
@@ -143,7 +147,10 @@ def _run(args: argparse.Namespace) -> None:
     from . import ResultStore, SweepSpec, latency_summaries, run_sweep
 
     figure = get_figure(args.figure) if args.figure else None
-    sweep = None if figure else SweepSpec(task=args.task, grid=_grid(args.axes))
+    if figure is not None:
+        config = figure.make_config(quick=args.quick, **_grid(args.axes))
+    else:
+        sweep = SweepSpec(task=args.task, grid=_grid(args.axes))
     telemetry = _build_telemetry(args)
     options = dict(
         jobs=args.jobs,
@@ -154,7 +161,6 @@ def _run(args: argparse.Namespace) -> None:
     )
     try:
         if figure is not None:
-            config = figure.make_config(quick=args.quick, seed=args.seed)
             result, report = figure.run(config, results_dir=args.results_dir, **options)
         else:
             store = ResultStore(args.results_dir) if args.results_dir else None

@@ -1,5 +1,7 @@
 """Structural tests for the fig7 adversary grid (cells, folding, formatting)."""
 
+import pytest
+
 from repro.experiments import fig7_adversary as fig7
 
 
@@ -54,6 +56,22 @@ class TestGrid:
         config = small_config()
         env = fig7._environment(config)
         assert fig7._trial_pairs(config, env) == fig7._trial_pairs(config, env)
+
+    @pytest.mark.parametrize("delay, expected", [(-1.0, None), (250.0, 250.0)])
+    def test_a_negative_proposal_delay_means_no_cutoff(self, delay, expected, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def fake_trial(*args, **kwargs):
+            seen.update(kwargs)
+            raise Stop  # before the trial's simulation
+
+        monkeypatch.setattr(fig7, "run_adversary_trial", fake_trial)
+        with pytest.raises(Stop):
+            fig7.run_cell(fig7.cell_params(small_config(proposal_delay_ms=delay))[0])
+        assert seen["proposal_delay_ms"] == expected
 
 
 class TestFolding:

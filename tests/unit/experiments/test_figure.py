@@ -1,9 +1,11 @@
-"""The figure registry: pinned grids and an unchanged ``--list-figures``."""
+"""The figure registry: pinned grids, an unchanged ``--list-figures`` and the
+``--set`` overrides of figure mode."""
 
 import hashlib
 
 import pytest
 
+import repro.runner
 from repro.runner.cli import main
 from repro.runner.spec import canonical_json
 from repro.runner.tasks import FIGURES, get_figure
@@ -55,3 +57,89 @@ def test_grids_are_pinned(name):
 def test_list_figures_is_unchanged(capsys):
     assert main(["--list-figures"]) == 0
     assert capsys.readouterr().out == LIST_FIGURES
+
+
+#: ``sweep --figure`` translations of the retired ``load`` and ``population``
+#: commands → (cells, sha256 of the grid those commands submitted).  Integers
+#: stand where the old flags parsed floats: a float field must take them.
+TRANSLATIONS = {
+    "load": (
+        ["--figure", "fig6"],
+        24, "f48e6d15afdcf49b385cad4c5997400dfbba3b37fc148d300ffa180efa936f1a"),
+    "load --rate 5 --rate 20 --rate 80 --pattern mmpp --protocol hermes --protocol lzero": (
+        ["--figure", "fig6", "--set", "rates_tps=5,20,80", "--set", "pattern=mmpp",
+         "--set", "protocols=hermes,lzero"],
+        6, "e9dcc8f1a84cf24b6fd77a2643dcff73c9b6e6c1dc0fc7e76af3a1b0ba343b8f"),
+    "load --no-capacity": (
+        ["--figure", "fig6", "--set", "uplink_kb_per_s=1e9", "--set", "downlink_kb_per_s=4e9",
+         "--set", "queue_bytes=1099511627776"],
+        24, "df6f49f384975dc24b0d8565f1012f2be50dab0c58c3aedfe1368e5096b3e67a"),
+    "population": (
+        ["--figure", "fig8"],
+        25, "7182244d59e48820a3d06fd152adb2406fcc239474743dd765f350d384f548a0"),
+    "population --rate 5 --rate 20 --protocol hermes --protocol ingest": (
+        ["--figure", "fig8", "--set", "rates_tps=5,20", "--set", "protocols=hermes,ingest"],
+        4, "3cb0c0f58fed80d55d71f9edda9672418d4a5f475a5e446c3f887e1ea2c28b37"),
+    "population --clients 1000000 --duration 120000 --mempool-cap 2000 --ttl 60000": (
+        ["--figure", "fig8", "--set", "num_clients=1000000", "--set", "duration_ms=120000",
+         "--set", "mempool_max_size=2000", "--set", "mempool_ttl_ms=60000"],
+        25, "43fbff1c256630593f38ba0bcaa49ed78694b0eb76db74ae3d6d13f119faf087"),
+}
+
+
+def submitted_cells(argv, monkeypatch):
+    """The cells ``sweep`` hands to ``run_sweep`` for *argv* (none run)."""
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def fake_run_sweep(specs, **options):
+        seen.extend(spec.params for spec in specs)
+        raise Stop  # before any cell runs
+
+    monkeypatch.setattr(repro.runner, "run_sweep", fake_run_sweep)
+    with pytest.raises(Stop):
+        main(argv)
+    return seen
+
+
+@pytest.mark.parametrize("old", sorted(TRANSLATIONS))
+def test_set_translations_reproduce_the_retired_commands_grids(old, monkeypatch):
+    argv, count, digest = TRANSLATIONS[old]
+    cells = submitted_cells(argv, monkeypatch)
+    assert len(cells) == count
+    assert hashlib.sha256(canonical_json(cells).encode()).hexdigest() == digest
+
+
+def test_set_applies_after_quick(monkeypatch):
+    cells = submitted_cells(
+        ["--figure", "fig6", "--quick", "--set", "protocols=hermes", "--set", "rates_tps=3",
+         "--set", "seed=7"],
+        monkeypatch,
+    )
+    quick = get_figure("fig6").make_config(quick=True)
+    assert [(c["protocol"], c["rate_tps"], c["seed"]) for c in cells] == [("hermes", 3.0, 7)]
+    assert cells[0]["num_nodes"] == quick.num_nodes
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [("bogus=1", "'bogus'"), ("num_nodes=4,8", "'num_nodes'")],
+)
+def test_a_bad_figure_override_exits_2_naming_the_field(axis, message, monkeypatch, capsys):
+    monkeypatch.setattr(repro.runner, "run_sweep", pytest.fail)
+    with pytest.raises(SystemExit) as exit:
+        main(["--figure", "fig6", "--quick", "--set", axis])
+    assert exit.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_make_config_converts_ints_only_where_the_default_is_a_float():
+    figure = get_figure("fig8")
+    config = figure.make_config(duration_ms=120000, rates_tps=[5, 20], num_clients=10, seed=3)
+    assert type(config.duration_ms) is float and config.rates_tps == (5.0, 20.0)
+    assert all(type(rate) is float for rate in config.rates_tps)
+    assert type(config.num_clients) is int and config.seed == 3
+    assert figure.make_config(zipf_s=True).zipf_s is True

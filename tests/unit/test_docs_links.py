@@ -6,16 +6,22 @@ Two guarantees, enforced against the live packages so the docs cannot drift:
    README.md resolves — the module imports and exposes ``X``.
 2. Every ``repro.<subpackage>`` the docs mention appears in ``repro.__all__``
    (the documented public surface), and each fenced snippet is valid Python.
+3. Every ``python -m repro WORDS ...`` in the docs, README.md, EXPERIMENTS.md,
+   DESIGN.md and the verify skill names a sub-command (or is the report), and
+   every ``sweep --figure F ... --set k=v`` names a field of F's config.
 """
 
 import ast
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.__main__ import COMMANDS
+from repro.runner.tasks import get_figure
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DOC_FILES = sorted(
@@ -105,3 +111,67 @@ def test_public_subpackages_all_import_and_declare_all() -> None:
     for name in repro.__all__:
         module = importlib.import_module(f"repro.{name}")
         assert hasattr(module, "__all__"), f"repro.{name} lacks __all__"
+
+
+COMMAND_DOCS = [
+    *DOC_FILES,
+    REPO_ROOT / "EXPERIMENTS.md",
+    REPO_ROOT / "DESIGN.md",
+    REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+ANY_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+# A code span opens and closes with backtick runs of one length (``a`b``).
+INLINE_CODE_RE = re.compile(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", re.DOTALL)
+# The tokens after `python -m repro`, up to a comment, pipe or closing backtick.
+COMMAND_RE = re.compile(r"python3? -m repro((?:[ \t]+[^\s#|;`]+)*)")
+
+
+def documented_commands(text: str) -> list[list[str]]:
+    """The argv after ``python -m repro`` of every command *text* shows."""
+
+    text = re.sub(r"\\\n\s*", " ", text)  # shell line continuations
+    lines: list[str] = []
+
+    def fenced(match: re.Match) -> str:
+        lines.extend(match.group(1).splitlines())
+        return ""
+
+    text = ANY_FENCE_RE.sub(fenced, text)
+    # Inline code may wrap across lines of prose.
+    text = INLINE_CODE_RE.sub(lambda m: "`" + " ".join(m.group(2).split()) + "`", text)
+    lines.extend(text.splitlines())
+    return [m.group(1).split() for line in lines for m in COMMAND_RE.finditer(line)]
+
+
+def command_problems(argv: list[str]) -> list[str]:
+    words = []
+    for token in argv:
+        if token.startswith("-"):
+            break
+        words.append(token)
+    if not words:
+        return []  # the report
+    if not any(words[: len(name.split())] == name.split() for name in COMMANDS):
+        return [f"no sub-command {' '.join(words)!r}"]
+    if words[0] != "sweep" or "--figure" not in argv[:-1]:
+        return []
+    figure = argv[argv.index("--figure") + 1]
+    names = {spec.name for spec in fields(get_figure(figure).config)}
+    return [
+        f"{figure} has no config field {key!r}"
+        for flag, value in zip(argv, argv[1:])
+        if flag == "--set" and (key := value.partition("=")[0]) not in names
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", COMMAND_DOCS, ids=[str(p.relative_to(REPO_ROOT)) for p in COMMAND_DOCS]
+)
+def test_documented_commands_exist(path: Path) -> None:
+    commands = documented_commands(path.read_text())
+    problems = [
+        f"python -m repro {' '.join(argv)}: {problem}"
+        for argv in commands
+        for problem in command_problems(argv)
+    ]
+    assert not problems, f"{path.name} documents commands that do not exist: {problems}"
