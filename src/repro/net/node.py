@@ -38,8 +38,10 @@ from .topology import PhysicalNetwork
 
 __all__ = ["Deployment", "Network", "ProtocolNode"]
 
-# Jitter normals drawn per vectorized block on a lossless network.
-JITTER_BLOCK = 4096
+# Jitter normals drawn per block on a lossless network.  The block size
+# changes no drawn value; it trades per-block calls against the block's
+# temporary lists.
+JITTER_BLOCK = 1024
 
 
 class Network:

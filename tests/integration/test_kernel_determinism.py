@@ -1,10 +1,10 @@
 """Integration: kernel-optimization byte-identity.
 
-The optimized simulation kernel ships two performance features — vectorized
-block sampling, switchable, and the GC pause around the run loop, always on —
+The optimized simulation kernel ships two performance features — block
+sampling of the transport's jitter and the GC pause around the run loop —
 both promising *byte-identical* results.  This suite replays a committed
-golden figure cell with batched and with scalar sampling and requires the
-pre-optimization hash, so any drift introduced by a fast path fails loudly.
+golden figure cell and requires the pre-optimization hash, so any drift
+introduced by a fast path fails loudly.
 
 The golden hash below is the same fig3a cell pinned by
 ``test_load_saturation.py`` (computed on the pre-optimization tree), which
@@ -14,11 +14,8 @@ optimized kernel, one unchanged hash.
 
 import hashlib
 
-import pytest
-
 from repro.experiments import fig3a_latency
 from repro.mempool.transaction import reset_tx_ids
-from repro.net import sampling
 from repro.net.events import reset_message_ids
 from repro.runner.spec import canonical_json
 
@@ -41,16 +38,6 @@ def _cell_hash() -> str:
     return hashlib.sha256(canonical_json(result).encode()).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def _restore_batching():
-    yield
-    sampling.set_batching(True)
-
-
 class TestOptimizationMatrix:
-    @pytest.mark.parametrize("batching", [True, False], ids=["batched", "scalar"])
-    def test_golden_cell_hash_is_invariant(self, batching):
-        if batching and not sampling.batching_enabled():
-            pytest.skip("NumPy unavailable: the batched path does not exist")
-        sampling.set_batching(batching)
+    def test_golden_cell_hash_is_invariant(self):
         assert _cell_hash() == GOLDEN_HASH

@@ -10,11 +10,13 @@ per HERMES receipt) and a little above what they cost after (48.7, 18.9,
 14.1, 9.2, 16.3; 0.64 and 0.47).  The flood's memory is exact too: bytes
 its ``system.run`` leaves allocated per delivery (tracemalloc), 338 while
 every delivery kept a dict entry and a boxed float, 209 with the per-item
-delivery columns and the mempool's arrival column.  So is the traced peak
-of a Fig. 3a cell whose four systems are dropped without ``close()``:
-2,086 KiB while each dropped system waited for a full collection, 1,434 KiB
-once dropping a system closes it.  The tool runs in a fresh interpreter so
-no cache warmed by another test can lower a count.
+delivery columns and the mempool's arrival column, 184 once the transport
+buffers 1,024 jitter normals instead of 4,096.  So is the traced peak of a
+Fig. 3a cell whose four systems are dropped without ``close()``: 2,086 KiB
+while each dropped system waited for a full collection, 1,434 KiB once
+dropping a system closes it, 1,335 KiB with the standard-library jitter
+block of 1,024 (1,934 at 4,096: its temporary lists).  The tool runs in a
+fresh interpreter so no cache warmed by another test can lower a count.
 """
 
 import json
@@ -23,8 +25,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from repro.net import sampling
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "hot_path_counters.py"
 
@@ -40,8 +40,6 @@ CALLS_PER_EVENT_BOUNDS = {
 
 @pytest.fixture(scope="module")
 def counters():
-    if not sampling.batching_enabled():
-        pytest.skip("NumPy unavailable: scalar jitter draws add calls per event")
     done = subprocess.run(
         [sys.executable, str(TOOL), "--json"], capture_output=True, text=True, timeout=300
     )

@@ -3,8 +3,10 @@
 networkx costs every interpreter that imports it ~14 MB and 0.1–0.2 s.  The
 CLI parent, each sweep worker and each benchmark child used to pay that for a
 graph container; only physical disjoint-path routing, the Fig. 2 comparison
-graphs and tests actually need the library.  These checks run in a fresh
-interpreter so this test process's own imports cannot mask a regression.
+graphs and tests actually need the library.  numpy cost ~12 MB and ~0.1 s on
+the first jitter block; the simulator now imports it nowhere.  These checks
+run in a fresh interpreter so this test process's own imports cannot mask a
+regression.
 """
 
 import subprocess
@@ -25,28 +27,30 @@ def run_fresh(body: str) -> str:
 
 
 def test_cli_import_and_smoke_cells_never_load_networkx():
-    """Nor ``numpy.random``: block sampling reads its words from the wrapped
-    ``random.Random`` (6 MB a process saved)."""
+    """The CLI, two sweep cells, the L∅ flood (its jitter is drawn in blocks)
+    and a paper-scale Fig. 3a cell run on the standard library alone."""
 
     out = run_fresh(
         """
+        def check(where):
+            assert "networkx" not in sys.modules, where
+            assert "numpy" not in sys.modules, where
+
         import repro.runner.cli
-        assert "networkx" not in sys.modules, "import repro.runner.cli"
+        check("import repro.runner.cli")
 
         from repro.runner import get_task
         trial = get_task("fig5a.trial")({
             "protocol": "hermes", "fraction": 0.2, "trial": 0, "trials": 4,
             "num_nodes": 30, "seed": 0,
         })
-        assert "networkx" not in sys.modules, "fig5a.trial"
-        assert "numpy.random" not in sys.modules, "fig5a.trial"
+        check("fig5a.trial")
         point = get_task("fig8.point")({
             "protocol": "lzero", "rate_tps": 4.0, "num_nodes": 16,
             "duration_ms": 2000.0, "drain_ms": 1000.0, "num_clients": 10000,
             "seed": 0,
         })
-        assert "networkx" not in sys.modules, "fig8.point"
-        assert "numpy.random" not in sys.modules, "fig8.point"
+        check("fig8.point")
 
         from repro.baselines import LZeroSystem
         from repro.mempool.transaction import Transaction
@@ -57,8 +61,22 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
                 flood.submit(origin, Transaction.create(origin=origin, created_at=0.0))
             flood.run(until_ms=1_500.0)
             delivered = sum(len(nodes) for nodes in flood.stats.deliveries.values())
-        assert "numpy" in sys.modules, "the flood's jitter is drawn in blocks"
-        assert "numpy.random" not in sys.modules, "L-zero flood"
+        check("L-zero flood")
+
+        from repro.baselines.narwhal import NarwhalConfig
+        from repro.experiments.harness import (
+            PROTOCOL_NAMES, build_environment, protocol_factories,
+        )
+        env = build_environment(num_nodes=60, f=1, k=10, seed=0, paper_scale=True)
+        factories = protocol_factories(
+            env, narwhal_config=NarwhalConfig(num_validators=8)
+        )
+        for name in PROTOCOL_NAMES:
+            with factories[name]() as system:
+                system.start()
+                system.submit(5, Transaction.create(origin=5, created_at=0.0))
+                system.run(until_ms=3_000.0)
+        check("paper-scale Fig. 3a cell")
         print("ran", sorted(trial)[:1], sorted(point)[:1], delivered)
         """
     )

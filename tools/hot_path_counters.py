@@ -14,8 +14,7 @@ exact and repeats run to run.  This script runs fixed cells under the stdlib
   ``encode_piece`` and SHA-256 calls it costs;
 * ``retained_bytes_per_delivery``: what the flood's ``system.run`` leaves
   allocated (``tracemalloc``, after ``simulator.clear()`` and a full
-  collection; a block draw beforehand keeps NumPy's import out of it),
-  divided by the deliveries it recorded — the N × T state;
+  collection), divided by the deliveries it recorded — the N × T state;
 * ``fig3a_peak_traced_kb``: the ``tracemalloc`` peak of the Fig. 3a cell
   run the way ``benchmarks/e2e``'s child runs it — a cold environment, the
   four systems each built, run and dropped without ``close()`` — so what a
@@ -38,7 +37,6 @@ import cProfile
 import gc
 import json
 import pstats
-import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -193,9 +191,6 @@ def flood_counts(params: dict, seed: int) -> dict:
 def flood_retained_bytes(params: dict, seed: int) -> float:
     """Bytes the flood's ``system.run`` leaves allocated, per delivery."""
 
-    from repro.net.sampling import BlockSampler
-
-    BlockSampler(random.Random(0)).normals(0.0, 1.0, 1)  # imports happen here
     system, until_ms = _flood(params, seed)
     with system:
         gc.collect()
