@@ -30,7 +30,8 @@ from repro.utils.rng import derive_rng
 
 def main() -> None:
     print("=== Fig. 2: overlay structures (N=120, f=1) ===")
-    result = fig2_overlays.run(fig2_overlays.Fig2Config(num_nodes=120, f=1, seed=4))
+    config = fig2_overlays.Fig2Config(num_nodes=120, f=1, seed=4)
+    result, _ = fig2_overlays.FIGURE.run(config)
     print(fig2_overlays.format_result(result))
 
     print("\n=== The optimization pipeline on one robust tree ===")

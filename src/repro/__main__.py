@@ -1,13 +1,15 @@
 """``python -m repro`` — CLI entry point.
 
-``python -m repro [report options]`` runs the full paper-reproduction report
-(:mod:`repro.experiments.report`).  The sub-commands in :data:`COMMANDS`, each
-of which answers ``--help``:
+``python -m repro [ARGS]`` runs the full paper-reproduction report: it is
+``python -m repro sweep --figure all [ARGS]``, Table I and Figs. 2–5b in
+order.  The sub-commands in :data:`COMMANDS`, each of which answers
+``--help``:
 
 * ``sweep`` — every figure (``--figure NAME``, its config fields set with
-  ``--set field=value``) and ad-hoc task grids (``--task NAME``) through
-  :mod:`repro.runner` (``docs/runner.md``).  The load, adversary-zoo and
-  population sweeps are ``--figure fig6``, ``fig7`` and ``fig8``;
+  ``--set field=value``; ``all`` for the report) and ad-hoc task grids
+  (``--task NAME``) through :mod:`repro.runner` (``docs/runner.md``).  The
+  load, adversary-zoo and population sweeps are ``--figure fig6``, ``fig7``
+  and ``fig8``;
 * ``chaos`` — fault-injection campaigns with online invariant checking
   (``docs/chaos.md``);
 * ``shard`` — sharded multi-proposer deployments and the cross-shard
@@ -24,7 +26,7 @@ import sys
 
 #: Sub-command words -> ``"module:function"`` (relative to ``repro``); the
 #: function takes the argv after the words and returns the exit code.
-#: Anything else runs the report.
+#: Anything else runs the report, ``sweep --figure all``.
 COMMANDS = {
     "sweep": "runner.cli:main",
     "chaos": "chaos.cli:main",
@@ -46,10 +48,7 @@ def main(argv: list[str] | None = None) -> int:
             module, _, function = target.partition(":")
             command = getattr(importlib.import_module(f"repro.{module}"), function)
             return command(argv[len(words) :])
-    from .experiments.report import main as report_main
-
-    report_main(argv)
-    return 0
+    return main(["sweep", "--figure", "all", *argv])
 
 
 if __name__ == "__main__":

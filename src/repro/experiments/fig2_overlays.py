@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..net.topology import PhysicalNetwork, generate_physical_network
 from ..overlay.base import TransportSpace
@@ -28,11 +28,23 @@ from ..overlay.random_graph import build_random_connected_overlay
 from ..overlay.rank import RankTracker
 from ..overlay.robust_tree import build_robust_tree
 from ..utils.tables import format_table
+from .figure import Figure
 
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["Fig2Config", "Fig2Row", "Fig2Result", "run", "format_result"]
+__all__ = ["FIGURE", "Fig2Config", "Fig2Row", "Fig2Result",
+           "format_result", "cell_params", "run_cell", "fold"]
+
+#: The comparison graphs, measured by a flood from ``f+1`` entry points.
+_GRAPHS = {
+    "chordal-ring": lambda nodes, config: build_chordal_ring(nodes, config.f),
+    "hypercube": lambda nodes, config: build_hypercube(nodes),
+    "random": lambda nodes, config: build_random_connected_overlay(
+        nodes, config.f, seed=config.seed
+    ),
+}
+STRUCTURES = ("robust-tree", *_GRAPHS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,53 +105,46 @@ def _flood_metrics(
     return avg_latency, statistics.pstdev(loads)
 
 
-def run(config: Fig2Config | None = None) -> Fig2Result:
-    """Build the four structures and measure latency / load spread."""
+def cell_params(config: Fig2Config) -> list[dict[str, Any]]:
+    """The grid: one cell per structure."""
 
-    if config is None:
-        config = Fig2Config()
+    return [{"structure": name, **asdict(config)} for name in STRUCTURES]
+
+
+def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
+    """Build one structure and measure it; the ``fig2.structure`` runner task."""
+
+    params = dict(params)
+    structure = params.pop("structure")
+    config = Fig2Config(**params)
     physical = generate_physical_network(config.num_nodes, seed=config.seed)
     node_ids = physical.nodes()
-    space = TransportSpace(physical)
-    entries_count = config.f + 1
-    rows: list[Fig2Row] = []
-
-    # Robust tree (pre-pruning), measured on its directed dissemination flow.
-    tree = build_robust_tree(
-        node_ids, space, config.f, overlay_id=0, ranks=RankTracker(node_ids),
-        seed=config.seed,
-    )
-    arrivals = tree.arrival_times(space)
-    tree_latency = statistics.mean(arrivals.values())
-    tree_loads = [len(children) for children in tree.successors.values()]
-    rows.append(
-        Fig2Row(
-            structure="robust-tree",
-            avg_latency_ms=tree_latency,
-            load_stddev=statistics.pstdev(tree_loads),
-            num_edges=tree.num_edges,
+    if structure == "robust-tree":
+        # Pre-pruning, measured on its directed dissemination flow.
+        space = TransportSpace(physical)
+        tree = build_robust_tree(
+            node_ids, space, config.f, overlay_id=0, ranks=RankTracker(node_ids),
+            seed=config.seed,
         )
-    )
+        latency = statistics.mean(tree.arrival_times(space).values())
+        load_sd = statistics.pstdev(len(kids) for kids in tree.successors.values())
+        edges = tree.num_edges
+    else:
+        graph = _GRAPHS[structure](node_ids, config)
+        latency, load_sd = _flood_metrics(graph, node_ids[: config.f + 1], physical)
+        edges = graph.number_of_edges()
+    return {
+        "structure": structure,
+        "avg_latency_ms": latency,
+        "load_stddev": load_sd,
+        "num_edges": edges,
+    }
 
-    entry_sample = node_ids[:entries_count]
-    for name, graph in (
-        ("chordal-ring", build_chordal_ring(node_ids, config.f)),
-        ("hypercube", build_hypercube(node_ids)),
-        (
-            "random",
-            build_random_connected_overlay(node_ids, config.f, seed=config.seed),
-        ),
-    ):
-        latency, load_sd = _flood_metrics(graph, entry_sample, physical)
-        rows.append(
-            Fig2Row(
-                structure=name,
-                avg_latency_ms=latency,
-                load_stddev=load_sd,
-                num_edges=graph.number_of_edges(),
-            )
-        )
-    return Fig2Result(config=config, rows=tuple(rows))
+
+def fold(config: Fig2Config, results: Iterable[Mapping[str, Any]]) -> Fig2Result:
+    """The cells' rows, in :data:`STRUCTURES` order."""
+
+    return Fig2Result(config=config, rows=tuple(Fig2Row(**row) for row in results))
 
 
 def format_result(result: Fig2Result) -> str:
@@ -159,3 +164,15 @@ def format_result(result: Fig2Result) -> str:
         "(compensated across the k overlays)"
     )
     return f"{table}\n{note}"
+
+
+FIGURE = Figure(
+    name="fig2",
+    task="fig2.structure",
+    config=Fig2Config,
+    quick={"num_nodes": 80},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

@@ -14,12 +14,16 @@ index (coefficient of variation of per-node average rank — lower is fairer).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable, Mapping
 
 from ..utils.tables import format_table
-from .harness import ExperimentEnvironment, build_environment
+from .figure import Figure
+from .harness import build_environment
 
-__all__ = ["Fig4Config", "Fig4Result", "run", "format_result"]
+__all__ = ["FIGURE", "Fig4Config", "Fig4Result", "format_result",
+           "cell_params", "run_cell", "fold"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,35 +68,43 @@ class Fig4Result:
         )
 
 
-def run(
-    config: Fig4Config | None = None,
-    env: ExperimentEnvironment | None = None,
-) -> Fig4Result:
-    if config is None:
-        config = Fig4Config()
-    if env is None:
-        env = build_environment(
-            num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-        )
+def cell_params(config: Fig4Config) -> list[dict[str, Any]]:
+    """The grid: one cell, the whole overlay family."""
 
-    histogram: dict[int, int] = {}
+    return [asdict(config)]
+
+
+def run_cell(params: Mapping[str, Any]) -> dict[str, Any]:
+    """Every node's ranks across the family; the ``fig4.family`` runner task.
+
+    The ranks come as ``[node, ranks]`` pairs, not a node-keyed dict: a stored
+    record gives JSON object keys back as strings, and a resumed fold must
+    equal a fresh one.
+    """
+
+    config = Fig4Config(**params)
+    env = build_environment(
+        num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
+    )
     per_node: dict[int, list[int]] = {n: [] for n in env.physical.nodes()}
-    entry_assignments = 0
-    entry_nodes: set[int] = set()
     for overlay in env.overlays:
         for node, depth in overlay.depth_of.items():
-            rank = depth + 1  # the paper's figure is 1-based
-            histogram[rank] = histogram.get(rank, 0) + 1
-            per_node[node].append(rank)
-            if rank == 1:
-                entry_assignments += 1
-                entry_nodes.add(node)
+            per_node[node].append(depth + 1)  # the paper's figure is 1-based
+    return {"ranks_per_node": [[node, ranks] for node, ranks in per_node.items()]}
+
+
+def fold(config: Fig4Config, results: Iterable[Mapping[str, Any]]) -> Fig4Result:
+    """The rank histogram and entry-point accounting of the one cell."""
+
+    (result,) = results
+    per_node = {node: list(ranks) for node, ranks in result["ranks_per_node"]}
+    histogram = Counter(rank for ranks in per_node.values() for rank in ranks)
     return Fig4Result(
         config=config,
         rank_histogram=dict(sorted(histogram.items())),
         ranks_per_node=per_node,
-        entry_assignments=entry_assignments,
-        distinct_entry_nodes=len(entry_nodes),
+        entry_assignments=histogram[1],
+        distinct_entry_nodes=sum(1 for ranks in per_node.values() if 1 in ranks),
     )
 
 
@@ -125,3 +137,15 @@ def format_result(result: Fig4Result) -> str:
         f"{result.fairness_coefficient():.3f}",
     ]
     return "\n".join(lines)
+
+
+FIGURE = Figure(
+    name="fig4",
+    task="fig4.family",
+    config=Fig4Config,
+    quick={"num_nodes": 80},
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

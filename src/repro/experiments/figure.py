@@ -1,10 +1,10 @@
-"""One declarative shape for every sweep-shaped figure.
+"""One declarative shape for every paper table and figure.
 
-A figure is a repetition grid of independent, fully seeded cells.  Each
-figure module declares one :class:`Figure`: its config class (whose defaults
-are the full-size figure, and whose fields ``sweep --figure NAME --set
-field=value`` sets through :meth:`Figure.make_config`) plus the ``--quick``
-overrides, the grid
+A figure is a grid of independent, fully seeded cells (Table I and Fig. 4
+are one cell each).  Each figure module declares one :class:`Figure`: its
+config class (whose defaults are the full-size figure, and whose fields
+``sweep --figure NAME --set field=value`` sets through
+:meth:`Figure.make_config`) plus the ``--quick`` overrides, the grid
 (``cells``), the cell function (``run_cell``, the runner task ``task``), the
 fold of the cells' results into the figure's result shape (``fold``) and the
 table renderer (``format``).  :meth:`Figure.run` submits the grid to

@@ -20,8 +20,8 @@ relative to the four mechanisms, reproducing the paper's table shape.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
-from typing import Hashable
+from dataclasses import asdict, dataclass
+from typing import Any, Hashable, Iterable, Mapping
 
 from ..baselines.gossip import GossipConfig, GossipSystem
 from ..baselines.simple_tree import SimpleTreeSystem
@@ -33,9 +33,11 @@ from ..net.simulator import Simulator
 from ..rbc.bracha import BrachaNode
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
+from .figure import Figure
 from .harness import ExperimentEnvironment, build_environment
 
-__all__ = ["Table1Config", "Table1Row", "Table1Result", "run", "format_result"]
+__all__ = ["FIGURE", "Table1Config", "Table1Row", "Table1Result",
+           "format_result", "cell_params", "run_cell", "fold"]
 
 # Structural facts the measurement cannot produce (from the protocols' designs).
 _ACCOUNTABILITY = {
@@ -106,11 +108,9 @@ class _DroppingBrachaNode(_RecordingBrachaNode):
 
 
 def _run_bracha(
-    env: ExperimentEnvironment,
-    config: Table1Config,
-    fault_plan: FaultPlan,
-) -> tuple[dict, list[float]]:
-    """All-node Bracha RBC dissemination; returns (stats, latencies)."""
+    env: ExperimentEnvironment, config: Table1Config, fault_plan: FaultPlan
+):
+    """All-node Bracha RBC dissemination of items ``("rbc", sequence)``; the stats."""
 
     simulator = Simulator()
     network = Network(simulator, env.physical, seed=config.seed)
@@ -124,7 +124,6 @@ def _run_bracha(
         )
         nodes[node_id] = cls(node_id, network, members, (len(members) - 1) // 3)
     rng = derive_rng(config.seed, "table1-bracha")
-    latencies: list[float] = []
     for sequence in range(config.transactions):
         origin = rng.choice(members)
         # Each broadcast is an independent repetition: start it on a clean
@@ -133,9 +132,7 @@ def _run_bracha(
         network.stats.record_dissemination_start(("rbc", sequence), simulator.now)
         nodes[origin].broadcast(sequence, f"tx-{sequence}")
         simulator.run(until_ms=config.horizon_ms)
-    for sequence in range(config.transactions):
-        latencies.extend(network.stats.delivery_latencies(("rbc", sequence)))
-    return network.stats, latencies
+    return network.stats
 
 
 def _fairness_bias(
@@ -169,40 +166,37 @@ def _fairness_bias(
     return statistics.mean(biases) if biases else 0.0
 
 
-def _measure_system(system, origins, horizon_ms, honest_nodes):
-    items = []
+def _measure_system(system, origins, horizon_ms):
+    """One transaction from each origin: (stats, tx ids, tx id -> origin)."""
+
     item_origins = {}
     with system:
         system.start()
         for origin in origins:
             tx = Transaction.create(origin=origin, created_at=0.0)
-            items.append(tx.tx_id)
             item_origins[tx.tx_id] = origin
             system.submit(origin, tx)
         system.run(until_ms=horizon_ms)
-    stats = system.stats
-    latencies = [
-        latency for item in items for latency in stats.delivery_latencies(item)
-    ]
-    coverages = []
-    for item in items:
-        delivered = set(stats.deliveries.get(item, {}))
-        coverages.append(
-            sum(1 for n in honest_nodes if n in delivered) / len(honest_nodes)
-        )
-    return stats, items, latencies, statistics.mean(coverages), item_origins
+    return system.stats, list(item_origins), item_origins
 
 
-def run(
-    config: Table1Config | None = None,
-    env: ExperimentEnvironment | None = None,
-) -> Table1Result:
-    if config is None:
-        config = Table1Config()
-    if env is None:
-        env = build_environment(
-            num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
-        )
+def cell_params(config: Table1Config) -> list[dict[str, Any]]:
+    """The grid: one cell measuring the four approaches in turn.
+
+    Transaction ids feed the TRS overlay draw, so the approaches share one
+    cell, and one id sequence, rather than each starting from fresh counters.
+    """
+
+    return [asdict(config)]
+
+
+def run_cell(params: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """Measure the four approaches; the ``table1.run`` runner task."""
+
+    config = Table1Config(**params)
+    env = build_environment(
+        num_nodes=config.num_nodes, f=config.f, k=config.k, seed=config.seed
+    )
     nodes = env.physical.nodes()
     rng = derive_rng(config.seed, "table1-origins")
     origins = [rng.choice(nodes) for _ in range(config.transactions)]
@@ -217,47 +211,35 @@ def run(
 
     rows: list[Table1Row] = []
 
-    def add_row(name: str, stats, items, latencies, coverage, item_origins=None) -> None:
+    def add_row(name: str, stats, items, item_origins=None) -> None:
         sent = [stats.messages_sent.get(n, 0) for n in nodes]
         mean_sent = statistics.mean(sent) if sent else 0.0
-        load_cv = statistics.pstdev(sent) / mean_sent if mean_sent else 0.0
+        latencies = [lat for item in items for lat in stats.delivery_latencies(item)]
+        coverage = statistics.mean(
+            len(set(stats.deliveries.get(item, {})).intersection(honest)) / len(honest)
+            for item in items
+        )
         rows.append(
             Table1Row(
                 approach=name,
                 mechanism=_MECHANISM[name],
                 avg_latency_ms=statistics.mean(latencies) if latencies else 0.0,
                 messages_per_node_per_tx=mean_sent / config.transactions,
-                load_cv=load_cv,
+                load_cv=statistics.pstdev(sent) / mean_sent if mean_sent else 0.0,
                 fairness_bias=_fairness_bias(stats, items, honest, item_origins),
                 robustness_coverage=coverage,
                 accountable=_ACCOUNTABILITY[name],
             )
         )
 
-    # Gossip
     system = GossipSystem(
         env.physical, config=GossipConfig(fanout=6), fault_plan=plan, seed=config.seed
     )
-    add_row("gossip", *_measure_system(system, origins, config.horizon_ms, honest))
-
-    # Reliable broadcast
-    stats, rbc_latencies = _run_bracha(env, config, plan)
+    add_row("gossip", *_measure_system(system, origins, config.horizon_ms))
     items = [("rbc", sequence) for sequence in range(config.transactions)]
-    coverages = []
-    for item in items:
-        delivered = set(stats.deliveries.get(item, {}))
-        coverages.append(sum(1 for n in honest if n in delivered) / len(honest))
-    add_row(
-        "reliable-broadcast", stats, items, rbc_latencies, statistics.mean(coverages)
-    )
-
-    # Simple tree
+    add_row("reliable-broadcast", _run_bracha(env, config, plan), items)
     system = SimpleTreeSystem(env.physical, fault_plan=plan, seed=config.seed)
-    add_row(
-        "simple-tree", *_measure_system(system, origins, config.horizon_ms, honest)
-    )
-
-    # HERMES
+    add_row("simple-tree", *_measure_system(system, origins, config.horizon_ms))
     system = HermesSystem(
         env.physical,
         env.hermes_config(gossip_fallback_enabled=True),
@@ -265,9 +247,18 @@ def run(
         overlays=env.overlays,
         seed=config.seed,
     )
-    add_row("hermes", *_measure_system(system, origins, config.horizon_ms, honest))
+    add_row("hermes", *_measure_system(system, origins, config.horizon_ms))
 
-    return Table1Result(config=config, rows=tuple(rows))
+    return [asdict(row) for row in rows]
+
+
+def fold(
+    config: Table1Config, results: Iterable[list[Mapping[str, Any]]]
+) -> Table1Result:
+    """The one cell's rows, in measurement order."""
+
+    (rows,) = results
+    return Table1Result(config=config, rows=tuple(Table1Row(**row) for row in rows))
 
 
 def _classify(value: float, values: list[float], reverse: bool = False) -> str:
@@ -329,3 +320,14 @@ def format_result(result: Table1Result) -> str:
         title="raw measurements",
     )
     return f"{table}\n\n{detail}"
+
+
+FIGURE = Figure(
+    name="table1",
+    task="table1.run",
+    config=Table1Config,
+    cells=cell_params,
+    run_cell=run_cell,
+    fold=fold,
+    format=format_result,
+)

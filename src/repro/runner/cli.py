@@ -10,8 +10,7 @@ Two modes:
           --set protocol=hermes,lzero --set seed=0,1,2 \\
           --jobs 4 --results-dir results/adhoc
 
-* ``--figure fig3a|fig3b|fig5a|fig5b|fig6|fig7|fig8|fig9`` submits the
-  corresponding figure script's repetition grid and prints the figure table
+* ``--figure NAME`` submits that figure's grid and prints its table
   (``--list-figures`` enumerates them with one-line descriptions).  Here
   ``--set field=value`` sets one field of the figure's config dataclass
   (after ``--quick``); a tuple field takes the whole comma list::
@@ -20,14 +19,24 @@ Two modes:
       python -m repro sweep --figure fig6 --set protocols=hermes,lzero \\
           --set rates_tps=5,40 --set duration_ms=3000 --set seed=1
 
+  ``--figure all`` runs the paper's evaluation, Table I and Figs. 2–5b
+  (:data:`~repro.runner.tasks.REPORT`), one figure after the other, each
+  stored under ``DIR/<name>`` with ``--results-dir DIR``; every ``--set``
+  field must exist in all of them.  A bare ``python -m repro [ARGS]`` is
+  ``python -m repro sweep --figure all [ARGS]``.
+
 With ``--results-dir`` every completed cell lands as one JSON record in a
 content-addressed store, and re-invoking the same sweep resumes: finished
 cells are loaded instead of re-executed (disable with ``--no-resume``).
 
 ``--timeline PATH`` additionally records a ``repro.sweeptrace/1``
-worker-lifecycle timeline (wall-clock phases of every run and worker) for
-``python -m repro analyze-sweep``, and ``--progress`` renders a live console
-line (cells done, runs/s, per-worker utilization, ETA) while the sweep runs.
+worker-lifecycle timeline (wall-clock phases of every run and worker) of one
+sweep for ``python -m repro analyze-sweep``, and ``--progress`` renders a
+live console line (cells done, runs/s, per-worker utilization, ETA) while
+the sweep runs.  ``--trace OUT.JSONL`` (with ``--figure fig3a`` or ``all``)
+runs the Fig. 3a cells in this process, instrumented with :mod:`repro.obs`:
+the JSONL trace lands at OUT.JSONL and the metrics + profile manifest at
+``OUT.manifest.json`` (``docs/observability.md``).
 See ``docs/runner.md`` for the concepts and ``docs/observability.md``
 ("Measuring a sweep") for the telemetry layer.
 """
@@ -36,10 +45,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+from functools import partial
 from typing import Any
 
 from ..errors import ConfigurationError, ReproError
-from .tasks import FIGURES, get_figure
+from .tasks import FIGURES, REPORT, get_figure
 
 __all__ = ["main", "parse_axis"]
 
@@ -75,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     what = parser.add_mutually_exclusive_group()
     what.add_argument("--task", help="registered task name (see --list-tasks)")
     what.add_argument(
-        "--figure", choices=tuple(FIGURES),
-        help="submit a figure script's repetition grid instead of an ad-hoc task",
+        "--figure", choices=(*FIGURES, "all"),
+        help="submit a figure's grid instead of an ad-hoc task "
+        "(all: every paper figure in order)",
     )
     what.add_argument(
         "--list-tasks", action="store_true", help="print registered tasks and exit"
@@ -117,6 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="smaller, faster figure configuration (figure mode)",
     )
+    parser.add_argument(
+        "--trace", metavar="OUT.JSONL",
+        help="run the Fig. 3a cells in this process, instrumented; write a JSONL "
+        "trace here and the metrics/profile manifest next to it (.manifest.json)",
+    )
     return parser
 
 
@@ -141,40 +158,74 @@ def _grid(axes: list[str]) -> dict[str, list[Any]]:
     return grid
 
 
-def _run(args: argparse.Namespace) -> None:
-    """Submit the ``--figure`` or ``--task`` grid and print what it produced."""
+def _submit(args: argparse.Namespace, run):
+    """``run(**options)`` with the sweep options and telemetry of *args*."""
 
-    from . import ResultStore, SweepSpec, latency_summaries, run_sweep
-
-    figure = get_figure(args.figure) if args.figure else None
-    if figure is not None:
-        config = figure.make_config(quick=args.quick, **_grid(args.axes))
-    else:
-        sweep = SweepSpec(task=args.task, grid=_grid(args.axes))
     telemetry = _build_telemetry(args)
-    options = dict(
-        jobs=args.jobs,
-        resume=args.resume,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        telemetry=telemetry,
-    )
     try:
-        if figure is not None:
-            result, report = figure.run(config, results_dir=args.results_dir, **options)
-        else:
-            store = ResultStore(args.results_dir) if args.results_dir else None
-            report = run_sweep(sweep, store=store, **options)
+        return run(
+            jobs=args.jobs,
+            resume=args.resume,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            telemetry=telemetry,
+        )
     finally:
         if telemetry is not None:
             telemetry.close()
-    print(report.summary_line())
-    if figure is not None:
+
+
+def _run_figures(args: argparse.Namespace) -> None:
+    """Run ``--figure`` (one, or every :data:`REPORT` figure) and print the
+    summary line and table of each."""
+
+    names = REPORT if args.figure == "all" else (args.figure,)
+    overrides = _grid(args.axes)
+    configs = {
+        name: get_figure(name).make_config(quick=args.quick, **overrides)
+        for name in names
+    }
+    obs = None
+    if args.trace:
+        from ..obs import Observability
+
+        obs = Observability.enabled(profile=True)
+    for name in names:
+        figure = get_figure(name)
+        if obs is not None and name == "fig3a":
+            from ..experiments.fig3a_latency import run
+
+            result = run(configs[name], obs=obs)
+        else:
+            store = args.results_dir
+            if store is not None and len(names) > 1:
+                store = os.path.join(store, name)
+            result, report = _submit(
+                args, partial(figure.run, configs[name], results_dir=store)
+            )
+            print(report.summary_line())
         print(figure.format(result))
-    if args.timeline:
-        print(f"timeline: {args.timeline} (analyze with `python -m repro analyze-sweep`)")
-    if figure is not None:
-        return
+        if len(names) > 1:
+            print()
+    if obs is not None:
+        records = obs.write_trace(args.trace)
+        manifest_path = args.trace.removesuffix(".jsonl") + ".manifest.json"
+        obs.write_manifest(manifest_path, meta={
+            "experiment": "fig3a", "quick": args.quick, "seed": configs["fig3a"].seed,
+        })
+        print(f"trace: {records} records -> {args.trace}")
+        print(f"manifest: -> {manifest_path}")
+
+
+def _run_task(args: argparse.Namespace) -> None:
+    """Submit the ``--task`` grid and print what it produced."""
+
+    from . import ResultStore, SweepSpec, latency_summaries, run_sweep
+
+    sweep = SweepSpec(task=args.task, grid=_grid(args.axes))
+    store = ResultStore(args.results_dir) if args.results_dir else None
+    report = _submit(args, partial(run_sweep, sweep, store=store))
+    print(report.summary_line())
     for record in report.records:
         if not record.ok:
             print(f"  FAILED {record['spec']['params']}: {record.get('error')}")
@@ -203,13 +254,24 @@ def main(argv: list[str] | None = None) -> int:
             width = max(len(name) for name in FIGURES)
             for name in FIGURES:
                 print(f"{name:<{width}}  {FIGURES[name].description}")
+            print(f"{'all':<{width}}  the paper's evaluation in order: "
+                  "Table I, Figs. 2, 3a, 3b, 4, 5a, 5b")
             return 0
         if not args.figure and not args.task:
             parser.error(
                 "one of --task, --figure, --list-tasks or --list-figures "
                 "is required"
             )
-        _run(args)
+        if args.trace and args.figure not in ("fig3a", "all"):
+            raise ConfigurationError("--trace instruments Fig. 3a: use --figure fig3a or all")
+        if args.timeline and args.figure == "all":
+            raise ConfigurationError("--timeline records one sweep: name one figure, not all")
+        if args.figure:
+            _run_figures(args)
+        else:
+            _run_task(args)
+        if args.timeline:
+            print(f"timeline: {args.timeline} (analyze with `python -m repro analyze-sweep`)")
         return 0
     except ReproError as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -16,10 +16,11 @@ Built-in tasks:
     One protocol disseminating a transaction workload over a generated
     network, optionally under a byzantine fault plan.  The general-purpose
     cell for ad-hoc ``python -m repro sweep`` grids.
-``fig3a.protocol`` / ``fig3b.protocol`` / ``fig5a.trial`` / ``fig5b.trial`` /
-``fig6.point`` / ``fig7.point`` / ``fig8.point`` / ``fig9.point``
-    The repetition cells of the figures in :data:`FIGURES` (each figure
-    module's ``FIGURE.run_cell``), resolved on first request.
+``table1.run`` / ``fig2.structure`` / ``fig3a.protocol`` / ``fig3b.protocol`` /
+``fig4.family`` / ``fig5a.trial`` / ``fig5b.trial`` / ``fig6.point`` /
+``fig7.point`` / ``fig8.point`` / ``fig9.point``
+    The cells of the figures in :data:`FIGURES` (each figure module's
+    ``FIGURE.run_cell``), resolved on first request.
 ``selftest.*``
     Tiny diagnostic tasks (echo / sleep / crash / unpicklable) used by the
     harness's own tests and by operators validating a new results directory.
@@ -36,6 +37,7 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "FIGURES",
+    "REPORT",
     "FigureEntry",
     "register_task",
     "get_figure",
@@ -70,14 +72,20 @@ class FigureEntry(NamedTuple):
     description: str
 
 
-#: The sweep-shaped figures (each module declares one
+#: Every figure (each module declares one
 #: :class:`repro.experiments.figure.Figure` as ``FIGURE``), imported on first
 #: request, so a sweep of one figure's cells loads no other figure.
 FIGURES = {
+    "table1": FigureEntry("table1", "table1.run",
+                          "measured comparison of dissemination approaches (paper Table I)"),
+    "fig2": FigureEntry("fig2_overlays", "fig2.structure",
+                        "overlay-structure latency and load spread (paper Fig. 2)"),
     "fig3a": FigureEntry("fig3a_latency", "fig3a.protocol",
                          "dissemination latency CDF across protocols (paper Fig. 3a)"),
     "fig3b": FigureEntry("fig3b_bandwidth", "fig3b.protocol",
                          "bandwidth overhead per protocol (paper Fig. 3b)"),
+    "fig4": FigureEntry("fig4_roles", "fig4.family",
+                        "role (rank) distribution across the overlays (paper Fig. 4)"),
     "fig5a": FigureEntry("fig5a_frontrunning", "fig5a.trial",
                          "front-running resistance vs adversary fraction (paper Fig. 5a)"),
     "fig5b": FigureEntry("fig5b_robustness", "fig5b.trial",
@@ -91,6 +99,10 @@ FIGURES = {
     "fig9": FigureEntry("fig9_sharding", "fig9.point", "sharding scaling grid: "
                         "aggregate goodput and cross-shard fairness (extension)"),
 }
+
+#: The paper's evaluation (§VIII) in order: ``sweep --figure all``, which is
+#: also what a bare ``python -m repro`` runs.
+REPORT = ("table1", "fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b")
 
 
 def get_figure(name: str):

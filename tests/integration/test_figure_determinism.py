@@ -20,19 +20,25 @@ fresh process and failed the unrelated-transactions check.
 import pytest
 
 from repro.experiments import (
+    fig2_overlays,
     fig3a_latency,
     fig3b_bandwidth,
+    fig4_roles,
     fig5a_frontrunning,
     fig5b_robustness,
     fig6_saturation,
     fig7_adversary,
     fig8_sustained,
     fig9_sharding,
+    table1,
 )
 from repro.mempool.transaction import Transaction
 from repro.runner import RunSpec, run_sweep
 
 SMOKE = [
+    (table1, table1.Table1Config(num_nodes=20, k=2, transactions=2, horizon_ms=3_000.0)),
+    (fig2_overlays, fig2_overlays.Fig2Config(num_nodes=16)),
+    (fig4_roles, fig4_roles.Fig4Config(num_nodes=16, k=3)),
     (fig3a_latency, fig3a_latency.Fig3aConfig(
         num_nodes=16, k=3, transactions=2, horizon_ms=4_000.0)),
     (fig3b_bandwidth, fig3b_bandwidth.Fig3bConfig(num_nodes=16, k=3, duration_ms=6_000.0)),

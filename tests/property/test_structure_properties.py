@@ -1,4 +1,4 @@
-"""Property-based tests: Merkle trees, batch serialization, fault plans, RBC."""
+"""Property-based tests: batch serialization, fault plans, RBC."""
 
 import random
 
@@ -6,46 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batching import deserialize_batch, serialize_batch
-from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.mempool.transaction import Transaction
 from repro.net.faults import Behavior, FaultPlan
-
-
-class TestMerkleProperties:
-    @given(
-        leaves=st.lists(st.binary(min_size=0, max_size=40), min_size=1, max_size=40),
-        probe=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_every_leaf_provable(self, leaves, probe):
-        tree = MerkleTree(leaves)
-        index = probe % len(leaves)
-        proof = tree.proof(index)
-        assert verify_inclusion(tree.root, leaves[index], proof)
-
-    @given(
-        leaves=st.lists(st.binary(min_size=1, max_size=20), min_size=2, max_size=20),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cross_proofs_fail(self, leaves):
-        """A proof for position i never validates a different leaf value."""
-
-        if len(set(leaves)) < 2:
-            return
-        tree = MerkleTree(leaves)
-        proof = tree.proof(0)
-        other = next(leaf for leaf in leaves if leaf != leaves[0])
-        assert not verify_inclusion(tree.root, other, proof)
-
-    @given(
-        left=st.lists(st.binary(max_size=10), min_size=1, max_size=10),
-        right=st.lists(st.binary(max_size=10), min_size=1, max_size=10),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_distinct_leaf_sets_distinct_roots(self, left, right):
-        if left == right:
-            return
-        assert MerkleTree(left).root != MerkleTree(right).root
 
 
 class TestBatchSerializationProperties:

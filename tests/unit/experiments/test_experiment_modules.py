@@ -66,7 +66,7 @@ class TestHarness:
 
 class TestFig2:
     def test_rows_and_shape(self):
-        result = fig2_overlays.run(fig2_overlays.Fig2Config(num_nodes=40, seed=1))
+        result, _ = fig2_overlays.FIGURE.run(fig2_overlays.Fig2Config(num_nodes=40, seed=1))
         names = {row.structure for row in result.rows}
         assert names == {"robust-tree", "chordal-ring", "hypercube", "random"}
         tree = result.row("robust-tree")
@@ -76,7 +76,7 @@ class TestFig2:
         assert tree.load_stddev >= max(o.load_stddev for o in others)
 
     def test_format(self):
-        result = fig2_overlays.run(fig2_overlays.Fig2Config(num_nodes=30, seed=1))
+        result, _ = fig2_overlays.FIGURE.run(fig2_overlays.Fig2Config(num_nodes=30, seed=1))
         text = fig2_overlays.format_result(result)
         assert "robust-tree" in text and "Fig. 2" in text
 
@@ -133,14 +133,14 @@ class TestFig3b:
 
 
 class TestFig4:
-    def test_entry_accounting(self, env):
-        result = fig4_roles.run(fig4_roles.Fig4Config(num_nodes=40, k=3), env=env)
+    def test_entry_accounting(self):
+        result, _ = fig4_roles.FIGURE.run(fig4_roles.Fig4Config(num_nodes=40, k=3, seed=1))
         assert result.entry_assignments == 3 * 2  # k * (f+1)
         assert result.rank_histogram[1] == 6
         assert sum(result.rank_histogram.values()) == 3 * 40
 
-    def test_roles_rotate(self, env):
-        result = fig4_roles.run(fig4_roles.Fig4Config(num_nodes=40, k=3), env=env)
+    def test_roles_rotate(self):
+        result, _ = fig4_roles.FIGURE.run(fig4_roles.Fig4Config(num_nodes=40, k=3, seed=1))
         assert result.max_entry_repeats() <= 2
         assert result.fairness_coefficient() < 0.5
         assert "Fig. 4" in fig4_roles.format_result(result)
@@ -171,7 +171,7 @@ class TestFig5b:
 class TestTable1:
     def test_rows_present(self):
         config = table1.Table1Config(num_nodes=40, k=2, transactions=3)
-        result = table1.run(config)
+        result, _ = table1.FIGURE.run(config)
         approaches = {row.approach for row in result.rows}
         assert approaches == {"gossip", "reliable-broadcast", "simple-tree", "hermes"}
         text = table1.format_result(result)
@@ -179,7 +179,7 @@ class TestTable1:
 
     def test_structural_properties(self):
         config = table1.Table1Config(num_nodes=40, k=2, transactions=3)
-        result = table1.run(config)
+        result, _ = table1.FIGURE.run(config)
         assert result.row("hermes").accountable
         assert not result.row("gossip").accountable
         # Simple tree has the worst load imbalance of the four.

@@ -1,24 +1,34 @@
-"""The figure registry: pinned grids, an unchanged ``--list-figures`` and the
-``--set`` overrides of figure mode."""
+"""The figure registry: pinned grids, an unchanged ``--list-figures``, the
+``--set`` overrides of figure mode, the report (``all``) and ``--trace``."""
 
 import hashlib
+import json
 
 import pytest
 
 import repro.runner
+from repro.__main__ import main as repro_main
 from repro.runner.cli import main
 from repro.runner.spec import canonical_json
+from repro.experiments.harness import PROTOCOL_NAMES
 from repro.runner.tasks import FIGURES, get_figure
 
 #: sha256 of the canonical JSON of each figure's grid, (full, --quick) at
 #: seed 0 — the grids the per-module ``sweep --figure`` configs produced
-#: before the registry existed.  Every stored results directory and every
-#: ``--task`` grid addresses cells by these parameters, so they must not move.
+#: before the registry existed (Table I, Figs. 2 and 4: the grids they joined
+#: it with).  Every stored results directory and every ``--task`` grid
+#: addresses cells by these parameters, so they must not move.
 GRID_DIGESTS = {
+    "table1": ("f81179a4ea1552c403e6094d05ecac0fed1e5e4beb1aa209e488ba4adb0960a2",
+               "f81179a4ea1552c403e6094d05ecac0fed1e5e4beb1aa209e488ba4adb0960a2"),
+    "fig2": ("6f9b6065a94a40aa9fb2e020dd98108677138a88931245eb924707e9c630bc0d",
+             "154fe015ae6e8fb568a87ff6a3cb528edd87608599cd6fbda0150a9fb1e6b569"),
     "fig3a": ("09897fefb0bcefaf29aed17db2b453d118e74feb4e02fc50bc48e4a615774cb7",
               "316b0a97f6b7f04c460be8d520127ddd8eb41b9b61b82029dd8e3b0e81cb9cf2"),
     "fig3b": ("90486496811a9a5c0a5b83574d898ea688034abc4892a2beeb8bc538984a4942",
               "6b76b879c2837485e73883f942b69986d0ac594b2f40a749db17a9ec9bafb9b4"),
+    "fig4": ("ba1c405380068a331d9787cf19da8d6a60fff0e51cdd2410246d217cc45ef40b",
+             "239ae66d0a42152e52e1df96753c26df8c4ff1dbc857a4fba0dbffe4060b0286"),
     "fig5a": ("75a25fb8150804f5f8864ba53bd2857e2ec90293fbed2b980bb43adf929028c8",
               "3c3015e59f2c8391ed67c50bfd3c9de7cdae97d4f3fdd79c0ba80c0143bb45ac"),
     "fig5b": ("0976da3d20b0a964d27fa02a8eb4155ed3ab1eff9784cad81569e76666082726",
@@ -34,14 +44,18 @@ GRID_DIGESTS = {
 }
 
 LIST_FIGURES = """\
-fig3a  dissemination latency CDF across protocols (paper Fig. 3a)
-fig3b  bandwidth overhead per protocol (paper Fig. 3b)
-fig5a  front-running resistance vs adversary fraction (paper Fig. 5a)
-fig5b  delivery robustness under censorship (paper Fig. 5b)
-fig6   offered-load saturation sweep under finite link capacity (extension)
-fig7   strategy-zoo adversary grid: economics and fairness (extension)
-fig8   sustained million-client population load with a fee market (extension)
-fig9   sharding scaling grid: aggregate goodput and cross-shard fairness (extension)
+table1  measured comparison of dissemination approaches (paper Table I)
+fig2    overlay-structure latency and load spread (paper Fig. 2)
+fig3a   dissemination latency CDF across protocols (paper Fig. 3a)
+fig3b   bandwidth overhead per protocol (paper Fig. 3b)
+fig4    role (rank) distribution across the overlays (paper Fig. 4)
+fig5a   front-running resistance vs adversary fraction (paper Fig. 5a)
+fig5b   delivery robustness under censorship (paper Fig. 5b)
+fig6    offered-load saturation sweep under finite link capacity (extension)
+fig7    strategy-zoo adversary grid: economics and fairness (extension)
+fig8    sustained million-client population load with a fee market (extension)
+fig9    sharding scaling grid: aggregate goodput and cross-shard fairness (extension)
+all     the paper's evaluation in order: Table I, Figs. 2, 3a, 3b, 4, 5a, 5b
 """
 
 
@@ -87,7 +101,7 @@ TRANSLATIONS = {
 }
 
 
-def submitted_cells(argv, monkeypatch):
+def submitted_cells(argv, monkeypatch, command=main):
     """The cells ``sweep`` hands to ``run_sweep`` for *argv* (none run)."""
 
     class Stop(Exception):
@@ -101,7 +115,7 @@ def submitted_cells(argv, monkeypatch):
 
     monkeypatch.setattr(repro.runner, "run_sweep", fake_run_sweep)
     with pytest.raises(Stop):
-        main(argv)
+        command(argv)
     return seen
 
 
@@ -143,3 +157,38 @@ def test_make_config_converts_ints_only_where_the_default_is_a_float():
     assert all(type(rate) is float for rate in config.rates_tps)
     assert type(config.num_clients) is int and config.seed == 3
     assert figure.make_config(zipf_s=True).zipf_s is True
+
+
+def test_bare_repro_is_sweep_figure_all_starting_with_table1(monkeypatch):
+    cells = submitted_cells(["--quick", "--set", "seed=1"], monkeypatch, command=repro_main)
+    table1 = get_figure("table1")
+    assert cells == table1.cells(table1.make_config(quick=True, seed=1))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--figure", "all", "--set", "protocols=hermes"], "table1 has no config field"),
+    (["--figure", "all", "--timeline", "t.jsonl"], "--timeline records one sweep"),
+    (["--figure", "fig2", "--trace", "t.jsonl"], "--trace instruments Fig. 3a"),
+])
+def test_all_and_trace_refuse_what_they_cannot_do(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(repro.runner, "run_sweep", pytest.fail)
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_trace_histograms_equal_the_fig3a_table(tmp_path, capsys):
+    argv = ["--figure", "fig3a", "--set", "num_nodes=16", "--set", "k=3"]
+    assert main([*argv, "--trace", str(tmp_path / "t.jsonl")]) == 0
+    traced = capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    assert traced[:-2] == capsys.readouterr().out.splitlines()[1:]  # no summary line
+    rows = {cells[0]: cells[1:4] for line in traced
+            if (cells := [cell.strip() for cell in line.split("|")])[0] in PROTOCOL_NAMES}
+    manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+    histograms = [h for h in manifest["metrics"]["histograms"]
+                  if h["name"] == "delivery.latency_ms"]
+    assert len(histograms) == len(rows) == 4
+    for h in histograms:
+        row = [f"{h[key]:.2f}" for key in ("mean", "p5", "p95")]
+        assert rows[h["labels"]["protocol"]] == row

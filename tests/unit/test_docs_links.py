@@ -7,12 +7,15 @@ Two guarantees, enforced against the live packages so the docs cannot drift:
 2. Every ``repro.<subpackage>`` the docs mention appears in ``repro.__all__``
    (the documented public surface), and each fenced snippet is valid Python.
 3. Every ``python -m repro WORDS ...`` in the docs, README.md, EXPERIMENTS.md,
-   DESIGN.md and the verify skill names a sub-command (or is the report), and
-   every ``sweep --figure F ... --set k=v`` names a field of F's config.
+   DESIGN.md and the verify skill names a sub-command; ``sweep`` and the bare
+   report (``sweep --figure all``) parse with sweep's parser, and each
+   ``--set k=v`` names a field of every figure's config.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +24,8 @@ import pytest
 
 import repro
 from repro.__main__ import COMMANDS
-from repro.runner.tasks import get_figure
+from repro.runner.cli import _build_parser
+from repro.runner.tasks import REPORT, get_figure
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DOC_FILES = sorted(
@@ -150,17 +154,24 @@ def command_problems(argv: list[str]) -> list[str]:
             break
         words.append(token)
     if not words:
-        return []  # the report
+        words, argv = ["sweep"], ["sweep", "--figure", "all", *argv]  # the report
     if not any(words[: len(name.split())] == name.split() for name in COMMANDS):
         return [f"no sub-command {' '.join(words)!r}"]
-    if words[0] != "sweep" or "--figure" not in argv[:-1]:
+    if words[0] != "sweep":
         return []
-    figure = argv[argv.index("--figure") + 1]
-    names = {spec.name for spec in fields(get_figure(figure).config)}
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            args = _build_parser().parse_args(argv[1:])
+    except SystemExit:
+        return [stderr.getvalue().strip().splitlines()[-1]]
+    if not args.figure:
+        return []
     return [
         f"{figure} has no config field {key!r}"
-        for flag, value in zip(argv, argv[1:])
-        if flag == "--set" and (key := value.partition("=")[0]) not in names
+        for figure in (REPORT if args.figure == "all" else [args.figure])
+        for key in (axis.partition("=")[0] for axis in args.axes)
+        if key not in {spec.name for spec in fields(get_figure(figure).config)}
     ]
 
 
@@ -168,10 +179,12 @@ def command_problems(argv: list[str]) -> list[str]:
     "path", COMMAND_DOCS, ids=[str(p.relative_to(REPO_ROOT)) for p in COMMAND_DOCS]
 )
 def test_documented_commands_exist(path: Path) -> None:
-    commands = documented_commands(path.read_text())
+    text = path.read_text()
     problems = [
         f"python -m repro {' '.join(argv)}: {problem}"
-        for argv in commands
+        for argv in documented_commands(text)
         for problem in command_problems(argv)
     ]
+    if "repro.experiments.report" in text:
+        problems.append("names the retired repro.experiments.report")
     assert not problems, f"{path.name} documents commands that do not exist: {problems}"
