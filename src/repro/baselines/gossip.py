@@ -38,6 +38,7 @@ class GossipNode(BaselineNode):
     def __init__(self, node_id, network, config: GossipConfig, **kwargs) -> None:
         super().__init__(node_id, network, **kwargs)
         self.config = config
+        self.rng  # every node draws in _forward: derive the stream now
 
     def submit_transaction(self, tx: Transaction) -> None:
         if self.behavior is Behavior.CRASH:

@@ -66,6 +66,7 @@ class LZeroNode(BaselineNode):
         super().__init__(node_id, network, **kwargs)
         self.config = config
         self.partners = partners
+        self.rng  # every node draws in on_start: derive the stream now
         # Latest mempool commitment received from each peer (accountability).
         self.peer_commitments: dict[int, bytes] = {}
         # Own commitment timeline: tx id -> time of the first reconciliation

@@ -73,6 +73,7 @@ class MercuryNode(BaselineNode):
         super().__init__(node_id, network, **kwargs)
         self.config = config
         self.peers = peers
+        self.rng  # every node draws in on_start: derive the stream now
 
     def submit_transaction(self, tx: Transaction) -> None:
         if self.behavior is Behavior.CRASH:

@@ -13,10 +13,11 @@ produces byte-identical JSON; ``content_hash`` is the sha256 of those bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..utils.digest import sha256
 
 __all__ = ["ChaosReport"]
 
@@ -81,7 +82,7 @@ class ChaosReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
+        return sha256(self.dumps().encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "ChaosReport":

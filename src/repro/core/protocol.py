@@ -75,6 +75,8 @@ class HermesNode(ProtocolNode):
         decoded_overlays: dict[int, Overlay] | None = None,
     ) -> None:
         super().__init__(node_id, network)
+        if config.gossip_fallback_enabled:
+            self.rng  # every node draws in on_start: derive the stream now
         self.config = config
         self.backend = backend
         self.behavior = behavior

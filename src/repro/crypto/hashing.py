@@ -6,7 +6,7 @@ that every component agrees byte-for-byte on what ``H(m)`` means.
 
 from __future__ import annotations
 
-import hashlib
+from ..utils.digest import sha256
 
 __all__ = ["encode_piece", "encode_for_hash", "hash_bytes", "hash_to_int", "sha256_hex"]
 
@@ -43,7 +43,7 @@ def encode_for_hash(*parts: bytes | str | int) -> bytes:
 def hash_bytes(*parts: bytes | str | int) -> bytes:
     """SHA-256 digest of the canonical encoding of *parts*."""
 
-    return hashlib.sha256(encode_for_hash(*parts)).digest()
+    return sha256(encode_for_hash(*parts)).digest()
 
 
 def sha256_hex(*parts: bytes | str | int) -> str:

@@ -12,7 +12,6 @@ protocols need:
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from array import array
 from bisect import bisect_left
@@ -23,6 +22,7 @@ from itertools import filterfalse
 from typing import Callable, Collection, KeysView
 
 from ..crypto.hashing import encode_piece
+from ..utils.digest import sha256
 from .transaction import Transaction
 
 __all__ = ["Mempool", "MempoolPolicy"]
@@ -396,7 +396,7 @@ class Mempool:
 
         cached = self._commitment
         if cached is None:
-            cached = self._commitment = hashlib.sha256(
+            cached = self._commitment = sha256(
                 _COMMITMENT_PREFIX + b"".join(self._pieces)
             ).digest()
         return cached

@@ -19,12 +19,12 @@ Inverse-gamma sampling uses the reciprocal relationship: if
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
 
 from ..types import Region
+from ..utils.digest import sha256
 from ..utils.validation import require_positive
 
 __all__ = ["LatencyParameters", "LatencyModel", "MIN_LATENCY_MS"]
@@ -86,7 +86,7 @@ class LatencyModel:
         """
 
         lo, hi = (u, v) if u < v else (v, u)
-        digest = hashlib.sha256(f"{seed}/pair/{lo}/{hi}".encode()).digest()
+        digest = sha256(f"{seed}/pair/{lo}/{hi}".encode()).digest()
         rng = self._pair_rng
         rng.seed(int.from_bytes(digest[:8], "big"))
         if src == dst:

@@ -17,6 +17,8 @@ and the ``on_start``/``on_message`` hooks.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from functools import cached_property
 from heapq import heappush
 from math import exp as _exp
 from types import MappingProxyType
@@ -74,14 +76,16 @@ class Network:
         self.stats = NetworkStats()
         self.seed = seed
         self._nodes: dict[int, "ProtocolNode"] = {}
+        # Each node's on_message, bound once: pending deliveries share it.
+        self._handlers: dict[int, Callable[[int, Message], None]] = {}
         self._rng = derive_rng(seed, "network")
-        # Buffered standard normals of the jitter stream (see send_many) and a
-        # per-pair base-latency cache keyed by PhysicalNetwork.version so
-        # topology churn invalidates it.
+        # Buffered standard normals of the jitter stream (see send_many) and
+        # base latencies in per-source rows (``[src][dst]``), valid for one
+        # PhysicalNetwork.version so topology churn invalidates them.
         self._sampler = BlockSampler(self._rng)
         self._jitter_block: list[float] = []
         self._jitter_pos = 0
-        self._latency_cache: dict[tuple[int, int], float] = {}
+        self._latency_cache: defaultdict[int, dict[int, float]] = defaultdict(dict)
         self._latency_version = physical.version
         # Chaos hooks (repro.chaos): an optional link disruptor consulted per
         # transmission (partitions, latency spikes, loss windows) and an
@@ -113,6 +117,7 @@ class Network:
         if node.node_id in self._nodes:
             raise SimulationError(f"node {node.node_id} registered twice")
         self._nodes[node.node_id] = node
+        self._handlers[node.node_id] = node.on_message
 
     def node(self, node_id: int) -> "ProtocolNode":
         try:
@@ -126,13 +131,14 @@ class Network:
     def close(self) -> None:
         """Forget the registered nodes and every per-run hook (idempotent).
 
-        Nodes point back at their network, so the registry is a reference
-        cycle; hooks are usually bound methods of per-run objects that hold
-        the network too.  Statistics, the physical network and the latency
-        cache stay — a closed network can still be read, not driven.
+        Nodes point back at their network, so the registry and the bound
+        handlers are reference cycles; hooks are usually bound methods of
+        per-run objects that hold the network too.  Statistics, the physical
+        network and the latency rows stay — a closed network can be read.
         """
 
         self._nodes.clear()
+        self._handlers.clear()
         self.on_send = None
         self.on_receive = None
         self.disruptor = None
@@ -176,13 +182,13 @@ class Network:
         capacity, the disruptor and loss may each drop it (counted only);
         otherwise ``receiver.on_message(src, message)`` goes straight onto
         the event list after base latency x disruption x jitter + processing
-        (+ capacity and service queueing).  Hooks, settings and stats dicts
-        are read once per fan-out.  Self is not skipped: callers filter.
+        (+ capacity and service queueing).  Hooks, settings, stats and the
+        source's latency row are read once per fan-out; callers filter self.
         """
 
         # Message.wire_size() and NetworkStats.record_send(), inlined.
         wire = message.size_bytes + ENVELOPE_OVERHEAD_BYTES
-        nodes = self._nodes
+        handlers = self._handlers
         simulator = self.simulator
         now = simulator.now
         # The simulator's own event list and tie-break counter: pushing here
@@ -199,10 +205,10 @@ class Network:
         if self._latency_version != self.physical.version:
             self._latency_cache.clear()
             self._latency_version = self.physical.version
-        latency_cache = self._latency_cache
+        latency_row = self._latency_cache[src]
         for dst in dsts:
-            receiver = nodes.get(dst)
-            if receiver is None:
+            handler = handlers.get(dst)
+            if handler is None:
                 raise SimulationError(f"send to unknown node {dst}")
             if on_send is not None:
                 on_send(src, dst, message, now)
@@ -259,9 +265,9 @@ class Network:
                 jitter = _exp(block[pos] * sigma)
             else:
                 jitter = 1.0
-            base = latency_cache.get((src, dst))
+            base = latency_row.get(dst)
             if base is None:
-                base = latency_cache[(src, dst)] = self.base_latency(src, dst)
+                base = latency_row[dst] = self.base_latency(src, dst)
             link_ms = base * latency_factor * jitter
             delay = link_ms + proc
             queue_ms = 0.0
@@ -296,19 +302,18 @@ class Network:
                     link_ms=link_ms, proc_ms=proc, delay_ms=delay, deliver_ms=now + delay,
                 )
             if on_receive is None:
-                heappush(queue, (now + delay, next(sequence), receiver.on_message,
-                                 (src, message)))
+                heappush(queue, (now + delay, next(sequence), handler, (src, message)))
             else:
                 heappush(queue, (now + delay, next(sequence), self._deliver_tapped,
-                                 (receiver, src, dst, message)))
+                                 (handler, src, dst, message)))
 
-    def _deliver_tapped(self, receiver: "ProtocolNode", src: int, dst: int,
-                        message: Message) -> None:
+    def _deliver_tapped(self, handler: Callable[[int, Message], None], src: int,
+                        dst: int, message: Message) -> None:
         """A delivery while an ``on_receive`` tap is installed: tap, then handle."""
 
         if self.on_receive is not None:
             self.on_receive(src, dst, message, self.simulator.now)
-        receiver.on_message(src, message)
+        handler(src, message)
 
 
 class ProtocolNode:
@@ -323,8 +328,14 @@ class ProtocolNode:
     def __init__(self, node_id: int, network: Network) -> None:
         self.node_id = node_id
         self.network = network
-        self.rng: random.Random = derive_rng(network.seed, "node", node_id)
         network.register(self)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This node's stream, derived on first use (which changes no draw):
+        a node that never draws holds none.  A class whose every node draws
+        reads it in ``__init__``, so it is construction state, not run state."""
+        return derive_rng(self.network.seed, "node", self.node_id)
 
     # -- conveniences ---------------------------------------------------
 

@@ -14,13 +14,13 @@ configuration; :meth:`SweepSpec.expand` yields the individual
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import ConfigurationError
+from ..utils.digest import sha256
 
 __all__ = ["RunSpec", "SweepSpec", "canonical_json", "spec_hash"]
 
@@ -47,7 +47,7 @@ def spec_hash(task: str, params: Mapping[str, Any]) -> str:
     """The content hash (hex SHA-256) of one ``(task, params)`` cell."""
 
     payload = canonical_json({"task": task, "params": dict(params)})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,11 @@ True
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from ..errors import ConfigurationError
+from ..utils.digest import blake2b
 from ..utils.rng import derive_rng
 
 __all__ = ["SHARD_POLICIES", "ShardMapConfig", "ShardMap", "shard_balance"]
@@ -92,7 +92,7 @@ class ShardMap:
     def _stable_hash(self, key: Hashable) -> int:
         data = f"{self._salt}:{type(key).__name__}:{key!r}".encode()
         return int.from_bytes(
-            hashlib.blake2b(data, digest_size=8).digest(), "big"
+            blake2b(data, digest_size=8).digest(), "big"
         )
 
     def home_of(self, key: Hashable) -> int:

@@ -9,10 +9,11 @@ which keeps experiments reproducible across library versions.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
-__all__ = ["derive_rng", "fork_rng"]
+from .digest import sha256
+
+__all__ = ["derive_rng"]
 
 
 def derive_rng(seed: int, *labels: str | int) -> random.Random:
@@ -22,16 +23,10 @@ def derive_rng(seed: int, *labels: str | int) -> random.Random:
     ``derive_rng(42, "annealing", 3)`` are independent generators.
     """
 
-    hasher = hashlib.sha256()
+    hasher = sha256()
     hasher.update(str(seed).encode("utf-8"))
     for label in labels:
         hasher.update(b"/")
         hasher.update(str(label).encode("utf-8"))
     return random.Random(int.from_bytes(hasher.digest()[:8], "big"))
 
-
-def fork_rng(rng: random.Random) -> random.Random:
-    """Return a new generator seeded from *rng* without disturbing callers
-    that share *rng* beyond consuming one draw."""
-
-    return random.Random(rng.getrandbits(64))

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.baselines import GossipSystem
+from repro.baselines.narwhal import NarwhalConfig
 from repro.errors import SimulationError
+from repro.experiments.harness import build_environment, protocol_factories
+from repro.mempool.transaction import Transaction
 from repro.net.channel import LossModel
 from repro.net.events import ENVELOPE_OVERHEAD_BYTES, Message
 from repro.net.node import Network, ProtocolNode
 from repro.net.simulator import Simulator
+from repro.utils.rng import derive_rng
 
 
 class Recorder(ProtocolNode):
@@ -118,3 +123,49 @@ class TestMessage:
 
     def test_wire_size(self):
         assert Message("a", None, 100).wire_size() == 100 + ENVELOPE_OVERHEAD_BYTES
+
+
+
+# System -> whether every node derives its rng at construction: the classes
+# whose every node draws do; Narwhal and HERMES without the fallback never draw.
+EAGER_RNG = {
+    "gossip": True,
+    "hermes-fallback-off": False,
+    "hermes-fallback-on": True,
+    "lzero": True,
+    "mercury": True,
+    "narwhal": False,
+}
+
+
+def _rng_system(name):
+    """One of the four Fig. 3a systems, or push gossip, at N = 60."""
+
+    env = build_environment(num_nodes=60, f=1, k=10, seed=0, paper_scale=True)
+    if name == "gossip":
+        return GossipSystem(env.physical, seed=13)
+    protocol, _, fallback = name.partition("-fallback-")
+    return protocol_factories(
+        env,
+        hermes_overrides={"gossip_fallback_enabled": fallback != "off"},
+        narwhal_config=NarwhalConfig(num_validators=8),
+    )[protocol]()
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_RNG))
+def test_node_rngs_are_derived_eagerly_only_where_every_node_draws(name):
+    eager = EAGER_RNG[name]
+    with _rng_system(name) as system:
+        nodes = list(system.nodes.values())
+        seed = system.network.seed
+        assert [("rng" in vars(node)) for node in nodes] == [eager] * len(nodes)
+        if eager:  # untouched yet: each is the derived stream's initial state
+            for node in nodes:
+                assert node.rng.getstate() == derive_rng(seed, "node", node.node_id).getstate()
+        system.start()
+        system.submit(5, Transaction.create(origin=5, created_at=0.0))
+        system.run(until_ms=3_000.0)
+        if not eager:
+            assert not any("rng" in vars(node) for node in nodes)
+            for node in nodes:
+                assert node.rng.getstate() == derive_rng(seed, "node", node.node_id).getstate()

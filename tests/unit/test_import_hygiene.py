@@ -4,11 +4,13 @@ networkx costs every interpreter that imports it ~14 MB and 0.1–0.2 s.  The
 CLI parent, each sweep worker and each benchmark child used to pay that for a
 graph container; only physical disjoint-path routing, the Fig. 2 comparison
 graphs and tests actually need the library.  numpy cost ~12 MB and ~0.1 s on
-the first jitter block; the simulator now imports it nowhere.  These checks
-run in a fresh interpreter so this test process's own imports cannot mask a
-regression.
+the first jitter block; the simulator now imports it nowhere.  OpenSSL's
+``_hashlib`` cost ~3.5 MB and ~4 ms for SHA-256 alone; ``repro.utils.digest``
+takes the interpreter's built-in hashes instead.  These checks run in a fresh
+interpreter so this test process's own imports cannot mask a regression.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -35,6 +37,7 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
         def check(where):
             assert "networkx" not in sys.modules, where
             assert "numpy" not in sys.modules, where
+            assert "_hashlib" not in sys.modules, where
 
         import repro.runner.cli
         check("import repro.runner.cli")
@@ -81,6 +84,23 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
         """
     )
     assert out.startswith("ran") and out.split()[-1] == "180"
+
+
+def test_pooled_sweep_workers_never_load_openssl():
+    """Spawned workers inherit ``PYTHONPROFILEIMPORTTIME``, so the stderr of a
+    pooled sweep names every module any of its processes imported."""
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPROFILEIMPORTTIME="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--task", "fig5a.trial",
+         "--set", "protocol=hermes", "--set", "fraction=0.2", "--set", "trial=0,1",
+         "--set", "trials=2", "--set", "num_nodes=30", "--jobs", "2"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "2 runs: 2 executed" in done.stdout
+    assert done.stderr.count("repro.core.protocol\n") == 2  # the two workers, not the CLI
+    assert "_hashlib" not in done.stderr
 
 
 def test_listing_figures_and_tasks_imports_no_figure_module():

@@ -1,10 +1,14 @@
-"""Unit tests for shared types, validation helpers, RNG plumbing and tables."""
+"""Unit tests for shared types, validation helpers, RNG plumbing, the
+built-in hashes and tables."""
+
+import hashlib
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.types import ALL_REGIONS, NodeDescriptor, Region, validate_fault_parameters
-from repro.utils.rng import derive_rng, fork_rng
+from repro.utils import digest
+from repro.utils.rng import derive_rng
 from repro.utils.tables import format_table
 from repro.utils.validation import require, require_positive, require_probability
 
@@ -37,9 +41,26 @@ class TestRng:
     def test_seed_matters(self):
         assert derive_rng(1, "a").random() != derive_rng(2, "a").random()
 
-    def test_fork_is_deterministic_given_parent_state(self):
-        parent_a, parent_b = derive_rng(5, "x"), derive_rng(5, "x")
-        assert fork_rng(parent_a).random() == fork_rng(parent_b).random()
+
+class TestDigest:
+    """The built-in hashes against OpenSSL's, around each block boundary."""
+
+    @pytest.mark.parametrize("length", [0, 1, 55, 56, 63, 64, 65, 720, 4096])
+    def test_sha256_equals_hashlib(self, length):
+        data = bytes(range(256)) * 16
+        assert digest.sha256(data[:length]).digest() == hashlib.sha256(data[:length]).digest()
+
+    def test_chained_updates_equal_hashlib(self):
+        ours, reference = digest.sha256(), hashlib.sha256()
+        for length in (0, 1, 55, 64, 65, 720):
+            ours.update(b"x" * length)
+            reference.update(b"x" * length)
+        assert ours.hexdigest() == reference.hexdigest()
+
+    def test_blake2b_equals_hashlib(self):
+        data = b"salt:str:'client-42'"
+        assert (digest.blake2b(data, digest_size=8).digest()
+                == hashlib.blake2b(data, digest_size=8).digest())
 
 
 class TestValidation:

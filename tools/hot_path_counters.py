@@ -67,7 +67,9 @@ def _profiled_run(system, until_ms: float) -> dict:
         calls += ncalls
         if name == "encode_piece":
             encode += ncalls
-        elif file == "~" and "sha256" in name:  # the C constructor, not a wrapper
+        elif file == "~" and name.startswith("<built-in method ") and "sha256" in name:
+            # The C constructor only: not a Python wrapper, and not the
+            # digest/update methods of the built-in module's hash objects.
             sha256 += ncalls
         elif name == "_accept":
             accepts += ncalls
