@@ -19,6 +19,7 @@ Inverse-gamma sampling uses the reciprocal relationship: if
 
 from __future__ import annotations
 
+import _random
 import math
 import random
 from dataclasses import dataclass
@@ -35,6 +36,11 @@ MIN_LATENCY_MS = 0.1
 # Largest |z| CPython's normalvariate can return (see inter_floor_ms), with a
 # relative margin for the rounding of its acceptance test.
 _NORMAL_Z_MAX = 2.0 * math.sqrt(53.0 * math.log(2.0)) * (1.0 + 1e-9)
+
+# The C seeding under random.Random.seed: an int seed gives the same state
+# without the wrapper's frame (the wrapper also clears gauss()'s cached
+# second normal, which the pair generator never draws).
+_seed_state = _random.Random.seed
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +94,7 @@ class LatencyModel:
         lo, hi = (u, v) if u < v else (v, u)
         digest = sha256(f"{seed}/pair/{lo}/{hi}".encode()).digest()
         rng = self._pair_rng
-        rng.seed(int.from_bytes(digest[:8], "big"))
+        _seed_state(rng, int.from_bytes(digest[:8], "big"))
         if src == dst:
             return self._sample_intra(rng)
         return self._sample_inter(rng)

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from heapq import nsmallest
+from itertools import chain, combinations, compress
+from math import isnan
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, MutableMapping, Sequence,
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence,
 )
 
 from ..errors import TopologyError
@@ -35,6 +38,9 @@ _SAME_REGION_BIAS = 0.5
 
 # An undrawn pair: every draw is at least MIN_LATENCY_MS, never NaN.
 _UNDRAWN = float("nan")
+# Above every latency: how nearest() ranks a cross-region candidate it has
+# not looked up, and the least draw of an empty cross-region store.
+_UNREAD = float("inf")
 
 # Above this size, validate="auto" switches from the exact node-connectivity
 # test (quadratic max-flow) to the O(V+E) structural check.
@@ -109,12 +115,76 @@ def _path_counter(
     return count
 
 
-class _CrossRegionDraws(dict):
-    """Cross-region per-pair draws keyed ``(lo, hi)``.  A missing pair reads
-    NaN, like an undrawn cell of a region's triangle."""
+class _CrossRegionDraws:
+    """Cross-region per-pair draws in sorted columns, one row per lower
+    endpoint: ``rows[lo]`` is one ``array('d')`` holding the drawn higher
+    endpoints ascending, then their draws in the same order.  A row of *n*
+    draws is *n* ids and *n* draws, found by ``bisect`` over its first half
+    (node ids are exact as doubles).  One array per row instead of a dict
+    entry, a key tuple and a boxed float per pair.
 
-    def __missing__(self, key: tuple[int, int]) -> float:
+    A mapping over ``(lo, hi)`` keys for :meth:`PhysicalNetwork._pair_slot`'s
+    readers: a missing pair reads NaN, like an undrawn cell of a region's
+    triangle.  ``transport_latency``, the hot reader, searches ``rows``
+    inline instead of calling through it.
+    """
+
+    __slots__ = ("rows", "low")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, array] = {}
+        # The least draw ever kept: a lower bound on every kept draw.
+        self.low = _UNREAD
+
+    def _find(self, key: tuple[int, int]) -> tuple[array | None, int, int]:
+        """``(row, n, at)``: the row of ``lo`` (None while it has no draw),
+        its draw count and where ``hi`` sits or would be inserted."""
+
+        lo, hi = key
+        row = self.rows.get(lo)
+        if row is None:
+            return None, 0, 0
+        n = len(row) >> 1
+        return row, n, bisect_left(row, hi, 0, n)
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        row, n, at = self._find(key)
+        if at < n and row[at] == key[1]:
+            return row[n + at]
         return _UNDRAWN
+
+    def __contains__(self, key: tuple[int, int]) -> bool:
+        row, n, at = self._find(key)
+        return at < n and row[at] == key[1]
+
+    def __setitem__(self, key: tuple[int, int], value: float) -> None:
+        if value < self.low:
+            self.low = value
+        row, n, at = self._find(key)
+        if row is None:
+            self.rows[key[0]] = array("d", (key[1], value))
+        elif at < n and row[at] == key[1]:
+            row[n + at] = value
+        else:
+            row.insert(n + at, value)
+            row.insert(at, key[1])
+
+    def pop(self, key: tuple[int, int], *default: float) -> float:
+        row, n, at = self._find(key)
+        if not (at < n and row[at] == key[1]):
+            if default:
+                return default[0]
+            raise KeyError(key)
+        value = row[n + at]
+        if n == 1:
+            del self.rows[key[0]]
+        else:
+            del row[n + at]
+            del row[at]
+        return value
+
+    def __len__(self) -> int:
+        return sum(len(row) for row in self.rows.values()) >> 1
 
 
 def is_vertex_connected(adjacency: Mapping[int, Mapping[int, None]], t: int) -> bool:
@@ -164,8 +234,8 @@ class PhysicalNetwork:
     # join order): the pair of local indices i < j sits at j*(j-1)/2 + i.
     # _slots maps a node to (its region's triangle, its local index);
     # _entered counts the local indices a region has handed out.
-    # Cross-region pairs live in _cross.  Built by __post_init__, so
-    # dataclasses.replace gets empty tables.
+    # Cross-region pairs live in _cross, sorted columns per lower endpoint.
+    # Built by __post_init__, so dataclasses.replace gets empty tables.
     _triangles: dict[Region, array] = field(init=False, repr=False, compare=False)
     _entered: dict[Region, int] = field(init=False, repr=False, compare=False)
     _slots: dict[int, tuple[array, int]] = field(init=False, repr=False, compare=False)
@@ -251,17 +321,32 @@ class PhysicalNetwork:
         key = (u, v) if u < v else (v, u)
         if key in self.latencies:
             return self.latencies[key]
-        store, at = self._pair_slot(u, v)
-        drawn = store[at]
-        if drawn != drawn:  # NaN: not drawn yet
-            drawn = store[at] = self.latency_model.sample_pair(
-                self.pair_seed, u, v, self.regions[u], self.regions[v]
-            )
+        table, i = self._slots[u]
+        other, j = self._slots[v]
+        if table is other:
+            at = j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j
+            drawn = table[at]
+            if drawn != drawn:  # NaN: not drawn yet
+                drawn = table[at] = self.latency_model.sample_pair(
+                    self.pair_seed, u, v, self.regions[u], self.regions[v]
+                )
+            return drawn
+        # _CrossRegionDraws.__getitem__, inlined: this runs once per source
+        # and destination of every network's latency rows.
+        row = self._cross.rows.get(key[0])
+        if row is not None:
+            n = len(row) >> 1
+            at = bisect_left(row, key[1], 0, n)
+            if at < n and row[at] == key[1]:
+                return row[n + at]
+        drawn = self._cross[key] = self.latency_model.sample_pair(
+            self.pair_seed, u, v, self.regions[u], self.regions[v]
+        )
         return drawn
 
     def _pair_slot(
         self, u: int, v: int
-    ) -> tuple[array | MutableMapping[tuple[int, int], float], int | tuple[int, int]]:
+    ) -> tuple[array | _CrossRegionDraws, int | tuple[int, int]]:
         """Where the draw of the pair ``u != v`` lives: ``store[at]`` reads it
         (NaN until drawn) and ``store[at] = x`` keeps it.  Raises ``KeyError``
         for a node outside the membership."""
@@ -276,35 +361,70 @@ class PhysicalNetwork:
         """The *k* candidates closest to *node* by :meth:`transport_latency`,
         ties in input order — exactly ``sorted(candidates, key=...)[:k]``.
 
-        Only pairs whose latency can change the answer are drawn.  Same-region
-        pairs, physical links and drawn cross-region pairs are read first; a
-        fresh cross-region draw is never below ``LatencyModel.inter_floor_ms``,
-        so if the *k*-th known latency is under that floor no undrawn
-        candidate can displace it, and the rest are never sampled.
+        Only pairs whose latency can change the answer are drawn.  Physical
+        links and same-region pairs are read first, in one pass over the
+        node's links and triangle row.  Every other candidate is a
+        cross-region pair: a kept draw is at least the least one the store
+        ever kept, and a fresh draw at least ``LatencyModel.inter_floor_ms``.
+        If the *k*-th latency read is under both, no cross-region candidate
+        can displace it and none is looked up.  Otherwise the kept
+        cross-region draws join, and the rest are drawn only if the *k*-th
+        known latency is still not under the floor.
         """
 
-        if k <= 0:
+        candidates = list(candidates)
+        if k <= 0 or not candidates:
             return []
-        latencies, cross, slots = self.latencies, self._cross, self._slots
-        table = slots[node][0]
-        known: list[tuple[float, int, int]] = []
-        rest: list[tuple[int, int]] = []
-        for index, other in enumerate(candidates):
+        latencies, slots = self.latencies, self._slots
+        # The labels of node's physical links (latencies holds only edges).
+        links = {}
+        for other in self.adjacency.get(node, ()):
             key = (node, other) if node < other else (other, node)
             if key in latencies:
-                known.append((latencies[key], index, other))
-            elif slots[other][0] is table:
-                known.append((self.transport_latency(node, other), index, other))
-            elif key in cross:
-                known.append((cross[key], index, other))
-            else:
-                rest.append((index, other))
-        known.sort()
+                links[other] = latencies[key]
+        table, i = slots[node]
+        base = i * (i - 1) // 2  # node's cells with the lower local indices
+        # Per candidate: its link label, its triangle cell (NaN if undrawn;
+        # node itself owns no cell), or inf for a cross-region pair.
+        known = [
+            links[other] if other in links
+            else _UNREAD if other_table is not table
+            else 0.0 if j == i
+            else table[base + j if j < i else j * (j - 1) // 2 + i]
+            for other, (other_table, j) in zip(candidates, map(slots.__getitem__, candidates))
+        ]
+        region = self.regions[node]
+        draw, seed = self.latency_model.sample_pair, self.pair_seed
+        for position in compress(range(len(known)), map(isnan, known)):
+            other = candidates[position]
+            j = slots[other][1]
+            at = base + j if j < i else j * (j - 1) // 2 + i
+            latency = table[at]  # a repeated candidate was drawn just now
+            if latency != latency:
+                latency = table[at] = draw(seed, node, other, region, region)
+            known[position] = latency
+        # nsmallest with a key is sorted(..., key=...)[:k]: ties in input order.
+        rank = known.__getitem__
+        picked = nsmallest(k, range(len(known)), key=rank)
         floor = self.latency_model.inter_floor_ms
-        if rest and (len(known) < k or known[k - 1][0] >= floor):
-            known += [(self.transport_latency(node, o), i, o) for i, o in rest]
-            known.sort()
-        return [other for _, _, other in known[:k]]
+        cross = self._cross
+        if known[picked[-1]] < min(cross.low, floor):
+            return [candidates[position] for position in picked]
+        undrawn = []
+        for position, latency in enumerate(known):
+            if latency == _UNREAD:
+                other = candidates[position]
+                kept = cross[(node, other) if node < other else (other, node)]
+                if kept == kept:
+                    known[position] = kept
+                else:
+                    undrawn.append(position)
+        picked = nsmallest(k, range(len(known)), key=rank)
+        if undrawn and known[picked[-1]] >= floor:
+            for position in undrawn:
+                known[position] = self.transport_latency(node, candidates[position])
+            picked = nsmallest(k, range(len(known)), key=rank)
+        return [candidates[position] for position in picked]
 
     def region_of(self, node: int) -> Region:
         return self.regions[node]

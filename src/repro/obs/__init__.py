@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .manifest import MANIFEST_SCHEMA, build_manifest, run_manifest, write_manifest
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import (
     CallbackStats,
@@ -68,6 +67,22 @@ __all__ = [
     "run_manifest",
     "write_manifest",
 ]
+
+# Run manifests (platform, subprocess, pathlib) load on first use: only
+# --trace runs and manifest writers need them.
+_MANIFEST_NAMES = ("MANIFEST_SCHEMA", "build_manifest", "run_manifest", "write_manifest")
+
+
+def __getattr__(name: str):
+    if name in _MANIFEST_NAMES:
+        from . import manifest
+
+        return getattr(manifest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MANIFEST_NAMES))
 
 
 class Observability:
@@ -141,11 +156,15 @@ class Observability:
         return self.tracer.export_jsonl(path)
 
     def manifest(self, meta: dict[str, Any] | None = None) -> dict[str, Any]:
+        from .manifest import build_manifest
+
         return build_manifest(self, meta=meta)
 
     def write_manifest(
         self, path: str, meta: dict[str, Any] | None = None
     ) -> dict[str, Any]:
+        from .manifest import write_manifest
+
         return write_manifest(path, self, meta=meta)
 
 

@@ -30,6 +30,10 @@ class Region(enum.Enum):
     CALIFORNIA = "california"
     LONDON = "london"
 
+    # Enum equality is identity, so identity hashing agrees with it and runs
+    # in C: Enum.__hash__ is a Python frame per (region, region) dict key.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

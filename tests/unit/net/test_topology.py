@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.net.latency import LatencyModel
-from repro.net.topology import PhysicalNetwork, generate_physical_network
-from repro.types import Region
+from repro.net.topology import (
+    PhysicalNetwork, _CrossRegionDraws, generate_physical_network,
+)
+from repro.types import ALL_REGIONS, Region
 
 
 def network_of(graph: nx.Graph) -> PhysicalNetwork:
@@ -445,3 +447,87 @@ class TestPairTablesAgainstADictPerPair:
             for v in tables.nodes():
                 assert tables.transport_latency(u, v) == reference.transport_latency(u, v)
         assert tables.latency_model.calls == reference.latency_model.calls
+
+
+def _columns(store: _CrossRegionDraws) -> dict[tuple[int, int], float]:
+    """Every pair *store* keeps, read back from its rows, which must each be
+    non-empty with their higher endpoints strictly ascending."""
+
+    pairs = {}
+    for lo, row in store.rows.items():
+        n = len(row) >> 1
+        ids = list(row[:n])
+        assert n and len(row) == 2 * n and ids == sorted(set(ids))
+        pairs.update({(lo, int(hi)): row[n + at] for at, hi in enumerate(ids)})
+    return pairs
+
+
+class TestCrossRegionColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["set", "pop"]),
+                st.integers(0, 2),  # a few rows, so inserts land out of order
+                st.integers(1, 8),
+                st.floats(0.1, 200.0),
+            ),
+            max_size=60,
+        )
+    )
+    def test_behaves_as_a_dict_of_pairs(self, ops):
+        store, reference = _CrossRegionDraws(), {}
+        for op, lo, gap, value in ops:
+            key = (lo, lo + gap)
+            if op == "set":  # a new pair or an overwrite
+                store[key] = reference[key] = value
+            else:  # the pop of a high endpoint, kept or not
+                assert store.pop(key, None) == reference.pop(key, None)
+                with pytest.raises(KeyError):
+                    store.pop(key)
+            assert _columns(store) == reference
+            assert len(store) == len(reference)
+            for hi in range(lo + 1, lo + 10):
+                probe = (lo, hi)
+                assert (probe in store) == (probe in reference)
+                if probe in reference:
+                    assert store[probe] == reference[probe]
+                else:
+                    assert math.isnan(store[probe])
+
+    def test_nearest_ranks_a_kept_draw_below_the_floor(self):
+        """nearest skips the cross-region lookups only under the least kept
+        draw, so a stored value below every same-region draw still wins."""
+
+        network = _fresh()
+        region = network.region_of(0)
+        others = [n for n in network.nodes() if n != 0 and not network.has_edge(0, n)]
+        same = [n for n in others if network.region_of(n) == region]
+        far = next(n for n in others if network.region_of(n) != region)
+        store, at = network._pair_slot(0, far)
+        store[at] = 0.05  # every same-region draw is at least 0.1 ms
+        assert same and network.nearest(0, same + [far], 1) == [far]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_leave_then_rejoin_forgets_only_the_node_s_draws(self, data):
+        network = _twin(PhysicalNetwork, _nearest_base())
+        nodes = network.nodes()
+        member = st.sampled_from(nodes)
+        node = data.draw(member)
+        partners = data.draw(st.lists(member, min_size=1, max_size=10))
+        for other in partners:
+            network.transport_latency(node, other)
+            network.transport_latency(other, data.draw(member))
+        kept = {pair: x for pair, x in _columns(network._cross).items() if node not in pair}
+        old = network.region_of(node)
+        network.remove_node(node)
+        assert _columns(network._cross) == kept
+        region = data.draw(st.sampled_from([r for r in ALL_REGIONS if r != old]))
+        network.add_node_with_links(node, region, [data.draw(member.filter(node.__ne__))])
+        model = network.latency_model
+        for other in partners:
+            if other != node and not network.has_edge(node, other):
+                assert network.transport_latency(node, other) == model.sample_pair(
+                    network.pair_seed, node, other, region, network.region_of(other)
+                )

@@ -6,7 +6,9 @@ graph container; only physical disjoint-path routing, the Fig. 2 comparison
 graphs and tests actually need the library.  numpy cost ~12 MB and ~0.1 s on
 the first jitter block; the simulator now imports it nowhere.  OpenSSL's
 ``_hashlib`` cost ~3.5 MB and ~4 ms for SHA-256 alone; ``repro.utils.digest``
-takes the interpreter's built-in hashes instead.  These checks run in a fresh
+takes the interpreter's built-in hashes instead.  Run manifests
+(``repro.obs.manifest``: ``platform``, ``subprocess``, ``pathlib``) load only
+where a manifest is written.  These checks run in a fresh
 interpreter so this test process's own imports cannot mask a regression.
 """
 
@@ -38,6 +40,7 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
             assert "networkx" not in sys.modules, where
             assert "numpy" not in sys.modules, where
             assert "_hashlib" not in sys.modules, where
+            assert "repro.obs.manifest" not in sys.modules, where
 
         import repro.runner.cli
         check("import repro.runner.cli")

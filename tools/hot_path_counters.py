@@ -15,6 +15,9 @@ exact and repeats run to run.  This script runs fixed cells under the stdlib
 * ``retained_bytes_per_delivery``: what the flood's ``system.run`` leaves
   allocated (``tracemalloc``, after ``simulator.clear()`` and a full
   collection), divided by the deliveries it recorded — the N × T state;
+* ``cross_bytes_per_draw``: what the cross-region pair store holds per
+  kept draw (``sys.getsizeof`` of its row dict and row arrays) once the
+  Fig. 3a cell's four protocols, or the flood, have run;
 * ``fig3a_peak_traced_kb``: the ``tracemalloc`` peak of the Fig. 3a cell
   run the way ``benchmarks/e2e``'s child runs it — a cold environment, the
   four systems each built, run and dropped without ``close()`` — so what a
@@ -91,7 +94,7 @@ def _reset_ids() -> None:
 
 
 def _fig3a_cell(params: dict, seed: int):
-    """``(factories, origins)`` of one paper-scale Fig. 3a cell."""
+    """``(physical, factories, origins)`` of one paper-scale Fig. 3a cell."""
 
     from repro.baselines.narwhal import NarwhalConfig
     from repro.experiments.harness import build_environment, protocol_factories
@@ -107,16 +110,25 @@ def _fig3a_cell(params: dict, seed: int):
     )
     rng = derive_rng(seed, "fig3a-origins")
     origins = [rng.choice(env.physical.nodes()) for _ in range(params["txs"])]
-    return factories, origins
+    return env.physical, factories, origins
 
 
-def fig3a_counts(params: dict, seed: int) -> dict[str, dict]:
-    """Counters for the four protocols of one paper-scale Fig. 3a cell."""
+def cross_bytes_per_draw(physical) -> float:
+    """Bytes *physical*'s cross-region pair store holds per kept draw."""
+
+    store = physical._cross
+    held = sys.getsizeof(store.rows) + sum(map(sys.getsizeof, store.rows.values()))
+    return held / len(store)
+
+
+def fig3a_counts(params: dict, seed: int) -> tuple[dict[str, dict], float]:
+    """Counters for the four protocols of one paper-scale Fig. 3a cell, and
+    its cross-region store's bytes per kept draw after them."""
 
     from repro.experiments.harness import PROTOCOL_NAMES
     from repro.mempool.transaction import Transaction
 
-    factories, origins = _fig3a_cell(params, seed)
+    physical, factories, origins = _fig3a_cell(params, seed)
     counts = {}
     for name in PROTOCOL_NAMES:
         _reset_ids()
@@ -125,7 +137,7 @@ def fig3a_counts(params: dict, seed: int) -> dict[str, dict]:
             for origin in origins:
                 system.submit(origin, Transaction.create(origin=origin, created_at=0.0))
             counts[name] = _profiled_run(system, params["horizon_ms"])
-    return counts
+    return counts, cross_bytes_per_draw(physical)
 
 
 def fig3a_peak_traced_kb(params: dict, seed: int) -> float:
@@ -142,7 +154,7 @@ def fig3a_peak_traced_kb(params: dict, seed: int) -> float:
     gc.collect()
     tracemalloc.start()
     try:
-        factories, origins = _fig3a_cell(params, seed)
+        _physical, factories, origins = _fig3a_cell(params, seed)
         for name in PROTOCOL_NAMES:
             system = factories[name]()
             system.start()
@@ -182,12 +194,13 @@ def _flood(params: dict, seed: int):
     return system, txs * interval + params["drain_ms"]
 
 
-def flood_counts(params: dict, seed: int) -> dict:
-    """Counters for the flood's ``system.run``."""
+def flood_counts(params: dict, seed: int) -> tuple[dict, float]:
+    """Counters for the flood's ``system.run``, and its cross-region store's
+    bytes per kept draw."""
 
     system, until_ms = _flood(params, seed)
     with system:
-        return _profiled_run(system, until_ms)
+        return _profiled_run(system, until_ms), cross_bytes_per_draw(system.network.physical)
 
 
 def flood_retained_bytes(params: dict, seed: int) -> float:
@@ -212,11 +225,11 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
     """Every counter at *scale*, as one JSON-able dict."""
 
     params = SCALES[scale]
-    protocols = fig3a_counts(params["fig3a"], seed)
+    protocols, fig3a_cross = fig3a_counts(params["fig3a"], seed)
     total_calls = sum(c["calls"] for c in protocols.values())
     total_events = sum(c["events"] for c in protocols.values())
     hermes = protocols["hermes"]
-    flood = flood_counts(params["flood"], seed)
+    flood, flood_cross = flood_counts(params["flood"], seed)
     retained = flood_retained_bytes(params["flood"], seed)
     peak_kb = fig3a_peak_traced_kb(params["fig3a"], seed)
     return {
@@ -234,6 +247,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
         },
         "flood": flood,
         "retained_bytes_per_delivery": retained,
+        "cross_bytes_per_draw": {"fig3a": fig3a_cross, "flood": flood_cross},
         "fig3a_peak_traced_kb": peak_kb,
     }
 
@@ -263,6 +277,11 @@ def format_table(result: dict) -> str:
     lines.append(
         f"flood: {result['retained_bytes_per_delivery']:.1f} bytes retained "
         "per delivery (tracemalloc over system.run)"
+    )
+    cross = result["cross_bytes_per_draw"]
+    lines.append(
+        f"cross-region pair store: {cross['fig3a']:.1f} bytes per kept draw after "
+        f"the Fig. 3a cell, {cross['flood']:.1f} after the flood"
     )
     lines.append(
         f"fig3a: {result['fig3a_peak_traced_kb']:,.1f} KiB traced peak "
