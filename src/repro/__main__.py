@@ -8,12 +8,10 @@ order.  The sub-commands in :data:`COMMANDS`, each of which answers
 * ``sweep`` — every figure (``--figure NAME``, its config fields set with
   ``--set field=value``; ``all`` for the report) and ad-hoc task grids
   (``--task NAME``) through :mod:`repro.runner` (``docs/runner.md``).  The
-  load, adversary-zoo and population sweeps are ``--figure fig6``, ``fig7``
-  and ``fig8``;
-* ``chaos`` — fault-injection campaigns with online invariant checking
-  (``docs/chaos.md``);
-* ``shard`` — sharded multi-proposer deployments and the cross-shard
-  partition drill (``docs/sharding.md``);
+  load, adversary-zoo, population and sharding sweeps are ``--figure fig6``,
+  ``fig7``, ``fig8`` and ``fig9``; chaos campaigns (``docs/chaos.md``) and the
+  cross-shard partition drill (``docs/sharding.md``) are ``--figure chaos``
+  and ``--figure drill``;
 * ``analyze`` / ``report`` / ``bench-gate`` — trace analytics, run reports and
   the regression gate (:mod:`repro.obs.analysis`, ``docs/observability.md``);
 * ``analyze-sweep`` / ``bench history`` — a sweep's wall time attributed from
@@ -29,8 +27,6 @@ import sys
 #: Anything else runs the report, ``sweep --figure all``.
 COMMANDS = {
     "sweep": "runner.cli:main",
-    "chaos": "chaos.cli:main",
-    "shard": "sharding.cli:main",
     "analyze": "obs.analysis.cli:analyze_main",
     "report": "obs.analysis.cli:report_main",
     "bench-gate": "obs.analysis.cli:bench_gate_main",

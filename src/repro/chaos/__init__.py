@@ -13,8 +13,9 @@ The subsystem has four layers (see ``docs/chaos.md``):
 * :mod:`repro.chaos.engine` — :func:`run_chaos`, compiling a scenario onto a
   live system and producing a deterministic :class:`ChaosReport`.
 
-Campaigns run from the shell via ``python -m repro chaos`` and sweep through
-the content-addressed runner as the ``chaos.run`` task.
+Campaigns run from the shell as a figure, ``python -m repro sweep --figure
+chaos`` (:mod:`repro.experiments.chaos_campaign`), one ``chaos.run`` runner
+cell per protocol.
 """
 
 from .disruption import LinkDisruptor, LinkVerdict

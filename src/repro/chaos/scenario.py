@@ -391,8 +391,12 @@ class ChaosScenario:
     def load(cls, path: str) -> "ChaosScenario":
         """Read a scenario from a JSON file."""
 
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"cannot read scenario {path!r}: {exc}") from exc
+        return cls.from_json(doc)
 
 
 # ----------------------------------------------------------------------

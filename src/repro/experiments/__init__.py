@@ -20,7 +20,9 @@ and the extensions:
 * :mod:`fig6_saturation` — goodput/latency vs offered load;
 * :mod:`fig7_adversary` — strategy zoo: success, extracted value, fairness;
 * :mod:`fig8_sustained` — sustained million-client load with a fee market;
-* :mod:`fig9_sharding` — sharded goodput scaling and cross-shard fairness.
+* :mod:`fig9_sharding` — sharded goodput scaling and cross-shard fairness;
+* :mod:`chaos_campaign` — fault-injection campaigns, invariants checked online;
+* :mod:`shard_drill` — one shard's committee islanded, the others stay live.
 """
 
 from .harness import ExperimentEnvironment, build_environment, protocol_factories

@@ -30,6 +30,7 @@ from typing import Any, Iterable, Mapping
 
 from ..load.arrival import make_arrivals
 from ..load.capacity import CapacityConfig
+from ..sharding.plan import ShardPlan
 from ..sharding.system import ShardedSystem
 from ..sharding.trial import run_sharded_adversary_trial
 from ..sharding.workload import ShardedLoadDriver, ShardedLoadResult
@@ -226,11 +227,13 @@ _CELL_FIELDS: tuple[str, ...] = (
 
 def cell_params(config: Fig9Config) -> list[dict[str, Any]]:
     """The grid: per (shards, protocol) one goodput cell plus the strategy ×
-    fraction fairness cells."""
+    fraction fairness cells.  A shard count that does not divide
+    ``total_nodes`` fails here, before any cell runs."""
 
     base = {name: getattr(config, name) for name in _CELL_FIELDS}
     cells: list[dict[str, Any]] = []
     for num_shards in config.shard_counts:
+        ShardPlan(num_shards=num_shards, total_nodes=config.total_nodes)
         for protocol in config.protocols:
             cells.append(
                 {

@@ -166,7 +166,9 @@ def report_main(argv: list[str] | None = None) -> int:
         description="Render a self-contained markdown/HTML run report.",
     )
     parser.add_argument("--trace", help="JSONL trace to analyze")
-    parser.add_argument("--chaos", help="ChaosReport JSON file")
+    parser.add_argument(
+        "--chaos", help="ChaosReport JSON file, or a chaos.run store record"
+    )
     parser.add_argument(
         "--manifest",
         help="repro.manifest/1 JSON file; its profile section (hottest "
@@ -199,6 +201,8 @@ def report_main(argv: list[str] | None = None) -> int:
             paths = critical_paths(trees, trace)
         if args.chaos:
             chaos = json.loads(Path(args.chaos).read_text(encoding="utf-8"))
+            if "spec" in chaos:  # a chaos.run record from a results store
+                chaos = chaos["result"]
         if args.manifest:
             doc = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
             profile = doc.get("profile")

@@ -18,7 +18,8 @@ Built-in tasks:
     cell for ad-hoc ``python -m repro sweep`` grids.
 ``table1.run`` / ``fig2.structure`` / ``fig3a.protocol`` / ``fig3b.protocol`` /
 ``fig4.family`` / ``fig5a.trial`` / ``fig5b.trial`` / ``fig6.point`` /
-``fig7.point`` / ``fig8.point`` / ``fig9.point``
+``fig7.point`` / ``fig8.point`` / ``fig9.point`` / ``chaos.run`` /
+``drill.protocol``
     The cells of the figures in :data:`FIGURES` (each figure module's
     ``FIGURE.run_cell``), resolved on first request.
 ``selftest.*``
@@ -98,6 +99,10 @@ FIGURES = {
                         "population load with a fee market (extension)"),
     "fig9": FigureEntry("fig9_sharding", "fig9.point", "sharding scaling grid: "
                         "aggregate goodput and cross-shard fairness (extension)"),
+    "chaos": FigureEntry("chaos_campaign", "chaos.run", "fault-injection campaigns "
+                         "with online invariant checks (extension)"),
+    "drill": FigureEntry("shard_drill", "drill.protocol", "cross-shard partition "
+                         "drill: one committee islanded, the rest stay live (extension)"),
 }
 
 #: The paper's evaluation (§VIII) in order: ``sweep --figure all``, which is
@@ -205,31 +210,6 @@ def dissemination(params: Mapping[str, Any]) -> dict[str, Any]:
         "kb_per_minute": stats.bandwidth_kb_per_minute(horizon_ms),
         "messages_dropped": stats.messages_dropped,
     }
-
-
-@register_task("chaos.run")
-def _chaos_run(params: Mapping[str, Any]) -> dict[str, Any]:
-    """One chaos campaign: a scenario against one protocol (see docs/chaos.md).
-
-    Parameters: ``scenario`` ('escalation' — a bundled name or a path to a
-    scenario JSON file), ``protocol`` ('hermes'), ``num_nodes`` (48), ``f``
-    (1), ``k`` (4), ``seed`` (0).  Returns the full
-    :class:`~repro.chaos.report.ChaosReport` as JSON — deterministic for a
-    given parameter set, so finished sweeps replay entirely from the store.
-    """
-
-    from ..chaos import get_scenario, run_chaos
-
-    scenario = get_scenario(str(params.get("scenario", "escalation")))
-    report = run_chaos(
-        scenario,
-        protocol=str(params.get("protocol", "hermes")),
-        num_nodes=int(params.get("num_nodes", 48)),
-        f=int(params.get("f", 1)),
-        k=int(params.get("k", 4)),
-        seed=int(params.get("seed", 0)),
-    )
-    return report.to_json()
 
 
 # ----------------------------------------------------------------------

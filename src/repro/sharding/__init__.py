@@ -29,10 +29,10 @@ keeping the per-shard fairness guarantee intact:
   notice.
 
 ``num_shards = 1`` is byte-identical to the unsharded system (golden-hash
-pinned); the scaling grid lives in :mod:`repro.experiments.fig9_sharding`
-(``python -m repro sweep --figure fig9``) and the shell front end in
-:mod:`repro.sharding.cli` (``python -m repro shard``).  See
-``docs/sharding.md``.
+pinned).  Both run from the shell as figures: the scaling grid
+(:mod:`repro.experiments.fig9_sharding`, ``python -m repro sweep --figure
+fig9``) and the drill (:mod:`repro.experiments.shard_drill`, ``python -m
+repro sweep --figure drill``).  See ``docs/sharding.md``.
 """
 
 from __future__ import annotations

@@ -103,7 +103,6 @@ class ShardedSystem(Deployment):
         shard_map: ShardMap | None = None,
         map_policy: str = "uniform",
         map_seed: int = 0,
-        hot_threshold: int = 32,
         capacity: CapacityConfig | None = None,
         mempool_policy: MempoolPolicy | None = None,
         hermes_overrides: Mapping[str, Any] | None = None,
@@ -130,7 +129,6 @@ class ShardedSystem(Deployment):
                     num_shards=num_shards,
                     policy=map_policy,
                     seed=map_seed,
-                    hot_threshold=hot_threshold,
                 )
             )
         if shard_map.config.num_shards != num_shards:

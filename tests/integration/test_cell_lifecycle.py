@@ -80,6 +80,8 @@ CELLS = [
     cell("fig9.point", strategy="sandwich", fraction=0.2, **FIG9),
     *(cell("chaos.run", scenario="escalation", protocol=p, num_nodes=24, k=3)
       for p in ("hermes", "lzero")),
+    cell("drill.protocol", num_shards=2, shard_size=12, protocol="hermes",
+         partitioned_shard=0, f=1, k=3, seed=0),
     *(cell("dissemination", protocol=p, fault_fraction=0.1, **SMALL)
       for p in EVERY_PROTOCOL),
 ]

@@ -20,6 +20,7 @@ fresh process and failed the unrelated-transactions check.
 import pytest
 
 from repro.experiments import (
+    chaos_campaign,
     fig2_overlays,
     fig3a_latency,
     fig3b_bandwidth,
@@ -30,6 +31,7 @@ from repro.experiments import (
     fig7_adversary,
     fig8_sustained,
     fig9_sharding,
+    shard_drill,
     table1,
 )
 from repro.mempool.transaction import Transaction
@@ -59,6 +61,8 @@ SMOKE = [
         shard_counts=(1, 2), total_nodes=16, strategies=("none", "sandwich"),
         fractions=(0.2,), duration_ms=1_500.0, drain_ms=1_000.0, trials=1,
         background_txs=6)),
+    (chaos_campaign, chaos_campaign.ChaosConfig(num_nodes=24, k=3)),
+    (shard_drill, shard_drill.DrillConfig(num_shards=2, shard_size=12, k=3)),
 ]
 
 

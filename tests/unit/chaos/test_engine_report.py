@@ -14,10 +14,17 @@ from repro.chaos import (
     ChaosReport,
     ChaosScenario,
     ChaosWorkload,
+    ChurnBurst,
     ForgeryInjection,
+    LatencySpike,
+    LossWindow,
+    RegionalPartition,
+    Restore,
     run_chaos,
 )
+from repro.chaos.scenario import CommitteePartition
 from repro.errors import ConfigurationError
+from repro.obs import Observability
 
 NODES = 24
 
@@ -152,6 +159,97 @@ class TestReportContract:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
             run_chaos(tiny(), protocol="carrier-pigeon", num_nodes=NODES)
+
+
+#: Every event kind, each window overlapping the next.
+EVERY_KIND = tiny(
+    name="tiny-every-kind",
+    events=(
+        BehaviorFlip(at_ms=300.0, behavior="drop-relay", fraction=0.1),
+        CommitteePartition(at_ms=400.0, heal_ms=700.0),
+        RegionalPartition(at_ms=500.0, heal_ms=900.0, regions=("frankfurt",)),
+        LatencySpike(at_ms=600.0, end_ms=1_000.0, factor=2.0),
+        LossWindow(at_ms=700.0, end_ms=1_100.0, probability=0.05),
+        ChurnBurst(at_ms=800.0, fraction=0.08, down_ms=300.0),
+        ForgeryInjection(at_ms=1_000.0, targets=3),
+        Restore(at_ms=1_500.0),
+    ),
+)
+
+#: fault_log kind -> (trace span name, the log field where the window ends).
+WINDOW_SPANS = {
+    "committee-partition": ("chaos.committee_partition", "heal_ms"),
+    "partition": ("chaos.partition", "heal_ms"),
+    "latency-spike": ("chaos.latency_spike", "end_ms"),
+    "loss": ("chaos.loss_window", "end_ms"),
+    "churn": ("chaos.churn", "recover_ms"),
+}
+
+
+def traced_from_fault_log(report):
+    """The chaos spans and events a traced run of *report* must record:
+    sorted (name, start, end) spans and (name, time, detail) events."""
+
+    spans, events, deviant = [], [], set()
+    for entry in report.fault_log:
+        at, kind = entry["at_ms"], entry["kind"]
+        if kind in WINDOW_SPANS:
+            name, field = WINDOW_SPANS[kind]
+            end = min(entry[field], report.horizon_ms)
+            spans.append((name, at, end))
+            events.append((f"{name}.open", at, end))
+        if kind == "behavior-flip":
+            deviant.update(entry["nodes"])
+            events += [("chaos.flip", at, (n, entry["behavior"])) for n in entry["nodes"]]
+        elif kind == "restore":
+            events += [("chaos.flip", at, (n, "honest")) for n in entry["nodes"]]
+        elif kind == "churn":
+            events += [("chaos.flip", at, (n, "crash")) for n in entry["nodes"]]
+            if entry["recover_ms"] < report.horizon_ms:
+                events += [("chaos.flip", entry["recover_ms"], (n, "honest"))
+                           for n in entry["nodes"]]
+        elif kind == "inject-forgery":
+            injector = entry["injector"]
+            if injector not in deviant:  # a fresh forger turns front-runner first
+                deviant.add(injector)
+                events.append(("chaos.flip", at, (injector, "front-run")))
+            events.append(("chaos.forgery", at, (injector, len(entry["targets"]))))
+    return sorted(spans), sorted(events)
+
+
+class TestTracing:
+    """``run_chaos(obs=...)``: the fault timeline lands in the trace, and
+    tracing changes no byte of the report."""
+
+    def test_spans_and_events_match_the_fault_log_and_the_hash_is_unchanged(self):
+        plain = run_chaos(EVERY_KIND, protocol="hermes", num_nodes=NODES, k=3, seed=4)
+        obs = Observability.enabled()
+        report = run_chaos(
+            EVERY_KIND, protocol="hermes", num_nodes=NODES, k=3, seed=4, obs=obs
+        )
+        assert report.content_hash() == plain.content_hash()
+        assert {entry["kind"] for entry in report.fault_log} == {
+            "behavior-flip", "restore", "inject-forgery", *WINDOW_SPANS
+        }
+
+        spans = sorted(
+            (span.name, span.start_ms, span.end_ms)
+            for span in obs.tracer.spans
+            if span.name.startswith("chaos.")
+        )
+        details = {
+            "chaos.flip": lambda a: (a["node"], a["behavior"]),
+            "chaos.forgery": lambda a: (a["injector"], a["targets"]),
+        }
+        events = sorted(
+            (e.name, e.time_ms, details.get(e.name, lambda a: a["until_ms"])(e.attrs))
+            for e in obs.tracer.events
+            if e.name.startswith("chaos.") and e.name != "chaos.accuse"
+        )
+        assert (spans, events) == traced_from_fault_log(report)
+
+        accused = {e.attrs["node"] for e in obs.tracer.events if e.name == "chaos.accuse"}
+        assert accused <= set(report.accountability["deviants"])
 
 
 class TestRunnerIntegration:

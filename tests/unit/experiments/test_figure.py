@@ -1,5 +1,6 @@
 """The figure registry: pinned grids, an unchanged ``--list-figures``, the
-``--set`` overrides of figure mode, the report (``all``) and ``--trace``."""
+``--set`` overrides of figure mode, the retired commands' translations, the
+report (``all``) and ``--trace``."""
 
 import hashlib
 import json
@@ -8,8 +9,9 @@ import pytest
 
 import repro.runner
 from repro.__main__ import main as repro_main
+from repro.chaos import ChaosReport
 from repro.runner.cli import main
-from repro.runner.spec import canonical_json
+from repro.runner.spec import RunSpec, canonical_json
 from repro.experiments.harness import PROTOCOL_NAMES
 from repro.runner.tasks import FIGURES, get_figure
 
@@ -41,6 +43,10 @@ GRID_DIGESTS = {
              "492e03275d9fcfb8624235c93fd9ce64ef6dafb3bf1ccaec0c3b4a2215da6856"),
     "fig9": ("087b67ba546b4c064dc46f74e938c48630a4b0b05b8e92d4a6ce13eb9ed2fc2f",
              "ede475b87c5839e747abe371853453f549550a9197bd4267c08381560471abb7"),
+    "chaos": ("ca85870908e0eea3f1d637eeb1224791bf6b450ca112e73095bc081de2d9761e",
+              "506ebb0b378ab5d7391fb7009aaf250100317eb19619aecfff9fd70519059541"),
+    "drill": ("fbaf08c5544188a5c10b9db26f6e02ce9cbe4de0edc1779c6b76a80512056b98",
+              "0a8567f3ced2a728d1af0cd7ff321782c7a04e47751204381354b8cbe5900426"),
 }
 
 LIST_FIGURES = """\
@@ -55,6 +61,8 @@ fig6    offered-load saturation sweep under finite link capacity (extension)
 fig7    strategy-zoo adversary grid: economics and fairness (extension)
 fig8    sustained million-client population load with a fee market (extension)
 fig9    sharding scaling grid: aggregate goodput and cross-shard fairness (extension)
+chaos   fault-injection campaigns with online invariant checks (extension)
+drill   cross-shard partition drill: one committee islanded, the rest stay live (extension)
 all     the paper's evaluation in order: Table I, Figs. 2, 3a, 3b, 4, 5a, 5b
 """
 
@@ -125,6 +133,75 @@ def test_set_translations_reproduce_the_retired_commands_grids(old, monkeypatch)
     cells = submitted_cells(argv, monkeypatch)
     assert len(cells) == count
     assert hashlib.sha256(canonical_json(cells).encode()).hexdigest() == digest
+
+
+def sha256_of(value):
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+#: ``sweep --figure`` translations of the retired ``chaos`` and ``shard``
+#: commands → (argv, how a cell's result is hashed, the hash of each
+#: protocol's output of the old command).  The hashes were taken by running the old
+#: command, ``--json``, before it was deleted: ``ChaosReport.content_hash()``
+#: per protocol for ``chaos``, the sha256 of the canonical JSON of
+#: ``result`` for ``shard run`` and of the whole report for ``shard drill``.
+RESULT_TRANSLATIONS = {
+    "chaos --num-nodes 24 --k 3 --json": (
+        ["--figure", "chaos", "--set", "num_nodes=24", "--set", "k=3"],
+        lambda doc: ChaosReport.from_json(doc).content_hash(),
+        ["c7f83b57b4fbc6eddf9f5931f64036f025922d5e1bf0ec836bffa0c4e7dcdf36",
+         "0be458693bdd3a369a01cd38ff6789b782fc731416f922f456b3de2477310ab4"]),
+    "shard run --shards 4 --nodes 64 --rate 80 --k 4 --duration 4000 --drain 1500 --json": (
+        ["--figure", "fig9", "--set", "strategies=none", "--set", "shard_counts=4",
+         "--set", "total_nodes=64", "--set", "k=4", "--set", "duration_ms=4000",
+         "--set", "drain_ms=1500"],
+        lambda doc: sha256_of(doc["result"]),
+        ["8079df840be8e062ad6b703f68274ff5e7670f5db5317ae2e8487332fc661ff9"]),
+    "shard drill --shards 2 --shard-size 12 --k 3 --json": (
+        ["--figure", "drill", "--set", "num_shards=2", "--set", "shard_size=12",
+         "--set", "k=3"],
+        sha256_of,
+        ["154960af1cc55a6badc0fc06b5d4eefbd83f93204be9758ce50d7b303f1b5885"]),
+}
+
+
+@pytest.mark.parametrize("old", sorted(RESULT_TRANSLATIONS))
+def test_set_translations_reproduce_the_retired_commands_results(old, monkeypatch):
+    argv, digest, expected = RESULT_TRANSLATIONS[old]
+    cells = submitted_cells(argv, monkeypatch)
+    monkeypatch.undo()
+    task = FIGURES[argv[1]].task
+    report = repro.runner.run_sweep([RunSpec(task=task, params=params) for params in cells])
+    assert [digest(doc) for doc in report.results()] == expected
+
+
+def test_chaos_cells_keep_the_hashes_of_ad_hoc_chaos_run_cells(monkeypatch):
+    # The records `sweep --task chaos.run` stored under these hashes before
+    # the figure existed resume under `sweep --figure chaos --quick`.
+    argv = ["--task", "chaos.run", "--set", "scenario=escalation",
+            "--set", "protocol=hermes,lzero", "--set", "num_nodes=24", "--set", "f=1",
+            "--set", "k=3", "--set", "seed=0"]
+    ad_hoc = [RunSpec(task="chaos.run", params=p) for p in submitted_cells(argv, monkeypatch)]
+    assert [spec.spec_hash for spec in ad_hoc] == [
+        "20c1cf70f74cfffddf522768571f5a7ced031838f14e0e21160a454807227b16",
+        "4f82a1075627bfb8957b9e760f1d5e079b0d014c142ef28054dbd696d6f714ad",
+    ]
+    chaos = get_figure("chaos")
+    assert [spec.params for spec in ad_hoc] == chaos.cells(chaos.make_config(quick=True))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--figure", "chaos", "--set", "scenario=bogus"], "bundled: ['censor-blackout'"),
+    (["--figure", "chaos", "--set", "scenario=no/such/campaign.json"],
+     "cannot read scenario 'no/such/campaign.json'"),
+    (["--figure", "fig9", "--set", "shard_counts=2", "--set", "total_nodes=15"],
+     "total_nodes (15) must divide evenly into 2 shards"),
+])
+def test_bad_input_exits_2_before_any_cell_runs(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(repro.runner, "run_sweep", pytest.fail)
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 2 and message in capsys.readouterr().err
 
 
 def test_set_applies_after_quick(monkeypatch):

@@ -167,3 +167,22 @@ def test_html_wrapper_escapes_and_embeds_the_markdown():
 def test_empty_report_is_still_valid_markdown():
     markdown = render_report(title="Nothing")
     assert markdown == "# Nothing\n"
+
+
+def test_report_reads_the_store_record_of_a_chaos_run_cell(tmp_path, capsys):
+    from repro.obs.analysis.cli import report_main
+    from repro.runner.cli import main as sweep
+
+    store = tmp_path / "store"
+    argv = ["--figure", "chaos", "--quick", "--set", "protocols=hermes"]
+    assert sweep([*argv, "--results-dir", str(store)]) == 0
+    [record] = store.glob("*.json")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(json.loads(record.read_text())["result"]))
+    capsys.readouterr()
+    assert report_main(["--chaos", str(record)]) == 0
+    from_record = capsys.readouterr().out
+    assert report_main(["--chaos", str(report)]) == 0
+    assert capsys.readouterr().out == from_record
+    assert "## Fault & violation timeline" in from_record
+    assert "Scenario `escalation` against `hermes`" in from_record

@@ -1,12 +1,10 @@
-"""Unit tests: the cross-shard partition drill and the shard CLI front end."""
-
-import json
+"""Unit tests: the cross-shard partition drill.  Its command-line form,
+``sweep --figure drill``, is pinned in ``tests/unit/experiments/test_figure.py``."""
 
 import pytest
 
 from repro.chaos.scenario import get_scenario
 from repro.sharding import run_cross_shard_partition
-from repro.sharding.cli import main as shard_main
 
 
 @pytest.fixture(scope="module")
@@ -41,40 +39,3 @@ class TestCrossShardPartitionDrill:
         with pytest.raises(ConfigurationError):
             run_cross_shard_partition(2, 12, partitioned_shard=5)
 
-
-class TestShardCli:
-    def test_run_defaults_to_run_subcommand(self, capsys):
-        code = shard_main(
-            ["--shards", "2", "--nodes", "16", "--k", "3", "--rate", "10",
-             "--duration", "1000", "--drain", "500", "--no-capacity", "--json"]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["deployment"]["num_shards"] == 2
-        assert doc["result"]["num_shards"] == 2
-        assert len(doc["result"]["per_shard"]) == 2
-
-    def test_run_table_output(self, capsys):
-        code = shard_main(
-            ["run", "--shards", "2", "--nodes", "16", "--k", "3", "--rate", "10",
-             "--duration", "1000", "--drain", "500", "--no-capacity"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "aggregate goodput" in out
-        assert "cross-shard routed" in out
-
-    def test_drill_json(self, capsys):
-        code = shard_main(
-            ["drill", "--shards", "2", "--shard-size", "12", "--k", "3", "--json"]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["scenario"] == "cross-shard-partition"
-        assert doc["num_shards"] == 2
-
-    def test_config_errors_exit_2(self, capsys):
-        # 2 shards cannot split 15 nodes evenly.
-        code = shard_main(["run", "--shards", "2", "--nodes", "15"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err

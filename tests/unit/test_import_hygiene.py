@@ -114,7 +114,7 @@ def test_listing_figures_and_tasks_imports_no_figure_module():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--list-figures"]) == 0
             assert main(["--list-tasks"]) == 0
-        print(sorted(m for m in sys.modules if re.match(r"repro\\.experiments\\.fig", m)))
+        print(sorted(m for m in sys.modules if re.match(r"repro\\.experiments\\.", m)))
         """
     )
     assert out.strip() == "[]"
