@@ -158,11 +158,12 @@ class MercurySystem(BaseSystem):
             leader = self.landmarks[cluster]
             is_leader = node in landmark_set
             # by_cluster lists are ascending, so input-order ties are id ties.
-            same = physical.nearest(
-                node,
-                [peer for peer in by_cluster[cluster] if peer != node],
-                self.config.inner_cluster_peers if is_leader else self.config.max_peers,
-            )
+            # The node itself is in its cluster's list at latency 0.0, strictly
+            # least: it comes first among the k + 1 nearest, and dropping it
+            # leaves the k nearest others.
+            k = self.config.inner_cluster_peers if is_leader else self.config.max_peers
+            same = physical.nearest(node, by_cluster[cluster], k + 1)
+            same.remove(node)
             if is_leader:
                 # Cluster leaders: nearest intra peers + the other leaders
                 # (the inter-cluster relay mesh).

@@ -110,18 +110,35 @@ class OverlaySpace:
 
 
 class TransportSpace(OverlaySpace):
-    """All pairs connectable; latency comes from the transport model."""
+    """All pairs connectable; latency comes from the transport model.
+
+    Construction reads the same pairs over and over (entry-point selection,
+    pruning, every annealing move), so the space keeps each latency it has
+    read, keyed by the ordered pair: one ``transport_latency`` call per
+    distinct pair for as long as the space lives (one
+    ``build_overlay_family`` call).  A topology mutation bumps
+    ``physical.version`` and empties the memo.
+    """
 
     complete = True
 
     def __init__(self, physical: PhysicalNetwork) -> None:
         self._physical = physical
+        self._memo: dict[tuple[int, int], float] = {}
+        self._version = physical.version
 
     def are_connected(self, u: int, v: int) -> bool:
         return u != v
 
     def latency(self, u: int, v: int) -> float:
-        return self._physical.transport_latency(u, v)
+        if self._version != self._physical.version:
+            self._memo.clear()
+            self._version = self._physical.version
+        key = (u, v) if u < v else (v, u)
+        latency = self._memo.get(key)
+        if latency is None:
+            latency = self._memo[key] = self._physical.transport_latency(u, v)
+        return latency
 
 
 class PhysicalSpace(OverlaySpace):

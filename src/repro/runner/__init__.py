@@ -7,7 +7,8 @@ simulations.  ``repro.runner`` turns that structure into throughput:
   declare a cartesian parameter grid and give every cell a stable content
   hash of its parameters;
 * :func:`~repro.runner.executor.run_sweep` executes cells serially or over
-  spawn workers it owns, with per-run timeouts and per-run crash retry;
+  worker processes it owns (forked where the platform can fork), with
+  per-run timeouts and per-run crash retry;
 * :class:`~repro.runner.store.ResultStore` persists one deterministic JSON
   record per cell, keyed by spec hash, which makes every sweep resumable by
   construction — re-invoking a finished sweep executes nothing;

@@ -6,16 +6,28 @@ Every run is an independent, fully seeded simulation cell, so the executor
 can schedule them in any order on any number of workers without changing a
 single result.  ``jobs=1`` runs everything in-process (the debugging
 fallback — breakpoints and print statements behave normally); ``jobs>1``
-starts that many ``spawn`` worker processes, each on its own pipe.  The
-parent hands a worker one run at a time and remembers which run each worker
-holds; a worker that returns a record gets its next run *before* the parent
-writes that record to the store, so the disk write overlaps the next cell.
-Workers receive only ``(task name, params)`` pairs and look the task up in
-:mod:`repro.runner.tasks` after a fresh import, so nothing unpicklable ever
-travels to a worker.  Each worker lives until the queue is empty and keeps the
+starts that many worker processes, each on its own pipe.  The parent hands a
+worker one run at a time and remembers which run each worker holds; a worker
+that returns a record gets its next run *before* the parent writes that
+record to the store, so the disk write overlaps the next cell.  Workers
+receive only ``(task name, params)`` pairs and look the task up in
+:mod:`repro.runner.tasks`, so nothing unpicklable ever travels to a worker.
+Each worker lives until the queue is empty and keeps the
 :func:`~repro.experiments.harness.build_environment` memo cache it
 accumulates, so the expensive overlay construction is paid once per distinct
 environment per worker, not once per run.
+
+Start method
+------------
+Workers are ``fork``-started wherever the platform offers ``fork`` (``spawn``
+is the fallback elsewhere).  Before the first fork the parent imports the
+experiment harness and resolves every distinct pending task, so a worker
+starts with the modules its cells need already loaded instead of paying an
+interpreter start and a fresh import of ``repro`` each.  A forked worker also
+inherits the parent's end of every live pipe, its own included; it closes
+them all before anything else.  Otherwise closing a pipe to retire a worker
+would never reach EOF while a sibling held a copy, and a parent killed with
+SIGKILL would leave its workers waiting on one another forever.
 
 Fault handling
 --------------
@@ -205,20 +217,29 @@ def _execute_timed(
 
 
 def _worker_main(
-    conn: Connection, origin: float, t_spawn: float, timeout_s: float | None
+    conn: Connection,
+    origin: float,
+    t_spawn: float,
+    timeout_s: float | None,
+    inherited: tuple[Connection, ...],
 ) -> None:
     """An owned worker: report ready, then serve runs until the pipe closes.
 
-    The first message is the worker's lifecycle record: ``spawn`` is
-    everything between the parent starting the process and this function
-    running (interpreter start-up, ``repro`` module imports); ``env_build``
-    is the warm-up import of the experiment harness, the module whose
-    construction caches all simulation tasks share.  Each later message
-    answers a ``(spec document, hand-off time)`` with ``(pickled record,
-    timing)`` — pickled here, not by ``send``, so that ``serialize`` is
-    measured and an unpicklable result becomes an error record.
+    *inherited* are the parent's pipe ends a forked worker holds copies of;
+    they are closed first (a spawned worker inherits none).  The first
+    message is the worker's lifecycle record: ``spawn`` is everything between
+    the parent starting the process and this function running (a fork, or an
+    interpreter start-up and the ``repro`` imports); ``env_build`` is the
+    warm-up import of the experiment harness, the module whose construction
+    caches all simulation tasks share (already loaded in a forked worker).
+    Each later message answers a ``(spec document, hand-off time)`` with
+    ``(pickled record, timing)`` — pickled here, not by ``send``, so that
+    ``serialize`` is measured and an unpicklable result becomes an error
+    record.
     """
 
+    for end in inherited:
+        end.close()
     clock = WallClock(origin=origin)  # the parent's timebase
     t_spawned = clock.now()
     from ..experiments import harness  # noqa: F401 - warm-up import only
@@ -392,7 +413,7 @@ def _run_pooled(
     finish: Callable[..., None],
     telemetry: SweepTelemetry,
 ) -> None:
-    """Fan *pending* out over owned spawn workers, one run per worker at a time.
+    """Fan *pending* out over owned workers, one run per worker at a time.
 
     ``workers`` maps the parent's end of each live worker's pipe to the run
     that worker holds, which is all the state fault attribution needs: EOF on
@@ -401,17 +422,28 @@ def _run_pooled(
     worker coming for it and the loop ends when the last worker is retired.
     """
 
-    from multiprocessing import connection, get_context  # serial sweeps never load it
+    # Serial sweeps never load multiprocessing.
+    from multiprocessing import connection, get_all_start_methods, get_context
 
-    context = get_context("spawn")
+    forking = "fork" in get_all_start_methods()
+    context = get_context("fork" if forking else "spawn")
     queue = deque(pending)
+    if forking:  # what a spawned worker would import, imported once for all
+        from ..experiments import harness  # noqa: F401 - warm-up import only
+
+        for name in dict.fromkeys(spec.task for spec in queue):
+            try:
+                get_task(name)
+            except ConfigurationError:
+                pass  # an unknown task: the worker raises it again, for its cell
     attempts: dict[str, int] = {}
     workers: dict[Connection, _Worker] = {}
     started = []  # every process of this sweep, reaped at the end: an exit takes ~20 ms
 
     def spawn() -> None:
         ours, theirs = context.Pipe()
-        args = (theirs, telemetry.clock.origin, telemetry.clock.now(), timeout_s)
+        inherited = (ours, *workers) if forking else ()
+        args = (theirs, telemetry.clock.origin, telemetry.clock.now(), timeout_s, inherited)
         process = context.Process(target=_worker_main, args=args, daemon=True)
         process.start()
         theirs.close()  # the worker holds the only copy: its death is our EOF

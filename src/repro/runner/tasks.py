@@ -1,10 +1,10 @@
-"""The task registry: named, spawn-safe run functions.
+"""The task registry: named run functions, safe under any start method.
 
 A *task* is a module-level function ``params -> JSON-serializable result``
 registered under a stable name.  Workers receive only ``(task name, params)``
-across the process boundary and look the function up in this registry after
-importing it fresh, which is what makes the executor spawn-safe: nothing
-unpicklable ever travels to a worker.
+across the process boundary and look the function up in this registry (a
+forked worker finds it already loaded, a spawned one imports it fresh), so
+nothing unpicklable ever travels to a worker.
 
 Tasks must be deterministic functions of their parameters — every seed they
 consume has to be part of ``params`` — because the result store addresses

@@ -10,10 +10,11 @@ them, one JSON object per line, into a *timeline* file next to the
     (a run is only handed off when a worker is free, so this is pipe
     latency, not time spent queueing behind other runs);
 ``spawn`` / ``env_build``
-    per-*worker* one-time costs, measured by every worker as it starts:
-    interpreter start-up + module imports since the parent started the
-    process (``spawn``) and the warm-up import of the experiment harness
-    (``env_build``);
+    per-*worker* one-time costs, measured by every worker as it starts: the
+    time since the parent started the process (``spawn``: a fork, or under
+    the ``spawn`` start method an interpreter start-up + module imports) and
+    the warm-up import of the experiment harness (``env_build``; a forked
+    worker inherits the parent's, so it reads ~0);
 ``deserialize``
     decoding the ``(task, params)`` spec document in the worker;
 ``execute``
@@ -26,7 +27,10 @@ them, one JSON object per line, into a *timeline* file next to the
 Timestamps are seconds on one shared monotonic timebase: the parent anchors a
 :class:`~repro.obs.wall.WallClock` at sweep start and ships the raw origin to
 every worker, which works because ``CLOCK_MONOTONIC`` is system-wide on
-Linux (the only place the spawn workers run in this repository).
+Linux (the only place the workers run in this repository).  The file is
+line-buffered: each record is on disk as soon as it is emitted, so a sweep
+killed mid-way leaves a timeline of everything up to the kill, and a forked
+worker never inherits an unwritten line.
 
 The timeline is **observation only**.  The executor times every run the same
 way whether or not anyone collects the result (``telemetry=None`` selects
@@ -160,7 +164,7 @@ class SweepTelemetry:
     def sweep_started(self, *, jobs: int, cells: int, resumed: int) -> None:
         self.jobs = jobs
         if self.path is not None and self._handle is None:
-            self._handle = open(self.path, "w", encoding="utf-8")
+            self._handle = open(self.path, "w", encoding="utf-8", buffering=1)
         self._emit(
             {
                 "schema": SWEEPTRACE_SCHEMA,

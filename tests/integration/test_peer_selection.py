@@ -23,9 +23,14 @@ from repro.net.topology import generate_physical_network
 PINNED_PYTHON = (3, 11)
 
 # num_nodes -> (Mercury digest, HERMES committee digest); seed 0, the paper
-# profile at N = 1,100 as in the fig3a-paper-n1100 workload.
+# profile at N = 1,100 as in the fig3a-paper-n1100 workload.  The Mercury
+# digest covers every node's peer list (what `peers_of` returns).  N = 100
+# (the Fig. 5a environment) was taken while every node still ranked a copy
+# of its cluster without itself; it now ranks the whole cluster for one more
+# peer and drops itself, whose own 0.0 is strictly least.
 SELECTION_DIGESTS = {
     60: ("68b85d58f374ae50", "a55a95a7f3f6dfce"),
+    100: ("2e76adedc0ea7ea6", "b6433eb2feec8ee1"),
     200: ("b741e81642b6b8bf", "93be0e5b2b27136b"),
     1100: ("e11385035558b3aa", "ca7a7f690326c316"),
 }

@@ -13,16 +13,23 @@ The acceptance bar for the runner subsystem:
 * a crashing worker is retried up to the budget and then recorded as a
   failure instead of hanging or aborting the sweep — and the crash is charged
   to the one run that worker held: healthy neighbours are never blamed, never
-  re-run, and keep their worker.
+  re-run, and keep their worker;
+* a forked worker keeps nothing of the parent it should not: a retired
+  worker exits while its sibling still runs, and no line the parent wrote is
+  written twice.
 
-Spawn pools are slow to start, so the grids here are tiny (N=30, a few
-transactions); the properties under test are scheduling properties, not
-statistics, and do not need large runs.
+The grids here are tiny (N=30, a few transactions); the properties under
+test are scheduling properties, not statistics, and do not need large runs.
 """
 
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +318,61 @@ class TestResumeAfterDamage:
         assert (again.executed, again.skipped, again.failed) == (1, 7, 0)
         assert again.records[first.records.index(lost)].ok
         assert _store_bytes(store) == undisturbed
+
+
+class TestForkHygiene:
+    def test_a_retired_worker_exits_while_its_sibling_still_runs(self):
+        # One worker draws the long nap, the other every echo; the echo worker
+        # is retired (its pipe closed) when the queue runs dry.  It must see
+        # EOF and exit at once, not when the sibling holding a copy of its
+        # pipe end finishes.
+        long = RunSpec(task="selftest.sleep", params={"seconds": 3.0})
+        echoes = [RunSpec(task="selftest.echo", params={"x": i}) for i in range(6)]
+        seen = {"echoes": 0}
+
+        def live() -> set[int]:
+            return {process.pid for process in multiprocessing.active_children()}
+
+        def watch(record):
+            if record.get("kind") != "run" or record["task"] != "selftest.echo":
+                return
+            seen["echoes"] += 1
+            if seen["echoes"] < len(echoes):
+                return
+            retired = record["worker"]
+            deadline = telemetry.clock.now() + 2.0
+            while retired in live() and telemetry.clock.now() < deadline:
+                time.sleep(0.01)
+            seen["reaped"] = retired not in live()  # active_children() reaps it
+            seen["reaped_at"] = telemetry.clock.now()
+            if not seen["reaped"]:
+                os.kill(retired, signal.SIGKILL)  # so that the sweep still ends
+
+        telemetry = SweepTelemetry(listener=watch)
+        report = run_sweep([long, *echoes], jobs=2, telemetry=telemetry)
+        assert report.failed == 0
+        (nap,) = [r for r in _timeline(telemetry, "run") if r["task"] == "selftest.sleep"]
+        assert seen["reaped"], "the retired worker was still running 2 s later"
+        assert seen["reaped_at"] < nap["t_end"]
+
+    def test_cli_timeline_and_console_lines_are_written_once(self, tmp_path):
+        timeline = tmp_path / "timeline.jsonl"
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--task", "selftest.echo",
+             "--set", "x=0,1,2,3,4,5,6,7", "--jobs", "2",
+             "--timeline", str(timeline), "--progress"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        records = [json.loads(line) for line in timeline.read_text().splitlines()]
+        kinds = [record["kind"] for record in records]
+        workers = [record["worker"] for record in records if record["kind"] == "worker"]
+        assert kinds.count("header") == 1 and kinds[0] == "header"
+        assert len(workers) == len(set(workers)) == 2
+        assert kinds.count("run") == 8
+        assert kinds.count("summary") == 1 and kinds[-1] == "summary"
+        assert done.stdout.count("8 runs: 8 executed") == 1
+        assert done.stdout.count("timeline: ") == 1
+        assert done.stderr.count("sweep done:") == 1

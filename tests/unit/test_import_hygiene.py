@@ -12,6 +12,7 @@ where a manifest is written.  These checks run in a fresh
 interpreter so this test process's own imports cannot mask a regression.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -90,8 +91,9 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
 
 
 def test_pooled_sweep_workers_never_load_openssl():
-    """Spawned workers inherit ``PYTHONPROFILEIMPORTTIME``, so the stderr of a
-    pooled sweep names every module any of its processes imported."""
+    """Workers inherit the import-time flag (a forked one with the parent's
+    memory, a spawned one through ``PYTHONPROFILEIMPORTTIME``), so the stderr
+    of a pooled sweep names every module any of its processes imported."""
 
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPROFILEIMPORTTIME="1")
     done = subprocess.run(
@@ -102,7 +104,12 @@ def test_pooled_sweep_workers_never_load_openssl():
     )
     assert done.returncode == 0, done.stderr
     assert "2 runs: 2 executed" in done.stdout
-    assert done.stderr.count("repro.core.protocol\n") == 2  # the two workers, not the CLI
+    if "fork" in multiprocessing.get_all_start_methods():
+        # Imported once, by the parent the two workers are forked from.
+        assert done.stderr.count("repro.core.protocol\n") == 1
+        assert "multiprocessing.popen_fork\n" in done.stderr
+    else:
+        assert done.stderr.count("repro.core.protocol\n") == 2  # the two workers
     assert "_hashlib" not in done.stderr
 
 
