@@ -110,9 +110,13 @@ class Mempool:
     rejected: int = field(default=0, compare=False)
     # Policy-mode service/eviction indexes, all lazily deleted: entries carry
     # the arrival stamp they were pushed with and are skipped when the id is
-    # gone or was re-added with a different arrival.  They exist only once a
-    # policy is installed — the N protocol-node mempools of a figure run
-    # never allocate them.
+    # gone or was re-added with a different arrival.  None of them exists
+    # without a policy — the N protocol-node mempools of a figure run never
+    # allocate one.  Under a policy the FIFO (and, with a TTL, the expiry
+    # queue, which shares its (arrival, id) tuples) is kept from the start,
+    # because its order is admission order; the fee heap and the priority
+    # heap are built from the residents the first time something reads them
+    # (a full pool, a priority pop) and maintained from then on.
     _fee_heap: list[tuple[float, float, int]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -197,6 +201,12 @@ class Mempool:
         """
 
         heap = self._fee_heap
+        if heap is None:
+            txs = self._transactions
+            heap = self._fee_heap = [
+                (txs[i].fee, -a, i) for a, i in zip(self._arrival, self._sorted_ids)
+            ]
+            heapq.heapify(heap)
         while heap:
             _, neg_arrival, tx_id = heap[0]
             if self._arrival_of(tx_id) == -neg_arrival:
@@ -207,12 +217,14 @@ class Mempool:
     def _index(self, tx: Transaction, now: float) -> None:
         """Register *tx* in the policy-mode service/eviction indexes."""
 
-        entry_id = tx.tx_id
-        heapq.heappush(self._fee_heap, (tx.fee, -now, entry_id))
-        heapq.heappush(self._prio_heap, (-tx.fee, now, entry_id))
-        self._fifo.append((now, entry_id))
-        if self.policy is not None and self.policy.ttl_ms is not None:
-            self._ttl_queue.append((now, entry_id))
+        entry = (now, tx.tx_id)
+        self._fifo.append(entry)
+        if self._ttl_queue is not None:
+            self._ttl_queue.append(entry)
+        if self._fee_heap is not None:
+            heapq.heappush(self._fee_heap, (tx.fee, -now, tx.tx_id))
+        if self._prio_heap is not None:
+            heapq.heappush(self._prio_heap, (-tx.fee, now, tx.tx_id))
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
@@ -226,28 +238,27 @@ class Mempool:
         index would otherwise grow O(all transactions ever admitted).
         Rebuilding once an index exceeds 4x the live set (amortized O(1) per
         add) keeps the pool's footprint O(live + recent), which is what makes
-        a million-transaction sustained run constant-memory.
+        a million-transaction sustained run constant-memory.  Only the
+        indexes that exist are checked: an unbuilt heap holds nothing.
         """
 
         arrival = self._arrival_of
         bound = 4 * len(self._transactions) + 64
-        if len(self._fee_heap) > bound:
-            self._fee_heap = [
-                entry for entry in self._fee_heap if arrival(entry[2]) == -entry[1]
-            ]
+        fee_heap, prio_heap = self._fee_heap, self._prio_heap
+        if fee_heap is not None and len(fee_heap) > bound:
+            self._fee_heap = [entry for entry in fee_heap if arrival(entry[2]) == -entry[1]]
             heapq.heapify(self._fee_heap)
-        if len(self._prio_heap) > bound:
-            self._prio_heap = [
-                entry for entry in self._prio_heap if arrival(entry[2]) == entry[1]
-            ]
+        if prio_heap is not None and len(prio_heap) > bound:
+            self._prio_heap = [entry for entry in prio_heap if arrival(entry[2]) == entry[1]]
             heapq.heapify(self._prio_heap)
         if len(self._fifo) > bound:
             self._fifo = deque(
                 entry for entry in self._fifo if arrival(entry[1]) == entry[0]
             )
-        if len(self._ttl_queue) > bound:
+        ttl_queue = self._ttl_queue
+        if ttl_queue is not None and len(ttl_queue) > bound:
             self._ttl_queue = deque(
-                entry for entry in self._ttl_queue if arrival(entry[1]) == entry[0]
+                entry for entry in ttl_queue if arrival(entry[1]) == entry[0]
             )
 
     def _discard(self, tx_id: int) -> None:
@@ -310,6 +321,12 @@ class Mempool:
             raise RuntimeError("pop_next requires a mempool with a policy installed")
         if priority:
             heap = self._prio_heap
+            if heap is None:
+                txs = self._transactions
+                heap = self._prio_heap = [
+                    (-txs[i].fee, a, i) for a, i in zip(self._arrival, self._sorted_ids)
+                ]
+                heapq.heapify(heap)
             while heap:
                 _, arrival, tx_id = heapq.heappop(heap)
                 if self._arrival_of(tx_id) == arrival:
@@ -331,15 +348,16 @@ class Mempool:
         policy: MempoolPolicy,
         on_drop: Callable[[str, Transaction], None] | None = None,
     ) -> None:
-        """Attach *policy* (and optional drop callback), indexing any
-        transactions already resident so eviction and service see them."""
+        """Attach *policy* (and optional drop callback), queueing any
+        transactions already resident, in arrival order, so eviction and
+        service see them."""
 
         self.policy = policy
         self.on_drop = on_drop
-        self._fee_heap, self._prio_heap = [], []
-        self._fifo, self._ttl_queue = deque(), deque()
-        for arrival, tx_id in sorted(zip(self._arrival, self._sorted_ids)):
-            self._index(self._transactions[tx_id], arrival)
+        self._fee_heap = self._prio_heap = None
+        entries = sorted(zip(self._arrival, self._sorted_ids))
+        self._fifo = deque(entries)
+        self._ttl_queue = deque(entries) if policy.ttl_ms is not None else None
 
     def __contains__(self, tx_id: int) -> bool:
         return tx_id in self._transactions

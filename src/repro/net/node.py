@@ -206,6 +206,8 @@ class Network:
             self._latency_cache.clear()
             self._latency_version = self.physical.version
         latency_row = self._latency_cache[src]
+        # One handler-args tuple per fan-out, shared by every untapped delivery.
+        args = (src, message)
         for dst in dsts:
             handler = handlers.get(dst)
             if handler is None:
@@ -302,7 +304,7 @@ class Network:
                     link_ms=link_ms, proc_ms=proc, delay_ms=delay, deliver_ms=now + delay,
                 )
             if on_receive is None:
-                heappush(queue, (now + delay, next(sequence), handler, (src, message)))
+                heappush(queue, (now + delay, next(sequence), handler, args))
             else:
                 heappush(queue, (now + delay, next(sequence), self._deliver_tapped,
                                  (handler, src, dst, message)))

@@ -32,16 +32,21 @@ __all__ = ["BrachaContext", "BrachaNode"]
 _RBC_PAYLOAD_BYTES = 48
 
 
-@dataclass
+@dataclass(slots=True)
 class _SlotState:
-    """Per-(source, sequence) protocol state at one member."""
+    """Per-(source, sequence) protocol state at one member.
 
-    payload: Hashable | None = None
+    A delivered slot keeps only its verdict: delivery implies ``echoed`` and
+    ``readied`` (``f+1`` READYs come before ``2f+1``), so no later ECHO or
+    READY can change what the member sends or delivers, and the supporter
+    maps are dropped (``None``) at delivery.
+    """
+
     echoed: bool = False
     readied: bool = False
     delivered: bool = False
-    echoes: dict[Hashable, set[int]] = field(default_factory=dict)
-    readies: dict[Hashable, set[int]] = field(default_factory=dict)
+    echoes: dict[Hashable, set[int]] | None = field(default_factory=dict)
+    readies: dict[Hashable, set[int]] | None = field(default_factory=dict)
     # First local activity on the slot, for the rbc.round_ms metric.
     opened_ms: float | None = None
 
@@ -126,7 +131,6 @@ class BrachaContext:
         state = self._slot(source, sequence)
         if state.echoed:
             return
-        state.payload = payload
         state.echoed = True
         self._multicast(self.echo_kind, (source, sequence, payload))
 
@@ -173,13 +177,14 @@ class BrachaContext:
         state = self._slot(source, sequence)
         if state.echoed:
             return
-        state.payload = payload
         state.echoed = True
         self._multicast(self.echo_kind, (source, sequence, payload))
 
     def _on_echo(self, sender: int, body: object) -> None:
         source, sequence, payload = body
         state = self._slot(source, sequence)
+        if state.delivered:
+            return
         supporters = state.echoes.setdefault(payload, set())
         supporters.add(sender)
         if len(supporters) >= 2 * self.f + 1:
@@ -188,12 +193,17 @@ class BrachaContext:
     def _on_ready(self, sender: int, body: object) -> None:
         source, sequence, payload = body
         state = self._slot(source, sequence)
+        if state.delivered:
+            return
         supporters = state.readies.setdefault(payload, set())
         supporters.add(sender)
         if len(supporters) >= self.f + 1:
             self._maybe_ready(source, sequence, payload, state)
+        # The READY that _maybe_ready loops back to this member may already
+        # have delivered the slot.
         if len(supporters) >= 2 * self.f + 1 and not state.delivered:
             state.delivered = True
+            state.echoes = state.readies = None
             obs = getattr(self._node.network, "obs", None)
             if obs is not None and state.opened_ms is not None:
                 # Local view of the round: first slot activity → delivery.
@@ -212,7 +222,6 @@ class BrachaContext:
         # once the payload is attested, preserving totality.
         if not state.echoed:
             state.echoed = True
-            state.payload = payload
             self._multicast(self.echo_kind, (source, sequence, payload))
         self._multicast(self.ready_kind, (source, sequence, payload))
 

@@ -44,7 +44,10 @@ Fault handling
   worker that dies before accepting any run (a broken install, say) aborts
   the sweep with :class:`~repro.errors.SweepExecutionError`.
 * Workers are daemons and are stopped in a ``finally``, so a store that
-  raises or a Ctrl-C in the parent leaves no orphan processes.
+  raises or a Ctrl-C in the parent leaves no orphan processes.  A retired
+  worker gets ``REAP_DEADLINE_S`` to exit; one that outlives it is killed
+  and counted in :attr:`SweepReport.killed` (and the timeline's summary),
+  so a wedged worker cannot hang a sweep whose records are all stored.
 
 Resume
 ------
@@ -79,6 +82,10 @@ __all__ = ["SweepReport", "run_sweep"]
 
 ProgressFn = Callable[[RunRecord, int, int], None]
 
+#: Seconds the end of a pooled sweep waits for its workers to exit (a clean
+#: exit takes ~20 ms) before killing the ones still running.
+REAP_DEADLINE_S = 5.0
+
 
 @dataclass
 class SweepReport:
@@ -92,6 +99,8 @@ class SweepReport:
     executed: int = 0
     skipped: int = 0
     failed: int = 0
+    #: Workers still running at the end of a pooled sweep, killed at reap.
+    killed: int = 0
     wall_seconds: float = 0.0
     records: list[RunRecord] = field(default_factory=list)
 
@@ -105,9 +114,10 @@ class SweepReport:
         return [record.result for record in self.records if record.ok]
 
     def summary_line(self) -> str:
+        killed = f", {self.killed} worker(s) killed" if self.killed else ""
         return (
             f"{self.total} runs: {self.executed} executed, "
-            f"{self.skipped} resumed, {self.failed} failed "
+            f"{self.skipped} resumed, {self.failed} failed{killed} "
             f"({self.wall_seconds:.1f}s)"
         )
 
@@ -383,7 +393,7 @@ def run_sweep(
         for spec in pending:
             finish(*_execute_timed(spec, timeout_s, telemetry.clock))
     elif pending:
-        _run_pooled(pending, jobs, timeout_s, retries, finish, telemetry)
+        report.killed = _run_pooled(pending, jobs, timeout_s, retries, finish, telemetry)
 
     report.records = [by_hash[spec.spec_hash] for spec in ordered]
     report.wall_seconds = time.perf_counter() - started
@@ -393,6 +403,7 @@ def run_sweep(
         skipped=report.skipped,
         failed=report.failed,
         cells=total,
+        killed=report.killed,
     )
     return report
 
@@ -412,7 +423,7 @@ def _run_pooled(
     retries: int,
     finish: Callable[..., None],
     telemetry: SweepTelemetry,
-) -> None:
+) -> int:
     """Fan *pending* out over owned workers, one run per worker at a time.
 
     ``workers`` maps the parent's end of each live worker's pipe to the run
@@ -420,6 +431,7 @@ def _run_pooled(
     a pipe blames exactly that run.  The queue only grows by a requeued crash,
     and a replacement is spawned right then, so a non-empty queue always has a
     worker coming for it and the loop ends when the last worker is retired.
+    Returns how many workers had to be killed at the final reap.
     """
 
     # Serial sweeps never load multiprocessing.
@@ -505,5 +517,21 @@ def _run_pooled(
     finally:
         for worker in workers.values():  # only non-empty when unwinding an error
             worker.process.kill()
-        for process in started:
+        killed = _reap(started)
+    return killed
+
+
+def _reap(processes: list[Any]) -> int:
+    """Join *processes* within ``REAP_DEADLINE_S`` in all; kill and join any
+    still running after it.  Returns how many were killed."""
+
+    deadline = time.monotonic() + REAP_DEADLINE_S
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+    killed = 0
+    for process in processes:
+        if process.exitcode is None:
+            process.kill()
             process.join()
+            killed += 1
+    return killed

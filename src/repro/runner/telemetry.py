@@ -51,14 +51,15 @@ Schema (one JSON object per line)::
                 "serialize": s, "store_write": s}}
     {"kind": "resumed", "spec_hash": ...}
     {"kind": "summary", "wall_s": s, "executed": n, "skipped": n,
-     "failed": n, "cells": n, "jobs": n}
+     "failed": n, "cells": n, "jobs": n, "killed": n}
 
 Failure paths are first-class timeline citizens: a run killed by the
 per-run SIGALRM timeout lands tagged ``["timeout"]``, and a worker crash
 lands as a ``status="crash"`` record tagged ``["crash", "retry"]`` (requeued)
 or an ``error`` record tagged ``["crash", "failed"]`` (retry budget
 exhausted) — either way naming the pid of the worker that died and the one
-run it held.
+run it held.  The summary's ``killed`` counts the workers that were still
+running when the sweep ended and had to be killed.
 
 Read a timeline back with :func:`read_timeline`; turn it into an
 overhead-attribution report with ``python -m repro analyze-sweep`` (see
@@ -267,7 +268,14 @@ class SweepTelemetry:
         )
 
     def sweep_finished(
-        self, *, wall_s: float, executed: int, skipped: int, failed: int, cells: int
+        self,
+        *,
+        wall_s: float,
+        executed: int,
+        skipped: int,
+        failed: int,
+        cells: int,
+        killed: int,
     ) -> None:
         self._emit(
             {
@@ -278,6 +286,7 @@ class SweepTelemetry:
                 "failed": failed,
                 "cells": cells,
                 "jobs": self.jobs,
+                "killed": killed,
             }
         )
         self.close()
@@ -492,10 +501,12 @@ class ProgressConsole:
         return "  ".join(parts)
 
     def _finish(self, summary: Mapping[str, Any]) -> None:
+        killed = summary.get("killed", 0)
+        killed_part = f", {killed} worker(s) killed" if killed else ""
         line = (
             f"sweep done: {summary.get('executed', 0)} executed, "
             f"{summary.get('skipped', 0)} resumed, "
-            f"{summary.get('failed', 0)} failed "
+            f"{summary.get('failed', 0)} failed{killed_part} "
             f"in {float(summary.get('wall_s', 0.0)):.1f}s "
             f"(jobs={summary.get('jobs', 1)})"
         )

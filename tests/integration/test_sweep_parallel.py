@@ -16,7 +16,8 @@ The acceptance bar for the runner subsystem:
   re-run, and keep their worker;
 * a forked worker keeps nothing of the parent it should not: a retired
   worker exits while its sibling still runs, and no line the parent wrote is
-  written twice.
+  written twice; a retired worker that never exits is killed at the final
+  reap and counted, instead of hanging the sweep.
 
 The grids here are tiny (N=30, a few transactions); the properties under
 test are scheduling properties, not statistics, and do not need large runs.
@@ -350,10 +351,39 @@ class TestForkHygiene:
 
         telemetry = SweepTelemetry(listener=watch)
         report = run_sweep([long, *echoes], jobs=2, telemetry=telemetry)
-        assert report.failed == 0
+        assert report.failed == report.killed == 0
         (nap,) = [r for r in _timeline(telemetry, "run") if r["task"] == "selftest.sleep"]
         assert seen["reaped"], "the retired worker was still running 2 s later"
         assert seen["reaped_at"] < nap["t_end"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the lingering worker is a fork-inherited patch",
+    )
+    def test_a_worker_that_never_exits_is_killed_and_counted(self, monkeypatch):
+        # Each worker serves its runs, reads EOF when retired, then ignores
+        # it.  The final reap must not wait for it beyond the deadline.
+        from repro.runner import executor
+
+        serve = executor._worker_main
+
+        def linger(*args):
+            serve(*args)
+            time.sleep(60.0)
+
+        monkeypatch.setattr(executor, "_worker_main", linger)
+        monkeypatch.setattr(executor, "REAP_DEADLINE_S", 0.5)
+        specs = [RunSpec(task="selftest.echo", params={"x": i}) for i in range(6)]
+        store, telemetry = MemoryStore(), SweepTelemetry()
+        started = time.monotonic()
+        report = run_sweep(specs, store=store, jobs=2, telemetry=telemetry)
+        assert time.monotonic() - started < 0.5 + 5.0
+        assert report.failed == 0 and report.killed == 2
+        assert store.completed_hashes() == {spec.spec_hash for spec in specs}
+        (summary,) = _timeline(telemetry, "summary")
+        assert summary["killed"] == 2
+        assert "2 worker(s) killed" in report.summary_line()
+        assert multiprocessing.active_children() == []
 
     def test_cli_timeline_and_console_lines_are_written_once(self, tmp_path):
         timeline = tmp_path / "timeline.jsonl"

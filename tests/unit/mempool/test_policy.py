@@ -207,10 +207,9 @@ class TestIndexCompaction:
                 pool.pop_next(priority=True)
         assert len(pool) <= 50
         bound = 4 * len(pool) + 64
-        assert len(pool._fee_heap) <= bound
-        assert len(pool._prio_heap) <= bound
-        assert len(pool._fifo) <= bound
-        assert len(pool._ttl_queue) <= bound
+        # A full pool and priority pops: all four indexes exist here.
+        for name in ("_fee_heap", "_prio_heap", "_fifo", "_ttl_queue"):
+            assert len(getattr(pool, name)) <= bound, name
 
     def test_compaction_preserves_service_order(self):
         def churn(pool):
@@ -243,7 +242,8 @@ class TestIndexCompaction:
 
 class TestIndexesExistOnlyUnderAPolicy:
     """The N protocol-node mempools of a figure run never install a policy;
-    they must not each carry four empty service/eviction indexes."""
+    they must not each carry four empty service/eviction indexes.  Under a
+    policy the two heaps are built only once something reads them."""
 
     INDEXES = ("_fee_heap", "_prio_heap", "_fifo", "_ttl_queue")
 
@@ -258,8 +258,31 @@ class TestIndexesExistOnlyUnderAPolicy:
         pool.add(tx(1, fee=2.0), 0.0)
         pool.add(tx(2, fee=5.0), 1.0)
         pool.install_policy(MempoolPolicy(ttl_ms=100.0))
-        assert all(len(getattr(pool, name)) == 2 for name in self.INDEXES)
+        assert list(pool._fifo) == list(pool._ttl_queue) == [(0.0, 1), (1.0, 2)]
+        assert pool._fee_heap is None and pool._prio_heap is None
         assert pool.pop_next(priority=True)[0].tx_id == 2
+        assert pool._prio_heap == [(-2.0, 0.0, 1)] and pool._fee_heap is None
+
+    def test_a_pool_that_never_fills_builds_no_heap(self):
+        pool = Mempool(owner=0)
+        pool.install_policy(MempoolPolicy(max_size=100, ttl_ms=50.0))
+        for i in range(400):
+            pool.add(tx(i, fee=float(i % 7)), float(i))
+            pool.expire(float(i))
+        assert pool._fee_heap is None and pool._prio_heap is None
+        bound = 4 * len(pool) + 64
+        assert len(pool._fifo) <= bound and len(pool._ttl_queue) <= bound
+
+    def test_a_full_pool_builds_the_fee_heap_from_its_residents(self):
+        pool = Mempool(owner=0)
+        pool.install_policy(MempoolPolicy(max_size=3))
+        for i, fee in enumerate((4.0, 1.0, 1.0)):
+            pool.add(tx(i, fee=fee), float(i))
+        assert pool._fee_heap is None
+        assert pool.add(tx(3, fee=2.0), 3.0)  # evicts 2 (fee 1.0, latest)
+        assert pool.evicted == 1 and set(pool.ids) == {0, 1, 3}
+        assert sorted(pool._fee_heap) == [(1.0, -1.0, 1), (2.0, -3.0, 3), (4.0, -0.0, 0)]
+        assert pool._prio_heap is None
 
     def test_policy_passed_to_the_constructor_is_installed(self):
         pool = Mempool(owner=0, policy=MempoolPolicy(max_size=1))

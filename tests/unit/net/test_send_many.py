@@ -147,3 +147,17 @@ def test_unknown_destination_raises_after_earlier_sends(physical40):
         network.send_many(0, [1, 99, 2], Message("k", None, 5))
     assert network.stats.messages_sent[0] == 1
     assert network.simulator.pending_events() == 1
+
+
+def test_one_fan_out_shares_one_delivery_args_tuple(physical40):
+    """Untapped deliveries of one call share a single ``(src, message)``."""
+
+    network, _log, _taps = _build(physical40, "plain")
+    message = Message("k", None, 5)
+    network.send_many(0, [1, 2, 3, 4], message)
+    network.send_many(0, [5, 6], message)
+    pending = sorted(network.simulator._queue, key=lambda event: event[1])
+    args = [event[3] for event in pending]
+    assert args[0] == (0, message)
+    assert all(a is args[0] for a in args[:4]) and all(a is args[4] for a in args[4:])
+    assert args[0] is not args[4]

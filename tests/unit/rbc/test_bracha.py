@@ -153,3 +153,37 @@ class TestValidation:
         simulator.run()
         for node in nodes.values():
             assert (99, 0, "external") in node.delivered
+
+
+class TestDeliveredSlot:
+    """A delivered slot keeps only its verdict: late ECHOs and READYs, for
+    its payload or an equivocating one, change nothing observable."""
+
+    def test_late_echoes_and_readies_are_inert(self, rbc_setup):
+        from repro.net.events import Message
+
+        simulator, network, nodes = rbc_setup
+        nodes[0].broadcast(0, "payload")
+        simulator.run()
+        sent = []
+        network.on_send = lambda src, dst, message, now: sent.append((src, dst))
+        context = nodes[3].context
+        for kind in (context.echo_kind, context.ready_kind):
+            for payload in ("payload", "forged"):
+                for sender in context.members:
+                    nodes[3].on_message(sender, Message(kind, (0, 0, payload), 48))
+        simulator.run()
+        assert sent == []
+        assert nodes[3].delivered == [(0, 0, "payload")]
+        state = context._slots[(0, 0)]
+        assert state.delivered and state.echoes is None and state.readies is None
+
+    def test_no_delivered_slot_holds_supporters(self, rbc_setup):
+        simulator, _network, nodes = rbc_setup
+        for sequence in range(3):
+            nodes[sequence].broadcast(sequence, f"p{sequence}")
+        simulator.run()
+        for node in nodes.values():
+            assert len(node.delivered) == 3
+            slots = node.context._slots.values()
+            assert all(s.echoes is None and s.readies is None for s in slots)

@@ -20,8 +20,15 @@ system closes it, 1,335 KiB with the standard-library jitter block of 1,024
 (1,934 at 4,096: its temporary lists), 1,164 KiB once a node that never
 draws holds no rng and pending deliveries share each node's bound handler,
 1,085 KiB once cross-region pair draws sit in sorted per-node columns
-instead of a dict keyed by pair.  Those columns hold 23.9 bytes per kept
-draw after the Fig. 3a cell; the dict held ~114.5 per draw at N = 1,100.
+instead of a dict keyed by pair, 1,074 KiB once the deliveries of one
+``send_many`` fan-out share one ``(src, message)`` args tuple.  Those
+columns hold 23.9 bytes per kept draw after the Fig. 3a cell; the dict held
+~114.5 per draw at N = 1,100.
+What a sustained Fig. 8 HERMES cell keeps is gated exactly: a mempool that
+never fills and is never drained by fee builds no fee heap and no priority
+heap (each resident held four index entries while all four indexes were
+kept eagerly), its FIFO and TTL queues hold one entry per resident, and a
+delivered Bracha slot keeps no supporter set.
 The tool runs in a fresh interpreter so no cache warmed by another test can
 lower a count.
 """
@@ -76,3 +83,15 @@ def test_hermes_hashes_each_envelope_once(counters):
     assert counters["fig3a"]["hermes"]["receipts"] > 0
     assert per_receipt["encode_piece"] <= 1.0
     assert per_receipt["sha256"] <= 1.0
+
+
+def test_fig8_keeps_only_the_bookkeeping_it_reads(counters):
+    fig8 = counters["fig8_hermes"]
+    assert fig8["residents"] > 0 and fig8["delivered_slots"] > 0
+    assert fig8["entries_per_resident"] == {
+        "fee_heap": 0.0,
+        "prio_heap": 0.0,
+        "fifo": 1.0,
+        "ttl_queue": 1.0,
+    }
+    assert fig8["supporter_sets_on_delivered_slots"] == 0

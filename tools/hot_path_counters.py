@@ -21,14 +21,19 @@ exact and repeats run to run.  This script runs fixed cells under the stdlib
 * ``fig3a_peak_traced_kb``: the ``tracemalloc`` peak of the Fig. 3a cell
   run the way ``benchmarks/e2e``'s child runs it — a cold environment, the
   four systems each built, run and dropped without ``close()`` — so what a
-  dropped system keeps alive shows up as an exact number of bytes.
+  dropped system keeps alive shows up as an exact number of bytes;
+* ``fig8_hermes``: what a Fig. 8 HERMES cell (bounded fee-priced mempools,
+  the TRS committee's Bracha broadcasts under sustained load) holds once it
+  has run — the entries of each mempool index per resident transaction, and
+  the supporter sets its delivered RBC slots still keep.
 
 Apart from that peak, only ``system.run`` is profiled or traced —
 construction and submission are not part of the per-event path.
-``--scale small`` (the default, a few seconds) is Fig. 3a at N = 60 and
-the flood at N = 200, T = 20;
+``--scale small`` (the default, a few seconds) is Fig. 3a at N = 60, the
+flood at N = 200, T = 20 and Fig. 8 at N = 16, 8 tx/s for 8 s;
 ``--scale bench`` is the sizes of the ``fig3a-paper-n1100`` and
-``flood-n2000-t80`` benchmark workloads (a few minutes).  Transaction and
+``flood-n2000-t80`` benchmark workloads and the HERMES cell that sets the
+peak of ``sweep-fig8-j1`` (a few minutes).  Transaction and
 message ids are reset before every run, so every count is a pure function
 of the scale and the seed.
 """
@@ -50,10 +55,14 @@ SCALES = {
     "small": {
         "fig3a": dict(nodes=60, txs=3, horizon_ms=6_000.0, narwhal_validators=8),
         "flood": dict(nodes=200, txs=20, interval_ms=25.0, drain_ms=1_200.0),
+        "fig8": dict(num_nodes=16, rate_tps=8.0, duration_ms=8_000.0, drain_ms=2_000.0,
+                     num_clients=10_000),
     },
     "bench": {
         "fig3a": dict(nodes=1100, txs=10, horizon_ms=8_000.0, narwhal_validators=40),
         "flood": dict(nodes=2000, txs=80, interval_ms=25.0, drain_ms=2_000.0),
+        "fig8": dict(num_nodes=24, rate_tps=24.0, duration_ms=32_000.0, drain_ms=4_000.0,
+                     num_clients=1_000_000),
     },
 }
 
@@ -221,6 +230,58 @@ def flood_retained_bytes(params: dict, seed: int) -> float:
     return retained / deliveries
 
 
+def fig8_hermes_state(params: dict) -> dict:
+    """What a Fig. 8 HERMES cell holds after its run: mempool index entries
+    and the supporter sets of delivered Bracha slots (the grid is the same
+    for every seed, as in ``sweep-fig8-j1``)."""
+
+    from repro.experiments.fig8_sustained import FIGURE
+    from repro.experiments.harness import build_environment, protocol_factories
+    from repro.load.capacity import CapacityModel
+    from repro.population import ClientPopulation, PopulationDriver
+
+    config = FIGURE.make_config(**{k: v for k, v in params.items() if k != "rate_tps"})
+    env = build_environment(num_nodes=config.num_nodes, f=config.f, k=config.k,
+                            seed=config.seed)
+    _reset_ids()
+    with protocol_factories(env)["hermes"]() as system:
+        system.network.capacity = CapacityModel(config.capacity_config())
+        PopulationDriver(
+            system,
+            ClientPopulation(config.population_config(params["rate_tps"])),
+            protocol="hermes",
+            fee_market=config.fee_market(),
+            policy=config.mempool_policy(),
+            delivery_fraction=config.delivery_fraction,
+            sketch_capacity=config.sketch_capacity,
+            window_ms=config.window_ms,
+            target_occupancy=config.target_occupancy,
+        ).run(config.duration_ms, drain_ms=config.drain_ms)
+        nodes = system.nodes.values()
+        pools = [node.mempool for node in nodes]
+        residents = sum(map(len, pools))
+        entries = {
+            name: sum(len(getattr(pool, name) or ()) for pool in pools)
+            for name in ("_fee_heap", "_prio_heap", "_fifo", "_ttl_queue")
+        }
+        slots = [
+            slot
+            for node in nodes
+            if node.trs_member is not None
+            for slot in node.trs_member._rbc._slots.values()
+            if slot.delivered
+        ]
+        supporter_sets = sum(len(s.echoes or ()) + len(s.readies or ()) for s in slots)
+    return {
+        "residents": residents,
+        "entries_per_resident": {
+            name.strip("_"): count / residents for name, count in entries.items()
+        },
+        "delivered_slots": len(slots),
+        "supporter_sets_on_delivered_slots": supporter_sets,
+    }
+
+
 def counters(scale: str = "small", seed: int = 7) -> dict:
     """Every counter at *scale*, as one JSON-able dict."""
 
@@ -232,6 +293,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
     flood, flood_cross = flood_counts(params["flood"], seed)
     retained = flood_retained_bytes(params["flood"], seed)
     peak_kb = fig3a_peak_traced_kb(params["fig3a"], seed)
+    fig8 = fig8_hermes_state(params["fig8"])
     return {
         "scale": scale,
         "seed": seed,
@@ -249,6 +311,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
         "retained_bytes_per_delivery": retained,
         "cross_bytes_per_draw": {"fig3a": fig3a_cross, "flood": flood_cross},
         "fig3a_peak_traced_kb": peak_kb,
+        "fig8_hermes": fig8,
     }
 
 
@@ -286,6 +349,15 @@ def format_table(result: dict) -> str:
     lines.append(
         f"fig3a: {result['fig3a_peak_traced_kb']:,.1f} KiB traced peak "
         "(cold environment, four systems dropped without close())"
+    )
+    fig8 = result["fig8_hermes"]
+    per = fig8["entries_per_resident"]
+    lines.append(
+        f"fig8 hermes: {fig8['residents']:,} mempool residents; index entries per "
+        f"resident: fee heap {per['fee_heap']:.2f}, priority heap {per['prio_heap']:.2f}, "
+        f"fifo {per['fifo']:.2f}, ttl queue {per['ttl_queue']:.2f}; "
+        f"{fig8['supporter_sets_on_delivered_slots']:,} supporter sets on "
+        f"{fig8['delivered_slots']:,} delivered RBC slots"
     )
     return "\n".join(lines)
 
