@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import statistics
 
-from repro.core import decode_shards, encode_shards, hermes_erasure_parameters
+from repro.core.erasure import decode_shards, encode_shards, hermes_erasure_parameters
 from repro.experiments import fig2_overlays
 from repro.net import generate_physical_network
 from repro.overlay import (

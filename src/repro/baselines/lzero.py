@@ -12,6 +12,14 @@ Modelled behaviour (the aspects the paper's evaluation exercises):
   own commitments a node keeps what the audit asks for and no more: per
   transaction, the time of the first reconciliation round that committed it
   (``first_committed_at``) — O(transactions known), however many rounds ran.
+* **Reordering audit** — a block that orders transaction B before A although
+  the proposer's commitments show A was known strictly before B is evidence
+  of reordering (:func:`audit_block_order` over ``first_committed_at``).
+  :func:`first_commitment_round` answers the same question from per-round id
+  snapshots, slowly; it is the reference the index is tested against.  The
+  detection is probabilistic in the commitment cadence (a reorder between two
+  snapshots of the same round is invisible), matching the paper's "uncovers
+  reordering attacks with high probability".
 * **Reconciliation** — periodic digest exchange with a random partner repairs
   gossip misses, giving eventual consistency.
 
@@ -24,6 +32,7 @@ the same gossip as everyone else's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..mempool.transaction import Transaction
@@ -32,7 +41,17 @@ from ..net.faults import Behavior
 from ..utils.rng import derive_rng
 from .base import BaselineNode, BaseSystem
 
-__all__ = ["LZeroConfig", "LZeroNode", "LZeroSystem"]
+if TYPE_CHECKING:
+    from ..mempool.blocks import Block
+
+__all__ = [
+    "LZeroConfig",
+    "LZeroNode",
+    "LZeroSystem",
+    "ReorderingEvidence",
+    "audit_block_order",
+    "first_commitment_round",
+]
 
 LZERO_TX_KIND = "lzero-tx"
 LZERO_DIGEST_KIND = "lzero-digest"
@@ -71,8 +90,7 @@ class LZeroNode(BaselineNode):
         self.peer_commitments: dict[int, bytes] = {}
         # Own commitment timeline: tx id -> time of the first reconciliation
         # round whose commitment covered it.  In L∅ each round's commitment
-        # is witnessed by peers; the audit in repro.baselines.lzero_audit
-        # reads this index to expose reordering (see Nasrulin et al.,
+        # is witnessed by peers; audit_block_order reads this index to expose reordering (see Nasrulin et al.,
         # §"uncovers reordering attacks").  A round only looks at the ids
         # freshly delivered since the previous one, noted at each delivery.
         self.first_committed_at: dict[int, float] = {}
@@ -179,6 +197,59 @@ class LZeroNode(BaselineNode):
                     tx_id=txs[0].tx_id if len(txs) == 1 else None,
                 ),
             )
+
+
+@dataclass(frozen=True, slots=True)
+class ReorderingEvidence:
+    """One detected contradiction between block order and commitments."""
+
+    earlier_tx: int  # committed first...
+    later_tx: int  # ...but ordered after this one in the block
+    earlier_committed_at: float
+    later_committed_at: float
+
+
+def first_commitment_round(
+    history: Sequence[tuple[float, frozenset[int]]], tx_id: int
+) -> float | None:
+    """The time of the first commitment containing *tx_id* (None if never),
+    read off a list of ``(round time, ids committed)`` snapshots."""
+
+    for when, known in history:
+        if tx_id in known:
+            return when
+    return None
+
+
+def audit_block_order(
+    committed_at: Mapping[int, float], block: Block
+) -> list[ReorderingEvidence]:
+    """Find all block-order/commitment-order contradictions.
+
+    *committed_at* is the proposer's first-commit index
+    (:attr:`LZeroNode.first_committed_at`).  A pair (A, B) is evidence when
+    A's first committed round is *strictly earlier* than B's, yet the block
+    places B before A.  Transactions never committed (arrived after the last
+    round) cannot be adjudicated and are skipped — the probabilistic part of
+    the guarantee.
+    """
+
+    evidence: list[ReorderingEvidence] = []
+    ordered = [tx for tx in block.tx_ids if tx in committed_at]
+    for position, later in enumerate(ordered):
+        for earlier in ordered[position + 1 :]:
+            # `earlier` sits AFTER `later` in the block; contradiction when
+            # it was committed strictly before.
+            if committed_at[earlier] < committed_at[later]:
+                evidence.append(
+                    ReorderingEvidence(
+                        earlier_tx=earlier,
+                        later_tx=later,
+                        earlier_committed_at=committed_at[earlier],
+                        later_committed_at=committed_at[later],
+                    )
+                )
+    return evidence
 
 
 class LZeroSystem(BaseSystem):

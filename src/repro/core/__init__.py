@@ -16,13 +16,8 @@ Online flow per message:
 """
 
 from .accountability import AccountabilityMonitor, Violation, ViolationLog
-from .batching import BatchingHermesNode, BatchingHermesSystem
 from .config import HermesConfig
 from .dissemination import DisseminationEnvelope
-from .erasure import decode_shards, encode_shards, hermes_erasure_parameters
-from .membership import MembershipManager, committee_epoch_seed
-from .peer_sampling import PeerSamplingNode
-from .permissionless import PermissionlessDeployment
 from .protocol import HermesNode, HermesSystem
 from .sequencer import SequenceAuditor
 from .tracing import ActivityKind, ActivityTrace
@@ -31,20 +26,11 @@ __all__ = [
     "AccountabilityMonitor",
     "ActivityKind",
     "ActivityTrace",
-    "BatchingHermesNode",
-    "BatchingHermesSystem",
-    "PermissionlessDeployment",
     "DisseminationEnvelope",
     "HermesConfig",
     "HermesNode",
     "HermesSystem",
-    "MembershipManager",
-    "PeerSamplingNode",
     "SequenceAuditor",
     "Violation",
     "ViolationLog",
-    "committee_epoch_seed",
-    "decode_shards",
-    "encode_shards",
-    "hermes_erasure_parameters",
 ]

@@ -65,7 +65,3 @@ class SweepExecutionError(ReproError):
 class TraceReadError(ReproError):
     """A JSONL trace or bench record is malformed or has an unsupported
     version (see ``repro.obs.analysis``)."""
-
-
-class MembershipError(ReproError):
-    """A join/leave operation is inconsistent with the current membership."""

@@ -80,13 +80,11 @@ class Network:
         self._handlers: dict[int, Callable[[int, Message], None]] = {}
         self._rng = derive_rng(seed, "network")
         # Buffered standard normals of the jitter stream (see send_many) and
-        # base latencies in per-source rows (``[src][dst]``), valid for one
-        # PhysicalNetwork.version so topology churn invalidates them.
+        # base latencies in per-source rows (``[src][dst]``).
         self._sampler = BlockSampler(self._rng)
         self._jitter_block: list[float] = []
         self._jitter_pos = 0
         self._latency_cache: defaultdict[int, dict[int, float]] = defaultdict(dict)
-        self._latency_version = physical.version
         # Chaos hooks (repro.chaos): an optional link disruptor consulted per
         # transmission (partitions, latency spikes, loss windows) and an
         # optional send listener used by the invariant monitors to witness
@@ -202,9 +200,6 @@ class Network:
         loss = self.loss_model.loss_probability
         sigma = self.loss_model.jitter_sigma
         proc, service = self.processing_delay_ms, self.service_time_ms
-        if self._latency_version != self.physical.version:
-            self._latency_cache.clear()
-            self._latency_version = self.physical.version
         latency_row = self._latency_cache[src]
         # One handler-args tuple per fan-out, shared by every untapped delivery.
         args = (src, message)

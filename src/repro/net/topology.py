@@ -169,20 +169,6 @@ class _CrossRegionDraws:
             row.insert(n + at, value)
             row.insert(at, key[1])
 
-    def pop(self, key: tuple[int, int], *default: float) -> float:
-        row, n, at = self._find(key)
-        if not (at < n and row[at] == key[1]):
-            if default:
-                return default[0]
-            raise KeyError(key)
-        value = row[n + at]
-        if n == 1:
-            del self.rows[key[0]]
-        else:
-            del row[n + at]
-            del row[at]
-        return value
-
     def __len__(self) -> int:
         return sum(len(row) for row in self.rows.values()) >> 1
 
@@ -230,34 +216,24 @@ class PhysicalNetwork:
     pair_seed: int = 0
     # Per-pair draws of the pairs without a link (see transport_latency),
     # NaN until drawn.  Same-region pairs live in one dense triangle per
-    # region over its members' local indices (ids ascending, then joins in
-    # join order): the pair of local indices i < j sits at j*(j-1)/2 + i.
-    # _slots maps a node to (its region's triangle, its local index);
-    # _entered counts the local indices a region has handed out.
-    # Cross-region pairs live in _cross, sorted columns per lower endpoint.
-    # Built by __post_init__, so dataclasses.replace gets empty tables.
-    _triangles: dict[Region, array] = field(init=False, repr=False, compare=False)
-    _entered: dict[Region, int] = field(init=False, repr=False, compare=False)
+    # region over its members' local indices (ids ascending): the pair of
+    # local indices i < j sits at j*(j-1)/2 + i.  _slots maps a node to (its
+    # region's triangle, its local index).  Cross-region pairs live in
+    # _cross, sorted columns per lower endpoint.  Built by __post_init__, so
+    # dataclasses.replace gets empty tables.
     _slots: dict[int, tuple[array, int]] = field(init=False, repr=False, compare=False)
     _cross: _CrossRegionDraws = field(init=False, repr=False, compare=False)
-    # Bumped on every topology mutation; consumers holding derived caches
-    # (e.g. Network's per-pair base-latency cache) compare it to decide when
-    # to invalidate without the substrate having to know who they are.
-    version: int = field(default=0, repr=False, compare=False)
-    _graph_view: tuple[int, nx.Graph] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _graph_view: nx.Graph | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members: dict[Region, list[int]] = {}
         for node in sorted(self.regions):
             members.setdefault(self.regions[node], []).append(node)
-        self._triangles, self._entered, self._slots = {}, {}, {}
+        self._slots = {}
         self._cross = _CrossRegionDraws()
-        for region, nodes in members.items():
+        for nodes in members.values():
             n = len(nodes)
-            table = self._triangles[region] = array("d", [_UNDRAWN]) * (n * (n - 1) // 2)
-            self._entered[region] = n
+            table = array("d", [_UNDRAWN]) * (n * (n - 1) // 2)
             for index, node in enumerate(nodes):
                 self._slots[node] = (table, index)
 
@@ -266,17 +242,16 @@ class PhysicalNetwork:
         """A read-only networkx rendering of :attr:`adjacency` (same node and
         ``edges`` order) for the code that needs a graph *library* — physical
         disjoint-path routing, tests.  Built, and networkx imported, on first
-        use; rebuilt after a mutation."""
+        use."""
 
-        view = self._graph_view
-        if view is None or view[0] != self.version:
+        if self._graph_view is None:
             import networkx as nx
 
             graph = nx.Graph()
             graph.add_nodes_from(self.adjacency)
             graph.add_edges_from(self.edges())
-            view = self._graph_view = (self.version, graph)
-        return view[1]
+            self._graph_view = graph
+        return self._graph_view
 
     @property
     def num_nodes(self) -> int:
@@ -428,61 +403,6 @@ class PhysicalNetwork:
 
     def region_of(self, node: int) -> Region:
         return self.regions[node]
-
-    # ------------------------------------------------------------------
-    # Mutation (permissionless churn, §VII-B)
-    # ------------------------------------------------------------------
-
-    def add_node_with_links(
-        self, node: int, region: Region, neighbors: Sequence[int]
-    ) -> None:
-        """Join *node* to the physical network with links to *neighbors*."""
-
-        if node in self.adjacency:
-            raise TopologyError(f"node {node} already in the network")
-        if not neighbors:
-            raise TopologyError("a joining node needs at least one neighbour")
-        for neighbor in neighbors:
-            if neighbor not in self.adjacency:
-                raise TopologyError(f"unknown neighbour {neighbor}")
-        if not isinstance(self.regions, dict) or not isinstance(self.latencies, dict):
-            raise TopologyError("this PhysicalNetwork instance is immutable")
-        links = self.adjacency[node] = {}
-        self.regions[node] = region
-        # The next local index of the region's triangle: j undrawn pairs
-        # with the j members before it (a new region starts a new triangle).
-        index = self._entered.get(region, 0)
-        table = self._triangles.setdefault(region, array("d"))
-        table.extend(array("d", [_UNDRAWN]) * index)
-        self._entered[region] = index + 1
-        self._slots[node] = (table, index)
-        for neighbor in neighbors:
-            links[neighbor] = self.adjacency[neighbor][node] = None
-            key = (min(node, neighbor), max(node, neighbor))
-            self.latencies[key] = self.latency_model.sample_pair(
-                self.pair_seed, node, neighbor, region, self.regions[neighbor]
-            )
-        self.version += 1
-
-    def remove_node(self, node: int) -> None:
-        """Remove a departed node and its links."""
-
-        if node not in self.adjacency:
-            raise TopologyError(f"unknown node {node}")
-        if not isinstance(self.regions, dict) or not isinstance(self.latencies, dict):
-            raise TopologyError("this PhysicalNetwork instance is immutable")
-        self.regions.pop(node, None)
-        for neighbor in self.adjacency.pop(node):
-            del self.adjacency[neighbor][node]
-            self.latencies.pop((min(node, neighbor), max(node, neighbor)), None)
-        # Forget the node's per-pair draws too: if this id rejoins later
-        # (possibly in a different region), transport_latency must re-sample.
-        # Its triangle cells become unreachable with its local index (a
-        # rejoin gets a fresh one); its cross-region draws are deleted.
-        self._slots.pop(node, None)
-        for other in self._slots:
-            self._cross.pop((node, other) if node < other else (other, node), None)
-        self.version += 1
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])

@@ -47,7 +47,6 @@ from .tracer import NULL_SPAN, NullTracer, Span, TraceEvent, Tracer
 
 __all__ = [
     "Observability",
-    "TaggedObservability",
     "Tracer",
     "NullTracer",
     "Span",
@@ -166,37 +165,3 @@ class Observability:
         from .manifest import write_manifest
 
         return write_manifest(path, self, meta=meta)
-
-
-class TaggedObservability(Observability):
-    """A view over an existing bundle that stamps fixed attributes on output.
-
-    The view shares the base bundle's tracer, metrics registry and profiler —
-    nothing is duplicated, and everything lands in the same trace — but every
-    span and event emitted *through the view* carries the constructor's tags
-    in addition to the caller's attributes (caller attributes win on
-    collision).  :class:`~repro.sharding.ShardedSystem` hands each per-shard
-    system a ``TaggedObservability(obs, shard=i)`` so ``tx.submit`` /
-    ``tx.deliver`` / ``net.send`` events are attributable per shard without
-    any per-callsite changes; the trace analyzers
-    (:mod:`repro.obs.analysis`) pick the ``shard`` attribute up into
-    dissemination trees and report tables.
-
-    Tagging is read-only instrumentation like the rest of the layer: it adds
-    no randomness and schedules nothing, so tagged and untagged runs replay
-    identically.
-    """
-
-    __slots__ = ("tags",)
-
-    def __init__(self, base: Observability, **tags: Any) -> None:
-        super().__init__(
-            tracer=base.tracer, metrics=base.metrics, profiler=base.profiler
-        )
-        self.tags = tags
-
-    def span(self, name: str, **attrs: Any) -> Span:
-        return self.tracer.span(name, **{**self.tags, **attrs})
-
-    def event(self, name: str, **attrs: Any) -> TraceEvent | None:
-        return self.tracer.event(name, **{**self.tags, **attrs})

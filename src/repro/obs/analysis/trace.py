@@ -331,8 +331,8 @@ def build_trees(trace: Trace) -> list[DisseminationTree]:
         if tree is None:
             tree = trees[key] = DisseminationTree(tx_id=key[1], protocol=key[0])
         if tree.shard is None and event.attrs.get("shard") is not None:
-            # Sharded runs stamp every event with its shard tag (see
-            # TaggedObservability); unsharded traces never carry the key.
+            # A trace written by a sharded deployment stamps every event
+            # with its shard; unsharded traces never carry the key.
             tree.shard = int(event.attrs["shard"])
         return tree
 

@@ -116,8 +116,7 @@ class TransportSpace(OverlaySpace):
     pruning, every annealing move), so the space keeps each latency it has
     read, keyed by the ordered pair: one ``transport_latency`` call per
     distinct pair for as long as the space lives (one
-    ``build_overlay_family`` call).  A topology mutation bumps
-    ``physical.version`` and empties the memo.
+    ``build_overlay_family`` call).
     """
 
     complete = True
@@ -125,15 +124,11 @@ class TransportSpace(OverlaySpace):
     def __init__(self, physical: PhysicalNetwork) -> None:
         self._physical = physical
         self._memo: dict[tuple[int, int], float] = {}
-        self._version = physical.version
 
     def are_connected(self, u: int, v: int) -> bool:
         return u != v
 
     def latency(self, u: int, v: int) -> float:
-        if self._version != self._physical.version:
-            self._memo.clear()
-            self._version = self._physical.version
         key = (u, v) if u < v else (v, u)
         latency = self._memo.get(key)
         if latency is None:

@@ -68,7 +68,3 @@ class RankTracker:
         )
         return ordered[:count]
 
-    def forget(self, node: int) -> None:
-        """Drop a departed node (permissionless churn)."""
-
-        self._ranks.pop(node, None)

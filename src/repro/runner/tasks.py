@@ -19,7 +19,7 @@ Built-in tasks:
 ``table1.run`` / ``fig2.structure`` / ``fig3a.protocol`` / ``fig3b.protocol`` /
 ``fig4.family`` / ``fig5a.trial`` / ``fig5b.trial`` / ``fig6.point`` /
 ``fig7.point`` / ``fig8.point`` / ``fig9.point`` / ``chaos.run`` /
-``drill.protocol``
+``drill.protocol`` / ``ablations.cell``
     The cells of the figures in :data:`FIGURES` (each figure module's
     ``FIGURE.run_cell``), resolved on first request.
 ``selftest.*``
@@ -91,6 +91,8 @@ FIGURES = {
                          "front-running resistance vs adversary fraction (paper Fig. 5a)"),
     "fig5b": FigureEntry("fig5b_robustness", "fig5b.trial",
                          "delivery robustness under censorship (paper Fig. 5b)"),
+    "ablations": FigureEntry("ablations", "ablations.cell", "design-choice ablations: k, "
+                             "annealing, rank penalty, erasure batching (paper §IV, §V-B, §VIII-D)"),
     "fig6": FigureEntry("fig6_saturation", "fig6.point", "offered-load saturation "
                         "sweep under finite link capacity (extension)"),
     "fig7": FigureEntry("fig7_adversary", "fig7.point",

@@ -13,11 +13,8 @@ unsharded one (the byte-identity contract pinned by
 
 What differs per shard:
 
-* the protocol system seed (``system_seed + shard_id``), so committees,
+* the protocol system seed (``SYSTEM_SEED + shard_id``), so committees,
   gossip peers and jitter streams are independent across shards;
-* the optional fault plan / observe hook (per-shard Byzantine coalitions);
-* the :class:`~repro.obs.TaggedObservability` view stamping ``shard=i`` on
-  every trace event;
 * for HERMES with more than one shard, ``HermesConfig.shard_id`` — envelopes
   carry their shard and relays reject mis-routed traffic at admission.
 
@@ -31,18 +28,20 @@ Cross-shard traffic enters through the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 from ..errors import ConfigurationError
 from ..load.capacity import CapacityConfig, CapacityModel
-from ..mempool.mempool import MempoolPolicy
 from ..net.node import Deployment
-from ..obs import Observability, TaggedObservability
 from .map import ShardMap, ShardMapConfig
 from .plan import ShardPlan
 from .router import CrossShardRouter, RouteDecision
 
 __all__ = ["Shard", "PlacedSubmission", "ShardedSystem"]
+
+#: Shard *i*'s protocol system runs with seed ``SYSTEM_SEED + i`` (13 is the
+#: harness's default system seed, so one shard is the unsharded system).
+SYSTEM_SEED = 13
 
 
 @dataclass
@@ -80,10 +79,8 @@ class ShardedSystem(Deployment):
 
     See the module docstring for the construction contract.  *capacity*
     installs one :class:`~repro.load.capacity.CapacityModel` per shard (each
-    shard's links are accounted separately); *mempool_policy* installs
-    per-shard admission control on every node's mempool via the existing
-    :class:`~repro.mempool.MempoolPolicy`; *fault_plans* / *observe_hooks*
-    map shard id → the fault plan / hook for that shard's factory call.
+    shard's links are accounted separately).  A submission routed to another
+    shard pays one hop of the deployment's expected inter-region latency.
     """
 
     # Empty until the constructor builds the shards: close() skips it.
@@ -98,26 +95,16 @@ class ShardedSystem(Deployment):
         f: int = 1,
         k: int = 4,
         seed: int = 0,
-        system_seed: int = 13,
-        obs: Observability | None = None,
         shard_map: ShardMap | None = None,
         map_policy: str = "uniform",
         map_seed: int = 0,
         capacity: CapacityConfig | None = None,
-        mempool_policy: MempoolPolicy | None = None,
-        hermes_overrides: Mapping[str, Any] | None = None,
-        fault_plans: Mapping[int, Any] | None = None,
-        observe_hooks: Mapping[int, Callable] | None = None,
-        cross_shard_hop_ms: float | None = None,
-        narwhal_config: Any = None,
     ) -> None:
         from ..experiments.harness import build_environment, protocol_factories
 
         self.plan = ShardPlan(num_shards=num_shards, total_nodes=total_nodes)
         self.protocol = protocol
-        self.obs = obs
         self.seed = seed
-        self.system_seed = system_seed
         # All shards share one mirrored environment: same size, same build
         # seed, one cache entry.  num_shards == 1 reuses the unsharded env.
         self.env = build_environment(
@@ -137,49 +124,29 @@ class ShardedSystem(Deployment):
                 f"system has {num_shards}"
             )
         self.shard_map = shard_map
-        if cross_shard_hop_ms is None:
-            # A cross-shard submission is at least one wide-area hop: use the
-            # deployment's expected inter-region link latency.
-            cross_shard_hop_ms = float(
-                self.env.physical.latency_model.parameters.inter_mean
-            )
-        self.router = CrossShardRouter(self.plan, hop_ms=cross_shard_hop_ms)
+        # A cross-shard submission is at least one wide-area hop: the
+        # deployment's expected inter-region link latency.
+        self.router = CrossShardRouter(
+            self.plan, hop_ms=float(self.env.physical.latency_model.parameters.inter_mean)
+        )
 
-        overrides = dict(hermes_overrides or {})
-        fault_plans = dict(fault_plans or {})
-        observe_hooks = dict(observe_hooks or {})
         self.shards = []
         for sid in range(num_shards):
-            shard_obs = (
-                TaggedObservability(obs, shard=sid) if obs is not None else None
-            )
-            shard_overrides = dict(overrides)
-            if num_shards > 1:
-                # Envelope shard tags cost two wire bytes, so a single-shard
-                # system stays byte-identical to the unsharded protocol.
-                shard_overrides.setdefault("shard_id", sid)
+            # Envelope shard tags cost two wire bytes, so a single-shard
+            # system stays byte-identical to the unsharded protocol.
             factories = protocol_factories(
                 self.env,
-                seed=system_seed + sid,
-                hermes_overrides=shard_overrides,
-                obs=shard_obs,
-                narwhal_config=narwhal_config,
+                seed=SYSTEM_SEED + sid,
+                hermes_overrides={"shard_id": sid} if num_shards > 1 else None,
             )
             if protocol not in factories:
                 raise ConfigurationError(
                     f"unknown protocol {protocol!r}; known: {sorted(factories)}"
                 )
-            system = factories[protocol](
-                fault_plans.get(sid), observe_hooks.get(sid)
-            )
+            system = factories[protocol]()
             system.network.shard_id = sid
             if capacity is not None:
                 system.network.capacity = CapacityModel(capacity)
-            if mempool_policy is not None:
-                for node in system.nodes.values():
-                    mempool = getattr(node, "mempool", None)
-                    if mempool is not None:
-                        mempool.install_policy(mempool_policy)
             self.shards.append(Shard(shard_id=sid, system=system))
 
     # -- geometry ----------------------------------------------------------
@@ -242,16 +209,9 @@ class ShardedSystem(Deployment):
             shard.system.start()
 
     def run_shard(self, shard_id: int, until_ms: float) -> float:
-        """Run one shard's simulator to *until_ms* (rebinding the obs clock).
+        """Run one shard's simulator to *until_ms*; shards run one at a time."""
 
-        Shards execute one at a time; with a shared observability bundle the
-        tracer clock must follow the simulator that is actually advancing.
-        """
-
-        shard = self.shards[shard_id]
-        if self.obs is not None:
-            self.obs.attach(shard.system.simulator)
-        return shard.system.run(until_ms=until_ms)
+        return self.shards[shard_id].system.run(until_ms=until_ms)
 
     def run(self, until_ms: float) -> float:
         """Run every shard to *until_ms*; returns the latest final time."""

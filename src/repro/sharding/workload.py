@@ -157,10 +157,6 @@ class ShardedLoadDriver:
         per_shard = self._split(schedule)
         results: list[LoadResult] = []
         for shard, slice_ in zip(self.system.shards, per_shard):
-            if self.system.obs is not None:
-                # Shards run one after another; the shared tracer clock must
-                # follow the simulator that is actually advancing.
-                self.system.obs.attach(shard.system.simulator)
             driver = LoadDriver(
                 shard.system,
                 _FixedSchedule(tuple(slice_)),

@@ -1,4 +1,5 @@
-"""Drill: SIGKILL the parent of a pooled sweep, then resume it.
+"""Drills: SIGKILL the parent of a pooled sweep, or make its results
+directory refuse writes, then resume it.
 
 The sweep CLI runs in its own session with two workers and a timeline.  Once
 the first record lands, only the parent is killed: nothing runs its
@@ -14,8 +15,12 @@ inherited would wait forever.  Then:
   the rename — is never read as a record;
 * a resume executes exactly the cells without a record, and the store ends
   byte-identical to an undisturbed sweep.
+
+A store that refuses a write mid-sweep must fail the sweep with the error,
+leave no ``*.tmp`` file, reap every worker, and resume the same way.
 """
 
+import errno
 import json
 import os
 import signal
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import ResultStore, RunSpec, run_sweep
+from repro.runner import ResultStore, RunSpec, SweepTelemetry, run_sweep
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 NAPS = [RunSpec(task="selftest.sleep", params={"i": i, "seconds": 0.25}) for i in range(8)]
@@ -149,4 +154,48 @@ def test_sigkilled_parent_leaves_no_workers_and_resumes_exactly(tmp_path):
     assert summary.startswith(
         f"{len(NAPS)} runs: {len(missing)} executed, {len(landed)} resumed, 0 failed"
     ), summary
+    assert _store_bytes(store) == _store_bytes(undisturbed)
+
+
+def _reaped(pid: int) -> bool:
+    """Whether our child *pid* has exited and been waited for."""
+
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False  # still running, or a zombie until this very call
+
+
+def test_a_store_that_refuses_writes_fails_the_sweep_and_resumes_exactly(
+    tmp_path, monkeypatch
+):
+    # The results directory turns read-only after three records.  Tests run
+    # as root, where chmod denies nothing, so the store's rename refuses.
+    undisturbed = ResultStore(tmp_path / "undisturbed")
+    assert run_sweep(NAPS, store=undisturbed, jobs=1).failed == 0
+    store = ResultStore(tmp_path / "records")
+    real_replace, renamed = os.replace, []
+
+    def replace(src, dst):
+        if Path(dst).parent == store.root:
+            if len(renamed) == 3:
+                raise PermissionError(errno.EACCES, "Permission denied", str(dst))
+            renamed.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    telemetry = SweepTelemetry()
+    with pytest.raises(PermissionError):
+        run_sweep(NAPS, store=store, jobs=2, telemetry=telemetry)
+    monkeypatch.undo()
+
+    assert [path.name for path in store.root.iterdir() if path.suffix == ".tmp"] == []
+    workers = {record["worker"] for record in telemetry.records if record.get("kind") == "worker"}
+    assert len(workers) == 2
+    assert [pid for pid in workers if not _reaped(pid)] == []
+    assert len(store) == 3
+
+    resumed = run_sweep(NAPS, store=store, jobs=2)
+    assert (resumed.executed, resumed.skipped, resumed.failed) == (len(NAPS) - 3, 3, 0)
     assert _store_bytes(store) == _store_bytes(undisturbed)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro.mempool.mempool as mempool_module
 from repro.baselines.lzero import LZeroConfig, LZeroSystem
-from repro.baselines.lzero_audit import audit_block_order, first_commitment_round
+from repro.baselines.lzero import audit_block_order, first_commitment_round
 from repro.mempool.blocks import Block
 from repro.mempool.mempool import MempoolPolicy
 from repro.mempool.transaction import Transaction

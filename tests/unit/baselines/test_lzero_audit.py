@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.baselines.lzero import LZeroConfig, LZeroSystem
-from repro.baselines.lzero_audit import (
+from repro.baselines.lzero import (
+    LZeroConfig,
+    LZeroSystem,
     audit_block_order,
     first_commitment_round,
 )

@@ -1,11 +1,10 @@
-"""Unit tests for committee epoch seeds and the dissemination envelope."""
+"""Unit tests for the dissemination envelope and the backend memos it reads."""
 
 import dataclasses
 
 import pytest
 
 from repro.core.dissemination import DisseminationEnvelope
-from repro.core.membership import committee_epoch_seed
 from repro.crypto.backend import FastCryptoBackend
 from repro.mempool.transaction import Transaction
 from repro.trs.committee import trs_binding
@@ -18,26 +17,6 @@ def backend():
     backend = FastCryptoBackend(7)
     backend.setup_committee(COMMITTEE, threshold=3)
     return backend
-
-
-class TestEpochSeed:
-    def test_deterministic(self, backend):
-        assert committee_epoch_seed(backend, COMMITTEE, 1) == committee_epoch_seed(
-            backend, COMMITTEE, 1
-        )
-
-    def test_epochs_differ(self, backend):
-        seeds = {committee_epoch_seed(backend, COMMITTEE, e) for e in range(6)}
-        assert len(seeds) > 1
-
-    def test_quorum_subset_suffices(self, backend):
-        full = committee_epoch_seed(backend, COMMITTEE, 3)
-        quorum = committee_epoch_seed(backend, COMMITTEE[:3], 3)
-        assert full == quorum  # unique combined signature => same seed
-
-    def test_in_range(self, backend):
-        for epoch in range(4):
-            assert 0 <= committee_epoch_seed(backend, COMMITTEE, epoch) < 2**31
 
 
 class TestEnvelope:

@@ -47,23 +47,27 @@ GRID_DIGESTS = {
               "506ebb0b378ab5d7391fb7009aaf250100317eb19619aecfff9fd70519059541"),
     "drill": ("fbaf08c5544188a5c10b9db26f6e02ce9cbe4de0edc1779c6b76a80512056b98",
               "0a8567f3ced2a728d1af0cd7ff321782c7a04e47751204381354b8cbe5900426"),
+    # Four fixed cells and no option: --quick is the same grid.
+    "ablations": ("e9888a59f45a68e157f066f614c568dcc4035d7875801ea95904910ade105454",
+                  "e9888a59f45a68e157f066f614c568dcc4035d7875801ea95904910ade105454"),
 }
 
 LIST_FIGURES = """\
-table1  measured comparison of dissemination approaches (paper Table I)
-fig2    overlay-structure latency and load spread (paper Fig. 2)
-fig3a   dissemination latency CDF across protocols (paper Fig. 3a)
-fig3b   bandwidth overhead per protocol (paper Fig. 3b)
-fig4    role (rank) distribution across the overlays (paper Fig. 4)
-fig5a   front-running resistance vs adversary fraction (paper Fig. 5a)
-fig5b   delivery robustness under censorship (paper Fig. 5b)
-fig6    offered-load saturation sweep under finite link capacity (extension)
-fig7    strategy-zoo adversary grid: economics and fairness (extension)
-fig8    sustained million-client population load with a fee market (extension)
-fig9    sharding scaling grid: aggregate goodput and cross-shard fairness (extension)
-chaos   fault-injection campaigns with online invariant checks (extension)
-drill   cross-shard partition drill: one committee islanded, the rest stay live (extension)
-all     the paper's evaluation in order: Table I, Figs. 2, 3a, 3b, 4, 5a, 5b
+table1     measured comparison of dissemination approaches (paper Table I)
+fig2       overlay-structure latency and load spread (paper Fig. 2)
+fig3a      dissemination latency CDF across protocols (paper Fig. 3a)
+fig3b      bandwidth overhead per protocol (paper Fig. 3b)
+fig4       role (rank) distribution across the overlays (paper Fig. 4)
+fig5a      front-running resistance vs adversary fraction (paper Fig. 5a)
+fig5b      delivery robustness under censorship (paper Fig. 5b)
+ablations  design-choice ablations: k, annealing, rank penalty, erasure batching (paper §IV, §V-B, §VIII-D)
+fig6       offered-load saturation sweep under finite link capacity (extension)
+fig7       strategy-zoo adversary grid: economics and fairness (extension)
+fig8       sustained million-client population load with a fee market (extension)
+fig9       sharding scaling grid: aggregate goodput and cross-shard fairness (extension)
+chaos      fault-injection campaigns with online invariant checks (extension)
+drill      cross-shard partition drill: one committee islanded, the rest stay live (extension)
+all        the paper's evaluation in order: Table I, Figs. 2, 3a, 3b, 4, 5a, 5b
 """
 
 

@@ -16,7 +16,7 @@ from repro.net.latency import LatencyModel
 from repro.net.topology import (
     PhysicalNetwork, _CrossRegionDraws, generate_physical_network,
 )
-from repro.types import ALL_REGIONS, Region
+from repro.types import Region
 
 
 def network_of(graph: nx.Graph) -> PhysicalNetwork:
@@ -129,16 +129,10 @@ class TestGraphView:
         assert list(physical40.graph.edges) == list(physical40.edges())
         assert physical40.graph.number_of_edges() == len(physical40.latencies)
 
-    def test_view_is_cached_until_the_topology_changes(self):
+    def test_view_is_built_once(self):
         network = generate_physical_network(20, seed=9)
         view = network.graph
         assert network.graph is view
-        network.add_node_with_links(100, Region.TOKYO, [0, 1, 2])
-        assert network.graph is not view
-        assert set(network.graph[100]) == {0, 1, 2}
-        network.remove_node(100)
-        assert 100 not in network.graph
-        assert list(network.graph.edges) == list(view.edges)
 
     def test_edges_of_unknown_nodes_do_not_exist(self, physical40):
         assert not physical40.has_edge(0, 999)
@@ -159,38 +153,6 @@ class TestTransportLatency:
         first = physical40.transport_latency(u, v)
         assert physical40.transport_latency(v, u) == first
         assert physical40.transport_latency(u, v) == first
-
-
-class TestMutation:
-    def test_join_and_leave(self):
-        network = generate_physical_network(20, seed=9)
-        network.add_node_with_links(100, Region.TOKYO, [0, 1, 2])
-        assert 100 in network.graph
-        assert network.region_of(100) is Region.TOKYO
-        assert network.latency(100, 0) > 0
-        network.remove_node(100)
-        assert 100 not in network.graph
-        assert (0, 100) not in network.latencies
-
-    def test_join_duplicate_rejected(self):
-        network = generate_physical_network(20, seed=9)
-        with pytest.raises(TopologyError):
-            network.add_node_with_links(5, Region.TOKYO, [0])
-
-    def test_join_needs_known_neighbors(self):
-        network = generate_physical_network(20, seed=9)
-        with pytest.raises(TopologyError):
-            network.add_node_with_links(100, Region.TOKYO, [999])
-
-    def test_join_needs_some_neighbor(self):
-        network = generate_physical_network(20, seed=9)
-        with pytest.raises(TopologyError):
-            network.add_node_with_links(100, Region.TOKYO, [])
-
-    def test_remove_unknown_rejected(self):
-        network = generate_physical_network(20, seed=9)
-        with pytest.raises(TopologyError):
-            network.remove_node(999)
 
 
 class TestValidationModes:
@@ -224,28 +186,6 @@ class TestValidationModes:
         network = network_of(nx.complete_graph(3))
         with pytest.raises(TopologyError):
             network.validate_connectivity_fast(3)
-
-
-class TestVersionAndPairCache:
-    def test_mutations_bump_the_version(self):
-        network = generate_physical_network(20, min_degree=3, seed=2)
-        before = network.version
-        network.add_node_with_links(99, network.region_of(0), [0, 1, 2])
-        assert network.version == before + 1
-        network.remove_node(99)
-        assert network.version == before + 2
-
-    def test_join_purges_stale_pair_draw(self):
-        network = generate_physical_network(20, min_degree=3, seed=2)
-        # Find a non-adjacent pair and warm its internet-path cache entry.
-        u = 0
-        v = next(n for n in network.nodes() if n != u and not network.has_edge(u, n))
-        internet = network.transport_latency(u, v)
-        network.remove_node(v)
-        network.add_node_with_links(v, network.region_of(u), [u])
-        # Now a direct link: the label, not the stale cached draw.
-        assert network.transport_latency(u, v) == network.latency(u, v)
-        assert network.transport_latency(u, v) != internet
 
 
 @lru_cache(maxsize=None)
@@ -369,25 +309,6 @@ class DictPerPairNetwork(PhysicalNetwork):
             known.sort()
         return [other for _, _, other in known[:k]]
 
-    def add_node_with_links(self, node: int, region: Region, neighbors) -> None:
-        self.adjacency[node] = {}
-        self.regions[node] = region
-        for neighbor in neighbors:
-            self.adjacency[node][neighbor] = self.adjacency[neighbor][node] = None
-            key = (min(node, neighbor), max(node, neighbor))
-            self.latencies[key] = self.latency_model.sample_pair(
-                self.pair_seed, node, neighbor, region, self.regions[neighbor]
-            )
-            self._pair_cache.pop(key, None)
-
-    def remove_node(self, node: int) -> None:
-        self.regions.pop(node)
-        for neighbor in self.adjacency.pop(node):
-            del self.adjacency[neighbor][node]
-            self.latencies.pop((min(node, neighbor), max(node, neighbor)), None)
-        for key in [k for k in self._pair_cache if node in k]:
-            del self._pair_cache[key]
-
 
 _THREE_REGIONS = (Region.FRANKFURT, Region.TOKYO, Region.OHIO)
 
@@ -405,43 +326,23 @@ def _twin(cls, base: PhysicalNetwork) -> PhysicalNetwork:
 class TestPairTablesAgainstADictPerPair:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_same_values_and_draws_through_churn(self, data):
+    def test_same_values_and_draws(self, data):
         base = generate_physical_network(
             18, min_degree=3, regions=_THREE_REGIONS, seed=data.draw(st.integers(0, 3))
         )
         tables, reference = _twin(PhysicalNetwork, base), _twin(DictPerPairNetwork, base)
-        left: dict[int, Region] = {}
-        next_id = base.num_nodes
+        member = st.sampled_from(tables.nodes())
         for _ in range(data.draw(st.integers(1, 40))):
-            members = tables.nodes()
-            member = st.sampled_from(members)
-            op = data.draw(st.sampled_from(["latency", "nearest", "join", "leave", "rejoin"]))
-            if op == "latency":
+            if data.draw(st.booleans()):
                 u, v = data.draw(member), data.draw(member)
                 assert tables.transport_latency(u, v) == reference.transport_latency(u, v)
-            elif op == "nearest":
+            else:
                 node = data.draw(member)
                 candidates = data.draw(st.lists(member, unique=True))
                 k = data.draw(st.integers(0, len(candidates) + 1))
                 assert tables.nearest(node, candidates, k) == reference.nearest(
                     node, candidates, k
                 )
-            elif op == "leave" and len(members) > 4:
-                node = data.draw(member)
-                left[node] = tables.region_of(node)
-                for network in (tables, reference):
-                    network.remove_node(node)
-            elif op in ("join", "rejoin"):
-                if op == "rejoin" and left:  # in another region than before
-                    node = data.draw(st.sampled_from(sorted(left)))
-                    old = left.pop(node)
-                    region = data.draw(st.sampled_from([r for r in _THREE_REGIONS if r != old]))
-                else:
-                    node, next_id = next_id, next_id + 1
-                    region = data.draw(st.sampled_from(_THREE_REGIONS))
-                neighbors = data.draw(st.lists(member, min_size=1, max_size=3, unique=True))
-                for network in (tables, reference):
-                    network.add_node_with_links(node, region, neighbors)
             assert tables.latency_model.calls == reference.latency_model.calls
         for u in tables.nodes():
             for v in tables.nodes():
@@ -467,7 +368,6 @@ class TestCrossRegionColumns:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["set", "pop"]),
                 st.integers(0, 2),  # a few rows, so inserts land out of order
                 st.integers(1, 8),
                 st.floats(0.1, 200.0),
@@ -477,14 +377,8 @@ class TestCrossRegionColumns:
     )
     def test_behaves_as_a_dict_of_pairs(self, ops):
         store, reference = _CrossRegionDraws(), {}
-        for op, lo, gap, value in ops:
-            key = (lo, lo + gap)
-            if op == "set":  # a new pair or an overwrite
-                store[key] = reference[key] = value
-            else:  # the pop of a high endpoint, kept or not
-                assert store.pop(key, None) == reference.pop(key, None)
-                with pytest.raises(KeyError):
-                    store.pop(key)
+        for lo, gap, value in ops:
+            store[(lo, lo + gap)] = reference[(lo, lo + gap)] = value  # new or overwrite
             assert _columns(store) == reference
             assert len(store) == len(reference)
             for hi in range(lo + 1, lo + 10):
@@ -507,27 +401,3 @@ class TestCrossRegionColumns:
         store, at = network._pair_slot(0, far)
         store[at] = 0.05  # every same-region draw is at least 0.1 ms
         assert same and network.nearest(0, same + [far], 1) == [far]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_leave_then_rejoin_forgets_only_the_node_s_draws(self, data):
-        network = _twin(PhysicalNetwork, _nearest_base())
-        nodes = network.nodes()
-        member = st.sampled_from(nodes)
-        node = data.draw(member)
-        partners = data.draw(st.lists(member, min_size=1, max_size=10))
-        for other in partners:
-            network.transport_latency(node, other)
-            network.transport_latency(other, data.draw(member))
-        kept = {pair: x for pair, x in _columns(network._cross).items() if node not in pair}
-        old = network.region_of(node)
-        network.remove_node(node)
-        assert _columns(network._cross) == kept
-        region = data.draw(st.sampled_from([r for r in ALL_REGIONS if r != old]))
-        network.add_node_with_links(node, region, [data.draw(member.filter(node.__ne__))])
-        model = network.latency_model
-        for other in partners:
-            if other != node and not network.has_edge(node, other):
-                assert network.transport_latency(node, other) == model.sample_pair(
-                    network.pair_seed, node, other, region, network.region_of(other)
-                )

@@ -1,7 +1,7 @@
-"""Shard attribution in trace analytics (ISSUE satellite).
+"""Shard attribution in trace analytics.
 
-Sharded runs stamp every trace event with a ``shard`` tag (see
-``repro.obs.TaggedObservability``); the analytics must carry it through
+A trace may stamp every event with a ``shard`` tag (traces are read from
+files, whoever wrote them); the analytics must carry it through
 dissemination trees and critical paths and render a shard column in reports.
 Unsharded traces carry no tags, and their reports must render exactly as
 before — the zero-shard path is pinned by asserting the header row verbatim.

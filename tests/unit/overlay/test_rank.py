@@ -56,13 +56,6 @@ class TestRankTracker:
         tracker = RankTracker([1, 2])
         assert len(tracker.select_for_near_root([1], 5, lambda n: 0.0)) == 1
 
-    def test_forget(self):
-        tracker = RankTracker([1])
-        tracker.add_depth(1, 7)
-        tracker.forget(1)
-        assert tracker.rank(1) == 0
-        assert tracker.max_rank() == 0
-
 
 class TestRoleRotation:
     def test_ranks_rotate_entry_choice(self):

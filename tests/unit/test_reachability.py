@@ -7,8 +7,8 @@ runner tasks and the registered figures (the report's too).  Function-level
 (lazy) imports count.  A package ``__init__`` is not followed as a whole:
 ``from pkg import name`` leads to the module that defines ``name`` (the
 ``__init__`` only where it defines ``name`` itself), so a re-export alone
-keeps nothing alive.  The unreachable set is pinned: a module that loses its
-last caller fails here instead of lingering.
+keeps nothing alive.  No module may be unreachable: one that loses its last
+caller fails here instead of lingering.
 """
 
 from __future__ import annotations
@@ -20,16 +20,6 @@ from repro.__main__ import COMMANDS
 from repro.runner.tasks import FIGURES
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-
-#: Modules no root reaches yet; each either joins a figure or is deleted.
-KNOWN_ORPHANS = {
-    "repro.baselines.lzero_audit",
-    "repro.core.batching",
-    "repro.core.erasure",
-    "repro.core.membership",
-    "repro.core.peer_sampling",
-    "repro.core.permissionless",
-}
 
 
 def _modules() -> dict[str, tuple[ast.Module, bool]]:
@@ -118,5 +108,5 @@ def unreachable() -> set[str]:
     }
 
 
-def test_no_module_is_orphaned_beyond_the_known_orphans():
-    assert unreachable() == KNOWN_ORPHANS
+def test_no_module_is_orphaned():
+    assert unreachable() == set()
