@@ -21,45 +21,83 @@ Top-level convenience re-exports. The subpackages are:
 - :mod:`repro.experiments` — one module per paper table/figure
 
 ``repro.__all__`` is the documented public surface: exactly the subpackages
-above.  Subpackages import lazily (``repro.obs`` etc. materialize on first
-attribute access), so ``import repro`` stays cheap; the docs link-checker
+above.  Every package ``__init__`` re-exports through :func:`lazy_exports`
+(PEP 562): a subpackage, or a name a subpackage re-exports, is imported when
+it is first read, so ``import repro`` stays cheap and importing one submodule
+runs only that submodule's own imports.  The docs link-checker
 (``tests/unit/test_docs_links.py``) verifies every name the documentation
 mentions against this list and each subpackage's own ``__all__``.
 """
 
+from __future__ import annotations
+
 import importlib
+import sys
+from typing import Callable, Iterable, Mapping
 
 __version__ = "1.0.0"
 
-_SUBPACKAGES = (
-    "adversary",
-    "attacks",
-    "baselines",
-    "chaos",
-    "core",
-    "crypto",
-    "experiments",
-    "load",
-    "mempool",
-    "net",
-    "obs",
-    "overlay",
-    "population",
-    "rbc",
-    "runner",
-    "sharding",
-    "trs",
-    "utils",
+
+def lazy_exports(
+    package: str,
+    exports: Mapping[str, Iterable[str]] | None = None,
+    submodules: Iterable[str] = (),
+) -> tuple[list[str], Callable[[str], object], Callable[[], list[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for the package ``__init__`` *package*.
+
+    *exports* maps each submodule to the names the package re-exports from
+    it; each of *submodules* is re-exported as itself.  Nothing is imported
+    until a name is first read; then its submodule is, and the value is kept
+    in the package's namespace.  A name that is also one of the submodules
+    (``compare`` from ``compare``) is bound at once: the import system would
+    otherwise bind the submodule over it the first time anything imports it.
+    """
+
+    exports = exports or {}
+    where: dict[str, str | None] = {
+        name: module for module, names in exports.items() for name in names
+    }
+    where.update(dict.fromkeys(submodules))
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> object:
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = where[name]
+        value = importlib.import_module(f"{package}.{module or name}")
+        if module is not None:
+            value = getattr(value, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | where.keys())
+
+    for name in where.keys() & exports.keys():
+        __getattr__(name)
+    return list(where), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    submodules=(
+        "adversary",
+        "attacks",
+        "baselines",
+        "chaos",
+        "core",
+        "crypto",
+        "experiments",
+        "load",
+        "mempool",
+        "net",
+        "obs",
+        "overlay",
+        "population",
+        "rbc",
+        "runner",
+        "sharding",
+        "trs",
+        "utils",
+    ),
 )
-
-__all__ = list(_SUBPACKAGES)
-
-
-def __getattr__(name: str):
-    if name in _SUBPACKAGES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_SUBPACKAGES))

@@ -23,70 +23,44 @@ See ``docs/adversary.md`` for a worked example and
 adversary and the F3B / order-fairness literature.
 """
 
-from .agent import (
-    AgentContext,
-    StrategyAgent,
-    get_strategy,
-    register_strategy,
-    strategy_names,
-)
-from .economics import AttackLedger, AttackOutcome, AttackRecord, ValueModel
-from .fairness import (
-    FairnessReport,
-    fairness_report,
-    gamma_fairness,
-    majority_order,
-    pairwise_inversion_rate,
-    receive_orders_from_mempools,
-    receive_orders_from_trace,
-)
-from .injection import adversarial_strategy_for, censorship_is_deniable
-from .strategies import (
-    BlackoutStrategy,
-    CensorReorderStrategy,
-    FlooderNode,
-    FloodStrategy,
-    PriorityRaceStrategy,
-    SandwichStrategy,
-)
-from .zoo import (
-    AdversaryTrialResult,
-    CensorshipResult,
-    OverloadResult,
-    run_adversary_trial,
-    run_censorship_trial,
-    run_overload_trial,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "AdversaryTrialResult",
-    "AgentContext",
-    "AttackLedger",
-    "AttackOutcome",
-    "AttackRecord",
-    "BlackoutStrategy",
-    "CensorReorderStrategy",
-    "CensorshipResult",
-    "FairnessReport",
-    "FlooderNode",
-    "FloodStrategy",
-    "OverloadResult",
-    "PriorityRaceStrategy",
-    "SandwichStrategy",
-    "StrategyAgent",
-    "ValueModel",
-    "adversarial_strategy_for",
-    "censorship_is_deniable",
-    "fairness_report",
-    "gamma_fairness",
-    "get_strategy",
-    "majority_order",
-    "pairwise_inversion_rate",
-    "receive_orders_from_mempools",
-    "receive_orders_from_trace",
-    "register_strategy",
-    "run_adversary_trial",
-    "run_censorship_trial",
-    "run_overload_trial",
-    "strategy_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "agent": (
+            "AgentContext",
+            "StrategyAgent",
+            "get_strategy",
+            "register_strategy",
+            "strategy_names",
+        ),
+        "economics": ("AttackLedger", "AttackOutcome", "AttackRecord", "ValueModel"),
+        "fairness": (
+            "FairnessReport",
+            "fairness_report",
+            "gamma_fairness",
+            "majority_order",
+            "pairwise_inversion_rate",
+            "receive_orders_from_mempools",
+            "receive_orders_from_trace",
+        ),
+        "injection": ("adversarial_strategy_for", "censorship_is_deniable"),
+        "strategies": (
+            "BlackoutStrategy",
+            "CensorReorderStrategy",
+            "FlooderNode",
+            "FloodStrategy",
+            "PriorityRaceStrategy",
+            "SandwichStrategy",
+        ),
+        "zoo": (
+            "AdversaryTrialResult",
+            "CensorshipResult",
+            "OverloadResult",
+            "run_adversary_trial",
+            "run_censorship_trial",
+            "run_overload_trial",
+        ),
+    },
+)

@@ -27,7 +27,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..baselines.f3b import F3BSystem
+from ..baselines.lzero import LZeroSystem
 from ..baselines.mercury import MERCURY_TX_KIND, MercurySystem
+from ..core.protocol import HermesSystem
 from ..mempool.transaction import Transaction
 from ..net.events import Message
 
@@ -89,9 +92,5 @@ def censorship_is_deniable(system) -> bool:
       the proposer sees them) does not exist.
     * **Narwhal / Mercury / plain gossip** — no relay accountability at all.
     """
-
-    from ..baselines.f3b import F3BSystem
-    from ..baselines.lzero import LZeroSystem
-    from ..core.protocol import HermesSystem
 
     return not isinstance(system, (LZeroSystem, HermesSystem, F3BSystem))

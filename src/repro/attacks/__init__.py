@@ -7,6 +7,11 @@ censorship and overload trials, and every other strategy, live in the
 strategy zoo (:mod:`repro.adversary`).
 """
 
-from .frontrun import FrontRunResult, FrontRunTrial, run_front_running_trial
+from .. import lazy_exports
 
-__all__ = ["FrontRunResult", "FrontRunTrial", "run_front_running_trial"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "frontrun": ("FrontRunResult", "FrontRunTrial", "run_front_running_trial"),
+    },
+)

@@ -17,32 +17,17 @@ Every system exposes the same driving surface as
 so the experiment harness treats all five protocols uniformly.
 """
 
-from .base import BaseSystem
-from .f3b import F3BConfig, F3BNode, F3BSystem
-from .gossip import GossipConfig, GossipNode, GossipSystem
-from .lzero import LZeroConfig, LZeroNode, LZeroSystem
-from .mercury import MercuryConfig, MercuryNode, MercurySystem
-from .narwhal import NarwhalConfig, NarwhalNode, NarwhalSystem
-from .simple_tree import SimpleTreeConfig, SimpleTreeNode, SimpleTreeSystem
+from .. import lazy_exports
 
-__all__ = [
-    "BaseSystem",
-    "F3BConfig",
-    "F3BNode",
-    "F3BSystem",
-    "GossipConfig",
-    "GossipNode",
-    "GossipSystem",
-    "LZeroConfig",
-    "LZeroNode",
-    "LZeroSystem",
-    "MercuryConfig",
-    "MercuryNode",
-    "MercurySystem",
-    "NarwhalConfig",
-    "NarwhalNode",
-    "NarwhalSystem",
-    "SimpleTreeConfig",
-    "SimpleTreeNode",
-    "SimpleTreeSystem",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("BaseSystem",),
+        "f3b": ("F3BConfig", "F3BNode", "F3BSystem"),
+        "gossip": ("GossipConfig", "GossipNode", "GossipSystem"),
+        "lzero": ("LZeroConfig", "LZeroNode", "LZeroSystem"),
+        "mercury": ("MercuryConfig", "MercuryNode", "MercurySystem"),
+        "narwhal": ("NarwhalConfig", "NarwhalNode", "NarwhalSystem"),
+        "simple_tree": ("SimpleTreeConfig", "SimpleTreeNode", "SimpleTreeSystem"),
+    },
+)

@@ -9,14 +9,16 @@ implements that lifecycle; subclasses provide the node factory.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..mempool.transaction import Transaction
 from ..net.faults import Behavior, FaultPlan
 from ..net.node import Deployment, Network, ProtocolNode
 from ..net.simulator import Simulator
 from ..net.topology import PhysicalNetwork
-from ..obs import Observability
+
+if TYPE_CHECKING:
+    from ..obs.facade import Observability
 
 __all__ = ["BaseSystem", "BaselineNode"]
 

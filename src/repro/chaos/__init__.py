@@ -18,42 +18,28 @@ chaos`` (:mod:`repro.experiments.chaos_campaign`), one ``chaos.run`` runner
 cell per protocol.
 """
 
-from .disruption import LinkDisruptor, LinkVerdict
-from .engine import run_chaos
-from .invariants import InvariantSuite, adapter_for
-from .report import ChaosReport
-from .scenario import (
-    BehaviorFlip,
-    ChaosEvent,
-    ChaosScenario,
-    ChaosWorkload,
-    ChurnBurst,
-    ForgeryInjection,
-    LatencySpike,
-    LossWindow,
-    RegionalPartition,
-    Restore,
-    builtin_scenarios,
-    get_scenario,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "BehaviorFlip",
-    "ChaosEvent",
-    "ChaosReport",
-    "ChaosScenario",
-    "ChaosWorkload",
-    "ChurnBurst",
-    "ForgeryInjection",
-    "InvariantSuite",
-    "LatencySpike",
-    "LinkDisruptor",
-    "LinkVerdict",
-    "LossWindow",
-    "RegionalPartition",
-    "Restore",
-    "adapter_for",
-    "builtin_scenarios",
-    "get_scenario",
-    "run_chaos",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "disruption": ("LinkDisruptor", "LinkVerdict"),
+        "engine": ("run_chaos",),
+        "invariants": ("InvariantSuite", "adapter_for"),
+        "report": ("ChaosReport",),
+        "scenario": (
+            "BehaviorFlip",
+            "ChaosEvent",
+            "ChaosScenario",
+            "ChaosWorkload",
+            "ChurnBurst",
+            "ForgeryInjection",
+            "LatencySpike",
+            "LossWindow",
+            "RegionalPartition",
+            "Restore",
+            "builtin_scenarios",
+            "get_scenario",
+        ),
+    },
+)

@@ -17,14 +17,13 @@ yields byte-identical :meth:`~repro.chaos.report.ChaosReport.dumps` output.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..core.accountability import ViolationLog
 from ..errors import ConfigurationError
 from ..mempool.transaction import Transaction, reset_tx_ids
 from ..net.events import Message, reset_message_ids
 from ..net.faults import Behavior, FaultPlan, TimelineFaultPlan
-from ..obs import Observability
 from ..utils.rng import derive_rng
 from .disruption import LinkDisruptor
 from .invariants import InvariantSuite, adapter_for
@@ -40,6 +39,9 @@ from .scenario import (
     RegionalPartition,
     Restore,
 )
+
+if TYPE_CHECKING:
+    from ..obs.facade import Observability
 
 __all__ = ["run_chaos"]
 

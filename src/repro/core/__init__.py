@@ -15,22 +15,16 @@ Online flow per message:
    mempools so fault-density violations cannot cause permanent loss (§VII-A).
 """
 
-from .accountability import AccountabilityMonitor, Violation, ViolationLog
-from .config import HermesConfig
-from .dissemination import DisseminationEnvelope
-from .protocol import HermesNode, HermesSystem
-from .sequencer import SequenceAuditor
-from .tracing import ActivityKind, ActivityTrace
+from .. import lazy_exports
 
-__all__ = [
-    "AccountabilityMonitor",
-    "ActivityKind",
-    "ActivityTrace",
-    "DisseminationEnvelope",
-    "HermesConfig",
-    "HermesNode",
-    "HermesSystem",
-    "SequenceAuditor",
-    "Violation",
-    "ViolationLog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "accountability": ("AccountabilityMonitor", "Violation", "ViolationLog"),
+        "config": ("HermesConfig",),
+        "dissemination": ("DisseminationEnvelope",),
+        "protocol": ("HermesNode", "HermesSystem"),
+        "sequencer": ("SequenceAuditor",),
+        "tracing": ("ActivityKind", "ActivityTrace"),
+    },
+)

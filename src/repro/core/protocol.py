@@ -18,7 +18,7 @@ key setup, overlay family construction + certification, and node creation.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..crypto.backend import CryptoBackend, FastCryptoBackend
 from ..errors import ConfigurationError
@@ -29,7 +29,6 @@ from ..net.faults import Behavior, FaultPlan
 from ..net.node import Deployment, Network, ProtocolNode
 from ..net.simulator import Simulator
 from ..net.topology import PhysicalNetwork
-from ..obs import Observability
 from ..overlay.base import Overlay
 from ..overlay.encoding import OverlayCertificate, certify_overlays, decode_overlay
 from ..overlay.paths import find_disjoint_paths
@@ -49,6 +48,9 @@ from .dissemination import (
     DisseminationEnvelope,
 )
 from .sequencer import SequenceAuditor
+
+if TYPE_CHECKING:
+    from ..obs.facade import Observability
 
 __all__ = ["HermesNode", "HermesSystem"]
 

@@ -18,47 +18,25 @@ keyed hashes so that 10,000-node simulations stay tractable.  Both produce the
 protocol logic depends on.
 """
 
-from .backend import CryptoBackend, FastCryptoBackend, RealCryptoBackend
-from .dleq import DleqProof, prove_dleq, verify_dleq
-from .group import SchnorrGroup, default_group, toy_group
-from .hashing import hash_bytes, hash_to_int, sha256_hex
-from .keys import KeyPair, KeyRegistry
-from .schnorr import SchnorrSignature, schnorr_sign, schnorr_verify
-from .shamir import ShamirShare, recover_secret, split_secret
-from .threshold import (
-    PartialSignature,
-    ThresholdPublicKey,
-    ThresholdSignature,
-    ThresholdSigner,
-    combine_partials,
-    threshold_keygen,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "CryptoBackend",
-    "DleqProof",
-    "FastCryptoBackend",
-    "KeyPair",
-    "KeyRegistry",
-    "PartialSignature",
-    "RealCryptoBackend",
-    "SchnorrGroup",
-    "SchnorrSignature",
-    "ShamirShare",
-    "ThresholdPublicKey",
-    "ThresholdSignature",
-    "ThresholdSigner",
-    "combine_partials",
-    "default_group",
-    "hash_bytes",
-    "hash_to_int",
-    "prove_dleq",
-    "recover_secret",
-    "schnorr_sign",
-    "schnorr_verify",
-    "sha256_hex",
-    "split_secret",
-    "threshold_keygen",
-    "toy_group",
-    "verify_dleq",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "backend": ("CryptoBackend", "FastCryptoBackend", "RealCryptoBackend"),
+        "dleq": ("DleqProof", "prove_dleq", "verify_dleq"),
+        "group": ("SchnorrGroup", "default_group", "toy_group"),
+        "hashing": ("hash_bytes", "hash_to_int", "sha256_hex"),
+        "keys": ("KeyPair", "KeyRegistry"),
+        "schnorr": ("SchnorrSignature", "schnorr_sign", "schnorr_verify"),
+        "shamir": ("ShamirShare", "recover_secret", "split_secret"),
+        "threshold": (
+            "PartialSignature",
+            "ThresholdPublicKey",
+            "ThresholdSignature",
+            "ThresholdSigner",
+            "combine_partials",
+            "threshold_keygen",
+        ),
+    },
+)

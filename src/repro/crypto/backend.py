@@ -24,21 +24,19 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ThresholdNotReachedError
-from .group import SchnorrGroup, toy_group
 from .hashing import hash_bytes, hash_to_int
-from .keys import KeyRegistry
-from .threshold import (
-    PartialSignature,
-    ThresholdPublicKey,
-    ThresholdSignature,
-    ThresholdSigner,
-    combine_partials,
-    threshold_keygen,
-    verify_partial,
-)
+
+if TYPE_CHECKING:
+    from .group import SchnorrGroup
+    from .threshold import (
+        PartialSignature,
+        ThresholdPublicKey,
+        ThresholdSignature,
+        ThresholdSigner,
+    )
 
 __all__ = ["CryptoBackend", "RealCryptoBackend", "FastCryptoBackend", "SIGNATURE_SIZE_BYTES"]
 
@@ -101,9 +99,16 @@ class CryptoBackend(ABC):
 
 
 class RealCryptoBackend(CryptoBackend):
-    """Backend running the genuine discrete-log cryptography."""
+    """Backend running the genuine discrete-log cryptography.
+
+    The group, key and threshold-DVRF modules load with the first instance:
+    runs on :class:`FastCryptoBackend` never import them.
+    """
 
     def __init__(self, group: SchnorrGroup | None = None, seed: int = 0) -> None:
+        from .group import toy_group
+        from .keys import KeyRegistry
+
         self._group = group if group is not None else toy_group()
         self._rng = random.Random(seed)
         self.registry = KeyRegistry(self._group)
@@ -118,6 +123,8 @@ class RealCryptoBackend(CryptoBackend):
         return self._threshold_public
 
     def setup_committee(self, member_ids: Sequence[int], threshold: int) -> None:
+        from .threshold import threshold_keygen
+
         public, signers = threshold_keygen(
             self._group, threshold, len(member_ids), self._rng
         )
@@ -147,11 +154,15 @@ class RealCryptoBackend(CryptoBackend):
         return self._signers[member_id].sign(message, self._rng)
 
     def verify_partial(self, message: bytes, partial: object) -> bool:
+        from .threshold import PartialSignature, verify_partial
+
         if not isinstance(partial, PartialSignature):
             return False
         return verify_partial(self.threshold_public, message, partial)
 
     def combine(self, message: bytes, partials: Sequence[object]) -> ThresholdSignature:
+        from .threshold import PartialSignature, combine_partials
+
         typed = [p for p in partials if isinstance(p, PartialSignature)]
         return combine_partials(self.threshold_public, message, typed)
 
@@ -164,6 +175,8 @@ class RealCryptoBackend(CryptoBackend):
         can act as the verification oracle directly — equivalent to verifying
         a full partial certificate.
         """
+
+        from .threshold import ThresholdSignature, combine_partials
 
         if not isinstance(signature, ThresholdSignature):
             return False
@@ -180,6 +193,8 @@ class RealCryptoBackend(CryptoBackend):
         return expected.value == signature.value
 
     def seed_from_signature(self, signature: object, modulus: int) -> int:
+        from .threshold import ThresholdSignature
+
         if not isinstance(signature, ThresholdSignature):
             raise ThresholdNotReachedError("expected a combined threshold signature")
         return signature.as_seed(modulus)

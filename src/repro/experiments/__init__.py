@@ -25,6 +25,11 @@ and the extensions:
 * :mod:`shard_drill` — one shard's committee islanded, the others stay live.
 """
 
-from .harness import ExperimentEnvironment, build_environment, protocol_factories
+from .. import lazy_exports
 
-__all__ = ["ExperimentEnvironment", "build_environment", "protocol_factories"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "harness": ("ExperimentEnvironment", "build_environment", "protocol_factories"),
+    },
+)

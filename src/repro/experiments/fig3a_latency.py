@@ -14,12 +14,11 @@ paper's, so the Mercury/HERMES gap is wider).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..mempool.transaction import Transaction, reset_tx_ids
 from ..net.events import reset_message_ids
 from ..net.stats import LatencySummary, summarize_latencies
-from ..obs import Observability
 from ..utils.rng import derive_rng
 from ..utils.tables import format_table
 from .figure import Figure
@@ -30,6 +29,9 @@ from .harness import (
     protocol_factories,
     record_latency_metrics,
 )
+
+if TYPE_CHECKING:
+    from ..obs.facade import Observability
 
 __all__ = [
     "FIGURE",

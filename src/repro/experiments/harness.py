@@ -11,25 +11,23 @@ memo is there so a sweep pays it once per process, not once per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..core.config import HermesConfig
 from ..core.protocol import HermesSystem
-from ..baselines import (
-    F3BSystem,
-    GossipSystem,
-    LZeroSystem,
-    MercurySystem,
-    NarwhalSystem,
-    SimpleTreeSystem,
-)
+from .. import baselines
+from ..baselines.lzero import LZeroSystem
+from ..baselines.mercury import MercurySystem
+from ..baselines.narwhal import NarwhalSystem
 from ..net.faults import FaultPlan
 from ..net.stats import NetworkStats
 from ..net.topology import PhysicalNetwork, generate_physical_network
-from ..obs import Observability
 from ..overlay.base import Overlay
 from ..overlay.rank import RankTracker
 from ..overlay.robust_tree import build_overlay_family
+
+if TYPE_CHECKING:
+    from ..obs.facade import Observability
 
 __all__ = [
     "ExperimentEnvironment",
@@ -178,8 +176,11 @@ def protocol_factories(
         )
 
     def baseline(cls, **extra):
+        # A name is a ``repro.baselines`` export, loaded on the first call:
+        # the protocols outside PROTOCOL_NAMES run only in a few figures.
         def factory(fault_plan: FaultPlan | None = None, observe_hook=None):
-            return cls(
+            system = getattr(baselines, cls) if isinstance(cls, str) else cls
+            return system(
                 env.physical,
                 fault_plan=fault_plan,
                 observe_hook=observe_hook,
@@ -197,9 +198,9 @@ def protocol_factories(
         "lzero": baseline(LZeroSystem),
         "narwhal": baseline(NarwhalSystem, **narwhal_extra),
         "mercury": baseline(MercurySystem),
-        "f3b": baseline(F3BSystem),
-        "gossip": baseline(GossipSystem),
-        "simple-tree": baseline(SimpleTreeSystem),
+        "f3b": baseline("F3BSystem"),
+        "gossip": baseline("GossipSystem"),
+        "simple-tree": baseline("SimpleTreeSystem"),
     }
 
 

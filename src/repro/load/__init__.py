@@ -22,33 +22,23 @@ saturation experiment itself lives in
 ``python -m repro sweep --figure fig6``.
 """
 
-from .arrival import (
-    ARRIVAL_PATTERNS,
-    ArrivalProcess,
-    DeterministicArrivals,
-    FlashCrowdArrivals,
-    Injection,
-    MMPPArrivals,
-    PoissonArrivals,
-    flash_crowd_times,
-    make_arrivals,
-)
-from .capacity import CapacityConfig, CapacityModel, EgressVerdict
-from .driver import LoadDriver, LoadResult
+from .. import lazy_exports
 
-__all__ = [
-    "ARRIVAL_PATTERNS",
-    "ArrivalProcess",
-    "CapacityConfig",
-    "CapacityModel",
-    "DeterministicArrivals",
-    "EgressVerdict",
-    "FlashCrowdArrivals",
-    "Injection",
-    "LoadDriver",
-    "LoadResult",
-    "MMPPArrivals",
-    "PoissonArrivals",
-    "flash_crowd_times",
-    "make_arrivals",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "arrival": (
+            "ARRIVAL_PATTERNS",
+            "ArrivalProcess",
+            "DeterministicArrivals",
+            "FlashCrowdArrivals",
+            "Injection",
+            "MMPPArrivals",
+            "PoissonArrivals",
+            "flash_crowd_times",
+            "make_arrivals",
+        ),
+        "capacity": ("CapacityConfig", "CapacityModel", "EgressVerdict"),
+        "driver": ("LoadDriver", "LoadResult"),
+    },
+)

@@ -8,18 +8,14 @@ by local arrival time, so an attack succeeds exactly when the adversarial
 transaction reached the proposer first (§VIII-F).
 """
 
-from .blocks import Block, build_block
-from .mempool import Mempool, MempoolPolicy
-from .ordering import FrontRunVerdict, judge_front_running
-from .transaction import TX_SIZE_BYTES, Transaction
+from .. import lazy_exports
 
-__all__ = [
-    "Block",
-    "FrontRunVerdict",
-    "Mempool",
-    "MempoolPolicy",
-    "TX_SIZE_BYTES",
-    "Transaction",
-    "build_block",
-    "judge_front_running",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "blocks": ("Block", "build_block"),
+        "mempool": ("Mempool", "MempoolPolicy"),
+        "ordering": ("FrontRunVerdict", "judge_front_running"),
+        "transaction": ("TX_SIZE_BYTES", "Transaction"),
+    },
+)

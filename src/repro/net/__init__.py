@@ -9,28 +9,18 @@ lossy links (:mod:`repro.net.channel`), per-node bandwidth/latency accounting
 in this repository implements (:mod:`repro.net.node`).
 """
 
-from .channel import LossModel
-from .events import Message
-from .faults import Behavior, FaultPlan
-from .latency import LatencyModel, LatencyParameters
-from .node import Deployment, Network, ProtocolNode
-from .simulator import Simulator
-from .stats import NetworkStats, percentile
-from .topology import PhysicalNetwork, generate_physical_network
+from .. import lazy_exports
 
-__all__ = [
-    "Behavior",
-    "Deployment",
-    "FaultPlan",
-    "LatencyModel",
-    "LatencyParameters",
-    "LossModel",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "PhysicalNetwork",
-    "ProtocolNode",
-    "Simulator",
-    "generate_physical_network",
-    "percentile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "channel": ("LossModel",),
+        "events": ("Message",),
+        "faults": ("Behavior", "FaultPlan"),
+        "latency": ("LatencyModel", "LatencyParameters"),
+        "node": ("Deployment", "Network", "ProtocolNode"),
+        "simulator": ("Simulator",),
+        "stats": ("NetworkStats", "percentile"),
+        "topology": ("PhysicalNetwork", "generate_physical_network"),
+    },
+)

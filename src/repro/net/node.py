@@ -29,7 +29,7 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> net.stats)
     from ..chaos.disruption import LinkDisruptor
     from ..load.capacity import CapacityModel
-    from ..obs import Observability
+    from ..obs.facade import Observability
 from ..utils.rng import derive_rng
 from .channel import LossModel
 from .events import ENVELOPE_OVERHEAD_BYTES, Message
@@ -176,12 +176,14 @@ class Network:
         """Transmit one *message* from *src* to each of *dsts*, in order.
 
         The kernel's only transmission body.  Per destination: ``on_send``
-        witnesses the intent, both endpoints pay the wire bytes, then egress
-        capacity, the disruptor and loss may each drop it (counted only);
-        otherwise ``receiver.on_message(src, message)`` goes straight onto
-        the event list after base latency x disruption x jitter + processing
-        (+ capacity and service queueing).  Hooks, settings, stats and the
-        source's latency row are read once per fan-out; callers filter self.
+        witnesses the intent, then egress capacity, the disruptor and loss
+        may each drop it (counted only); otherwise
+        ``receiver.on_message(src, message)`` goes straight onto the event
+        list after base latency x disruption x jitter + processing (+
+        capacity and service queueing).  The sender pays the wire bytes of
+        every destination, dropped or not, once the fan-out is done.  Hooks,
+        settings, stats and the source's latency row are read once per
+        fan-out; callers filter self.
         """
 
         # Message.wire_size() and NetworkStats.record_send(), inlined.
@@ -193,8 +195,6 @@ class Network:
         # is exactly Simulator.schedule_call, minus its frame.
         queue, sequence = simulator._queue, simulator._sequence
         stats = self.stats
-        bytes_sent, messages_sent = stats.bytes_sent, stats.messages_sent
-        bytes_received, messages_received = stats.bytes_received, stats.messages_received
         on_send, on_receive = self.on_send, self.on_receive
         obs, capacity, disruptor = self.obs, self.capacity, self.disruptor
         loss = self.loss_model.loss_probability
@@ -203,106 +203,111 @@ class Network:
         latency_row = self._latency_cache[src]
         # One handler-args tuple per fan-out, shared by every untapped delivery.
         args = (src, message)
-        for dst in dsts:
-            handler = handlers.get(dst)
-            if handler is None:
-                raise SimulationError(f"send to unknown node {dst}")
-            if on_send is not None:
-                on_send(src, dst, message, now)
-            bytes_sent[src] += wire
-            messages_sent[src] += 1
-            bytes_received[dst] += wire
-            messages_received[dst] += 1
-            if obs is not None:
-                obs.metrics.counter("net.messages.sent", kind=message.kind).inc()
-                obs.metrics.counter("net.bytes.sent", kind=message.kind).inc(wire)
-            # Egress capacity runs before the wire: an overflowing uplink
-            # queue drops the message at the sender, before loss or
-            # disruption can act.
-            egress = None
-            if capacity is not None:
-                egress = capacity.admit_egress(src, wire, now)
-                if egress.dropped:
-                    stats.record_capacity_drop(src, wire)
-                    if obs is not None:
-                        obs.metrics.counter("net.messages.capacity_dropped",
-                                            kind=message.kind).inc()
-                        obs.event("net.capacity_drop", src=src, dst=dst, kind=message.kind,
-                                  bytes=wire, tx_id=message.tx_id)
-                    continue
-            latency_factor = 1.0
-            if disruptor is not None:
-                verdict = disruptor.apply(src, dst, now)
-                if verdict.dropped:
-                    stats.record_drop(wire)
-                    if obs is not None:
-                        obs.metrics.counter("net.messages.disrupted", kind=message.kind).inc()
-                    continue
-                latency_factor = verdict.latency_factor
-            if loss > 0:
-                # LossModel.drops and .jitter_factor, interleaved on one rng.
-                if self._rng.random() < loss:
-                    stats.record_drop(wire)
-                    if obs is not None:
-                        obs.metrics.counter("net.messages.dropped", kind=message.kind).inc()
-                        obs.event("net.drop", src=src, dst=dst, kind=message.kind,
-                                  bytes=wire, tx_id=message.tx_id)
-                    continue
-                jitter = self._rng.lognormvariate(0.0, sigma) if sigma else 1.0
-            elif sigma:
-                # Lossless: the rng feeds jitter alone, so its normals are
-                # drawn a block ahead; exp(z * sigma) is bitwise what
-                # lognormvariate(0.0, sigma) returns for the same uniforms.
-                # Position and block live on self: a hook may send mid-loop.
-                pos, block = self._jitter_pos, self._jitter_block
-                if pos == len(block):
-                    block = self._jitter_block = self._sampler.normals(0.0, 1.0, JITTER_BLOCK)
-                    pos = 0
-                self._jitter_pos = pos + 1
-                jitter = _exp(block[pos] * sigma)
-            else:
-                jitter = 1.0
-            base = latency_row.get(dst)
-            if base is None:
-                base = latency_row[dst] = self.base_latency(src, dst)
-            link_ms = base * latency_factor * jitter
-            delay = link_ms + proc
-            queue_ms = 0.0
-            if egress is not None:
-                # Serialization: propagation starts when the last byte leaves
-                # the uplink, and delivery completes once the receiver's
-                # downlink has drained the message.
-                delay = capacity.ingress_finish(dst, wire, egress.finish_ms + delay) - now
-                queue_ms += egress.queued_ms
+        sent = 0
+        try:
+            for dst in dsts:
+                handler = handlers.get(dst)
+                if handler is None:
+                    raise SimulationError(f"send to unknown node {dst}")
+                if on_send is not None:
+                    on_send(src, dst, message, now)
+                sent += 1
                 if obs is not None:
-                    obs.metrics.histogram("net.capacity.queue_ms").observe(egress.queued_ms)
-            if service > 0:
-                arrival = now + delay
-                start = max(arrival, self._busy_until.get(dst, 0.0))
-                finish = self._busy_until[dst] = start + service
-                delay = finish - now
-                queue_ms += start - arrival
+                    obs.metrics.counter("net.messages.sent", kind=message.kind).inc()
+                    obs.metrics.counter("net.bytes.sent", kind=message.kind).inc(wire)
+                # Egress capacity runs before the wire: an overflowing uplink
+                # queue drops the message at the sender, before loss or
+                # disruption can act.
+                egress = None
+                if capacity is not None:
+                    egress = capacity.admit_egress(src, wire, now)
+                    if egress.dropped:
+                        stats.record_capacity_drop(src, wire)
+                        if obs is not None:
+                            obs.metrics.counter("net.messages.capacity_dropped",
+                                                kind=message.kind).inc()
+                            obs.event("net.capacity_drop", src=src, dst=dst, kind=message.kind,
+                                      bytes=wire, tx_id=message.tx_id)
+                        continue
+                latency_factor = 1.0
+                if disruptor is not None:
+                    verdict = disruptor.apply(src, dst, now)
+                    if verdict.dropped:
+                        stats.record_drop(wire)
+                        if obs is not None:
+                            obs.metrics.counter("net.messages.disrupted", kind=message.kind).inc()
+                        continue
+                    latency_factor = verdict.latency_factor
+                if loss > 0:
+                    # LossModel.drops and .jitter_factor, interleaved on one rng.
+                    if self._rng.random() < loss:
+                        stats.record_drop(wire)
+                        if obs is not None:
+                            obs.metrics.counter("net.messages.dropped", kind=message.kind).inc()
+                            obs.event("net.drop", src=src, dst=dst, kind=message.kind,
+                                      bytes=wire, tx_id=message.tx_id)
+                        continue
+                    jitter = self._rng.lognormvariate(0.0, sigma) if sigma else 1.0
+                elif sigma:
+                    # Lossless: the rng feeds jitter alone, so its normals are
+                    # drawn a block ahead; exp(z * sigma) is bitwise what
+                    # lognormvariate(0.0, sigma) returns for the same uniforms.
+                    # Position and block live on self: a hook may send mid-loop.
+                    pos, block = self._jitter_pos, self._jitter_block
+                    if pos == len(block):
+                        block = self._jitter_block = self._sampler.normals(0.0, 1.0, JITTER_BLOCK)
+                        pos = 0
+                    self._jitter_pos = pos + 1
+                    jitter = _exp(block[pos] * sigma)
+                else:
+                    jitter = 1.0
+                base = latency_row.get(dst)
+                if base is None:
+                    base = latency_row[dst] = self.base_latency(src, dst)
+                link_ms = base * latency_factor * jitter
+                delay = link_ms + proc
+                queue_ms = 0.0
+                if egress is not None:
+                    # Serialization: propagation starts when the last byte leaves
+                    # the uplink, and delivery completes once the receiver's
+                    # downlink has drained the message.
+                    delay = capacity.ingress_finish(dst, wire, egress.finish_ms + delay) - now
+                    queue_ms += egress.queued_ms
+                    if obs is not None:
+                        obs.metrics.histogram("net.capacity.queue_ms").observe(egress.queued_ms)
+                if service > 0:
+                    arrival = now + delay
+                    start = max(arrival, self._busy_until.get(dst, 0.0))
+                    finish = self._busy_until[dst] = start + service
+                    delay = finish - now
+                    queue_ms += start - arrival
+                    if obs is not None:
+                        obs.metrics.histogram("net.service.queue_ms").observe(start - arrival)
                 if obs is not None:
-                    obs.metrics.histogram("net.service.queue_ms").observe(start - arrival)
-            if obs is not None:
-                # One record per scheduled transmission, decomposing its delay
-                # so the offline critical-path analysis can attribute every
-                # hop:  delay = queue + serialization + link + proc  (exactly).
-                # Serialization is the residual — with the capacity model off
-                # and service_time zero it is 0.0 by construction, so the
-                # identity holds in every configuration.
-                obs.event(
-                    "net.send", src=src, dst=dst, kind=message.kind, bytes=wire,
-                    msg_id=message.msg_id, tx_id=message.tx_id,
-                    overlay_id=message.overlay_id, queue_ms=queue_ms,
-                    serialization_ms=delay - queue_ms - link_ms - proc,
-                    link_ms=link_ms, proc_ms=proc, delay_ms=delay, deliver_ms=now + delay,
-                )
-            if on_receive is None:
-                heappush(queue, (now + delay, next(sequence), handler, args))
-            else:
-                heappush(queue, (now + delay, next(sequence), self._deliver_tapped,
-                                 (handler, src, dst, message)))
+                    # One record per scheduled transmission, decomposing its delay
+                    # so the offline critical-path analysis can attribute every
+                    # hop:  delay = queue + serialization + link + proc  (exactly).
+                    # Serialization is the residual — with the capacity model off
+                    # and service_time zero it is 0.0 by construction, so the
+                    # identity holds in every configuration.
+                    obs.event(
+                        "net.send", src=src, dst=dst, kind=message.kind, bytes=wire,
+                        msg_id=message.msg_id, tx_id=message.tx_id,
+                        overlay_id=message.overlay_id, queue_ms=queue_ms,
+                        serialization_ms=delay - queue_ms - link_ms - proc,
+                        link_ms=link_ms, proc_ms=proc, delay_ms=delay, deliver_ms=now + delay,
+                    )
+                if on_receive is None:
+                    heappush(queue, (now + delay, next(sequence), handler, args))
+                else:
+                    heappush(queue, (now + delay, next(sequence), self._deliver_tapped,
+                                     (handler, src, dst, message)))
+        finally:
+            # Charged once per fan-out, and for the destinations already
+            # sent to when a later one raises.
+            if sent:
+                stats.bytes_sent[src] += wire * sent
+                stats.messages_sent[src] += sent
 
     def _deliver_tapped(self, handler: Callable[[int, Message], None], src: int,
                         dst: int, message: Message) -> None:

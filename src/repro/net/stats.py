@@ -1,6 +1,6 @@
 """Measurement: bandwidth accounting and latency statistics.
 
-Every send is charged to both endpoints (bytes out / bytes in), and protocols
+Every send is charged to its sender (bytes and messages out), and protocols
 record delivery times per disseminated item so the experiment harness can
 compute the paper's metrics: average latency, 5th–95th percentile spread
 (Fig. 3a), per-node bandwidth in KB/min (Fig. 3b), and delivery probability
@@ -15,8 +15,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-from .sketch import QuantileSketch, WindowedCounter, WindowedQuantiles
 
 __all__ = [
     "DeliveryTimes",
@@ -184,9 +182,7 @@ class NetworkStats:
     """Mutable counters filled in by the network layer and protocols."""
 
     bytes_sent: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    bytes_received: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     messages_sent: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    messages_received: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     messages_dropped: int = 0
     # Wire bytes of every dropped transmission (loss, disruption or capacity
     # overflow) — what separates offered bytes from goodput.
@@ -209,10 +205,11 @@ class NetworkStats:
     submit_times: dict[object, float] = field(default_factory=dict)
 
     def record_send(self, sender: int, receiver: int, wire_bytes: int) -> None:
+        """Charge one transmission to *sender*; nothing reads a receiver's
+        inbound totals, so none are kept."""
+
         self.bytes_sent[sender] += wire_bytes
         self.messages_sent[sender] += 1
-        self.bytes_received[receiver] += wire_bytes
-        self.messages_received[receiver] += 1
 
     def record_drop(self, wire_bytes: int = 0) -> None:
         self.messages_dropped += 1
@@ -421,6 +418,9 @@ class StreamingNetworkStats(NetworkStats):
         self.node_count = node_count
         self.delivery_fraction = delivery_fraction
         self.delivery_threshold = math.ceil(delivery_fraction * node_count)
+        # The sketches load here: only sustained-load runs stream their stats.
+        from .sketch import QuantileSketch, WindowedCounter, WindowedQuantiles
+
         self.latency_sketch = QuantileSketch(sketch_capacity)
         self.latency_windows = WindowedQuantiles(window_ms, capacity=128)
         self.delivery_counter = WindowedCounter(window_ms)

@@ -20,100 +20,56 @@ Post-hoc analysis over the simulator's observability output:
   bench-gate | analyze-sweep | bench history``.
 """
 
-from .baseline import (
-    BASELINE_SCHEMA,
-    BENCH_SCHEMA,
-    Baseline,
-    BaselineMetric,
-    bench_record,
-    load_baseline,
-    load_bench_record,
-    update_baseline,
-    write_baseline,
-    write_bench_record,
-)
-from .compare import ComparisonResult, MetricComparison, compare, compare_many
-from .critical_path import (
-    COMPONENTS,
-    CriticalPath,
-    Hop,
-    ProtocolBreakdown,
-    aggregate,
-    critical_path,
-    critical_paths,
-)
-from .history import (
-    HistoryReport,
-    Trajectory,
-    append_history,
-    build_history_report,
-    load_history,
-    render_history_report,
-    sparkline,
-    trajectories,
-)
-from .report import render_html, render_report
-from .sweep_report import (
-    SweepAnalysis,
-    analyze_timeline,
-    render_sweep_report,
-)
-from .trace import (
-    Delivery,
-    DisseminationTree,
-    ReadEvent,
-    ReadSpan,
-    StreamedLatencies,
-    Trace,
-    TraceHeader,
-    build_trees,
-    read_trace,
-    stream_latencies,
-)
+from ... import lazy_exports
 
-__all__ = [
-    "BASELINE_SCHEMA",
-    "BENCH_SCHEMA",
-    "COMPONENTS",
-    "Baseline",
-    "BaselineMetric",
-    "ComparisonResult",
-    "CriticalPath",
-    "HistoryReport",
-    "SweepAnalysis",
-    "Trajectory",
-    "Delivery",
-    "DisseminationTree",
-    "Hop",
-    "MetricComparison",
-    "ProtocolBreakdown",
-    "ReadEvent",
-    "ReadSpan",
-    "StreamedLatencies",
-    "Trace",
-    "TraceHeader",
-    "aggregate",
-    "analyze_timeline",
-    "append_history",
-    "bench_record",
-    "build_history_report",
-    "build_trees",
-    "compare",
-    "compare_many",
-    "critical_path",
-    "critical_paths",
-    "load_baseline",
-    "load_bench_record",
-    "load_history",
-    "read_trace",
-    "render_history_report",
-    "render_html",
-    "render_report",
-    "render_sweep_report",
-    "sparkline",
-    "stream_latencies",
-    "trajectories",
-    "update_baseline",
-    "write_baseline",
-    "write_bench_record",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "baseline": (
+            "BASELINE_SCHEMA",
+            "BENCH_SCHEMA",
+            "Baseline",
+            "BaselineMetric",
+            "bench_record",
+            "load_baseline",
+            "load_bench_record",
+            "update_baseline",
+            "write_baseline",
+            "write_bench_record",
+        ),
+        "compare": ("ComparisonResult", "MetricComparison", "compare", "compare_many"),
+        "critical_path": (
+            "COMPONENTS",
+            "CriticalPath",
+            "Hop",
+            "ProtocolBreakdown",
+            "aggregate",
+            "critical_path",
+            "critical_paths",
+        ),
+        "history": (
+            "HistoryReport",
+            "Trajectory",
+            "append_history",
+            "build_history_report",
+            "load_history",
+            "render_history_report",
+            "sparkline",
+            "trajectories",
+        ),
+        "report": ("render_html", "render_report"),
+        "sweep_report": ("SweepAnalysis", "analyze_timeline", "render_sweep_report"),
+        "trace": (
+            "Delivery",
+            "DisseminationTree",
+            "ReadEvent",
+            "ReadSpan",
+            "StreamedLatencies",
+            "Trace",
+            "TraceHeader",
+            "build_trees",
+            "read_trace",
+            "stream_latencies",
+        ),
+    },
+)

@@ -20,38 +20,30 @@ three comparison structures and :func:`find_disjoint_paths` — load it on
 their first call.
 """
 
-from .annealing import AnnealingConfig, GenerateNeighborConfig, anneal, generate_neighbor
-from .base import Overlay, OverlaySpace, PhysicalSpace, TransportSpace
-from .chordal_ring import build_chordal_ring
-from .encoding import EncodedOverlay, OverlayCertificate, decode_overlay, encode_overlay
-from .hypercube import build_hypercube
-from .objective import ObjectiveConfig, ObjectiveValue, evaluate_overlay
-from .paths import find_disjoint_paths
-from .random_graph import build_random_connected_overlay
-from .rank import RankTracker
-from .robust_tree import build_overlay_family, build_robust_tree
+from .. import lazy_exports
 
-__all__ = [
-    "AnnealingConfig",
-    "EncodedOverlay",
-    "GenerateNeighborConfig",
-    "ObjectiveConfig",
-    "ObjectiveValue",
-    "Overlay",
-    "OverlayCertificate",
-    "OverlaySpace",
-    "PhysicalSpace",
-    "RankTracker",
-    "TransportSpace",
-    "anneal",
-    "build_chordal_ring",
-    "build_hypercube",
-    "build_overlay_family",
-    "build_random_connected_overlay",
-    "build_robust_tree",
-    "decode_overlay",
-    "encode_overlay",
-    "evaluate_overlay",
-    "find_disjoint_paths",
-    "generate_neighbor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "annealing": (
+            "AnnealingConfig",
+            "GenerateNeighborConfig",
+            "anneal",
+            "generate_neighbor",
+        ),
+        "base": ("Overlay", "OverlaySpace", "PhysicalSpace", "TransportSpace"),
+        "chordal_ring": ("build_chordal_ring",),
+        "encoding": (
+            "EncodedOverlay",
+            "OverlayCertificate",
+            "decode_overlay",
+            "encode_overlay",
+        ),
+        "hypercube": ("build_hypercube",),
+        "objective": ("ObjectiveConfig", "ObjectiveValue", "evaluate_overlay"),
+        "paths": ("find_disjoint_paths",),
+        "random_graph": ("build_random_connected_overlay",),
+        "rank": ("RankTracker",),
+        "robust_tree": ("build_overlay_family", "build_robust_tree"),
+    },
+)

@@ -19,19 +19,14 @@ control in :class:`repro.mempool.MempoolPolicy`.  The Fig. 8 sweep runs as
 ``python -m repro sweep --figure fig8``; see ``docs/population.md``.
 """
 
-from .clients import ClientPopulation, PopulationConfig, Submission, WealthTier
-from .driver import PopulationDriver, PopulationResult
-from .fees import FeeMarket, FeeMarketConfig
-from .pipeline import run_ingest
+from .. import lazy_exports
 
-__all__ = [
-    "ClientPopulation",
-    "FeeMarket",
-    "FeeMarketConfig",
-    "PopulationConfig",
-    "PopulationDriver",
-    "PopulationResult",
-    "Submission",
-    "WealthTier",
-    "run_ingest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "clients": ("ClientPopulation", "PopulationConfig", "Submission", "WealthTier"),
+        "driver": ("PopulationDriver", "PopulationResult"),
+        "fees": ("FeeMarket", "FeeMarketConfig"),
+        "pipeline": ("run_ingest",),
+    },
+)

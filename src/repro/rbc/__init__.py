@@ -5,6 +5,11 @@ any member contributes a partial signature, ensuring no committee member can
 be tricked into signing a different binding than its peers.
 """
 
-from .bracha import BrachaContext, BrachaNode
+from .. import lazy_exports
 
-__all__ = ["BrachaContext", "BrachaNode"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bracha": ("BrachaContext", "BrachaNode"),
+    },
+)

@@ -38,49 +38,28 @@ The command line equivalent is ``python -m repro sweep``; see
 resume semantics and a worked example).
 """
 
-from __future__ import annotations
+from .. import lazy_exports
 
-from .aggregate import (
-    group_records,
-    latency_summaries,
-    mean_by_group,
-    merged_latencies,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aggregate": (
+            "group_records",
+            "latency_summaries",
+            "mean_by_group",
+            "merged_latencies",
+        ),
+        "executor": ("SweepReport", "run_sweep"),
+        "spec": ("RunSpec", "SweepSpec", "canonical_json", "spec_hash"),
+        "store": ("RECORD_SCHEMA", "MemoryStore", "ResultStore", "RunRecord"),
+        "tasks": ("get_task", "register_task", "task_names"),
+        "telemetry": (
+            "PHASES",
+            "SWEEPTRACE_SCHEMA",
+            "ProgressConsole",
+            "SweepTelemetry",
+            "SweepTimeline",
+            "read_timeline",
+        ),
+    },
 )
-from .executor import SweepReport, run_sweep
-from .spec import RunSpec, SweepSpec, canonical_json, spec_hash
-from .store import RECORD_SCHEMA, MemoryStore, ResultStore, RunRecord
-from .tasks import get_task, register_task, task_names
-from .telemetry import (
-    PHASES,
-    SWEEPTRACE_SCHEMA,
-    ProgressConsole,
-    SweepTelemetry,
-    SweepTimeline,
-    read_timeline,
-)
-
-__all__ = [
-    "PHASES",
-    "SWEEPTRACE_SCHEMA",
-    "ProgressConsole",
-    "SweepTelemetry",
-    "SweepTimeline",
-    "read_timeline",
-    "RunSpec",
-    "SweepSpec",
-    "canonical_json",
-    "spec_hash",
-    "ResultStore",
-    "MemoryStore",
-    "RunRecord",
-    "RECORD_SCHEMA",
-    "run_sweep",
-    "SweepReport",
-    "register_task",
-    "get_task",
-    "task_names",
-    "group_records",
-    "latency_summaries",
-    "mean_by_group",
-    "merged_latencies",
-]

@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from functools import partial
 from typing import Any
 
@@ -272,10 +273,17 @@ def main(argv: list[str] | None = None) -> int:
             _run_task(args)
         if args.timeline:
             print(f"timeline: {args.timeline} (analyze with `python -m repro analyze-sweep`)")
+        sys.stdout.flush()  # a reader gone early (`| head -1`) surfaces here
         return 0
     except ReproError as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # pragma: no cover - parser.exit raises
+    except BrokenPipeError:
+        # The store already holds every record.  The Python docs' recipe
+        # (signal module, "Note on SIGPIPE"): point stdout at devnull so the
+        # flush at exit cannot raise again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,39 +35,22 @@ fig9``) and the drill (:mod:`repro.experiments.shard_drill`, ``python -m
 repro sweep --figure drill``).  See ``docs/sharding.md``.
 """
 
-from __future__ import annotations
+from .. import lazy_exports
 
-from .chaos import (
-    CrossShardPartitionReport,
-    ShardLiveness,
-    run_cross_shard_partition,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "chaos": (
+            "CrossShardPartitionReport",
+            "ShardLiveness",
+            "run_cross_shard_partition",
+        ),
+        "fairness": ("CrossShardFairness", "cross_shard_fairness"),
+        "map": ("SHARD_POLICIES", "ShardMap", "ShardMapConfig", "shard_balance"),
+        "plan": ("ShardPlan",),
+        "router": ("CrossShardRouter", "RouteDecision"),
+        "system": ("PlacedSubmission", "Shard", "ShardedSystem"),
+        "trial": ("ShardedTrialResult", "run_sharded_adversary_trial"),
+        "workload": ("ShardedLoadDriver", "ShardedLoadResult"),
+    },
 )
-from .fairness import CrossShardFairness, cross_shard_fairness
-from .map import SHARD_POLICIES, ShardMap, ShardMapConfig, shard_balance
-from .plan import ShardPlan
-from .router import CrossShardRouter, RouteDecision
-from .system import PlacedSubmission, Shard, ShardedSystem
-from .trial import ShardedTrialResult, run_sharded_adversary_trial
-from .workload import ShardedLoadDriver, ShardedLoadResult
-
-__all__ = [
-    "SHARD_POLICIES",
-    "ShardMapConfig",
-    "ShardMap",
-    "shard_balance",
-    "ShardPlan",
-    "RouteDecision",
-    "CrossShardRouter",
-    "Shard",
-    "PlacedSubmission",
-    "ShardedSystem",
-    "ShardedLoadDriver",
-    "ShardedLoadResult",
-    "CrossShardFairness",
-    "cross_shard_fairness",
-    "ShardedTrialResult",
-    "run_sharded_adversary_trial",
-    "ShardLiveness",
-    "CrossShardPartitionReport",
-    "run_cross_shard_partition",
-]

@@ -8,14 +8,17 @@ unique signature ``φ(i, H(m))`` — the seed that verifiably selects the
 dissemination overlay (``overlay = seed mod k``).
 """
 
-from .committee import TRS_PARTIAL_KIND, TRS_REQUEST_KIND, TrsCommitteeMember, trs_binding
-from .seed import TrsClient, TrsResult
+from .. import lazy_exports
 
-__all__ = [
-    "TRS_PARTIAL_KIND",
-    "TRS_REQUEST_KIND",
-    "TrsClient",
-    "TrsCommitteeMember",
-    "TrsResult",
-    "trs_binding",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "committee": (
+            "TRS_PARTIAL_KIND",
+            "TRS_REQUEST_KIND",
+            "TrsCommitteeMember",
+            "trs_binding",
+        ),
+        "seed": ("TrsClient", "TrsResult"),
+    },
+)

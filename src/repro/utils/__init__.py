@@ -1,13 +1,12 @@
 """Small shared utilities: deterministic RNG helpers, validation, text tables."""
 
-from .rng import derive_rng
-from .tables import format_table
-from .validation import require, require_positive, require_probability
+from .. import lazy_exports
 
-__all__ = [
-    "derive_rng",
-    "format_table",
-    "require",
-    "require_positive",
-    "require_probability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("derive_rng",),
+        "tables": ("format_table",),
+        "validation": ("require", "require_positive", "require_probability"),
+    },
+)

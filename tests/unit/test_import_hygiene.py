@@ -8,18 +8,42 @@ the first jitter block; the simulator now imports it nowhere.  OpenSSL's
 ``_hashlib`` cost ~3.5 MB and ~4 ms for SHA-256 alone; ``repro.utils.digest``
 takes the interpreter's built-in hashes instead.  Run manifests
 (``repro.obs.manifest``: ``platform``, ``subprocess``, ``pathlib``) load only
-where a manifest is written.  These checks run in a fresh
-interpreter so this test process's own imports cannot mask a regression.
+where a manifest is written.
+
+Our own package graph is held to the same rule: every package ``__init__``
+re-exports lazily, so an entry point loads the ``repro`` modules it runs and
+no others.  Eager re-exports made the sweep CLI load 32 modules (6,342 source
+lines) and the flood benchmark's child 46 (7,363), compiled from source in
+every fresh interpreter.  These checks run in a fresh interpreter so this
+test process's own imports cannot mask a regression.
 """
 
+import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[2] / "src"
+TOOLS = SRC.parent / "tools"
+
+#: ``repro`` modules each entry point of ``tools/hot_path_counters.py
+#: --imports`` may load, and the source lines they may hold.  The module
+#: counts are the achieved ones; lines move with every edit of those
+#: modules, so they keep ~5 % of room.  Eager package re-exports read 32 /
+#: 6,342, 46 / 7,363, 71 / 11,409, 91 / 15,630 and 91 / 15,884.
+IMPORT_BOUNDS = {
+    "cli": (5, 820),
+    "flood": (24, 3_550),
+    "fig3a": (50, 8_950),
+    "cli + fig5a.trial": (63, 10_750),
+    "cli + fig8.point": (66, 12_400),
+}
 
 
 def run_fresh(body: str) -> str:
@@ -93,24 +117,33 @@ def test_cli_import_and_smoke_cells_never_load_networkx():
 def test_pooled_sweep_workers_never_load_openssl():
     """Workers inherit the import-time flag (a forked one with the parent's
     memory, a spawned one through ``PYTHONPROFILEIMPORTTIME``), so the stderr
-    of a pooled sweep names every module any of its processes imported."""
+    of a pooled sweep names every module any of its processes imported.
+
+    Where workers fork, the parent imports every ``repro`` module the cells
+    of all four protocols run, each exactly once, before the first fork: a
+    module a worker imports itself is paid again in every worker, and an
+    eager package ``__init__`` shows up as a second line for its modules."""
 
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPROFILEIMPORTTIME="1")
     done = subprocess.run(
         [sys.executable, "-m", "repro", "sweep", "--task", "fig5a.trial",
-         "--set", "protocol=hermes", "--set", "fraction=0.2", "--set", "trial=0,1",
-         "--set", "trials=2", "--set", "num_nodes=30", "--jobs", "2"],
+         "--set", "protocol=hermes,lzero,narwhal,mercury", "--set", "fraction=0.2",
+         "--set", "trial=0,1", "--set", "trials=2", "--set", "num_nodes=30",
+         "--jobs", "2"],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert "2 runs: 2 executed" in done.stdout
+    assert "8 runs: 8 executed" in done.stdout
+    imported = re.findall(r"^import time:.*\|\s*(\S+)$", done.stderr, re.MULTILINE)
+    ours = [name for name in imported if name == "repro" or name.startswith("repro.")]
     if "fork" in multiprocessing.get_all_start_methods():
-        # Imported once, by the parent the two workers are forked from.
-        assert done.stderr.count("repro.core.protocol\n") == 1
-        assert "multiprocessing.popen_fork\n" in done.stderr
+        twice = sorted({name for name in ours if ours.count(name) > 1})
+        assert twice == [], f"imported more than once: {twice}"
+        forked = imported.index("multiprocessing.popen_fork")
+        assert set(imported[forked:]).isdisjoint(ours), "a worker imported repro itself"
     else:
-        assert done.stderr.count("repro.core.protocol\n") == 2  # the two workers
-    assert "_hashlib" not in done.stderr
+        assert ours.count("repro.core.protocol") == 2  # the two workers
+    assert "_hashlib" not in imported
 
 
 def test_listing_figures_and_tasks_imports_no_figure_module():
@@ -139,8 +172,52 @@ def test_a_figure_task_loads_its_own_figure_and_no_other():
         """
     )
     count, figures = out.splitlines()
-    assert int(count) <= 33  # 32 before the figure registry; the CLI stays light
+    assert int(count) <= IMPORT_BOUNDS["cli"][0]  # 32 with eager package exports
     assert figures == "['repro.experiments.fig8_sustained']"
+
+
+@pytest.fixture(scope="module")
+def import_census():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "hot_path_counters.py"), "--imports", "--json"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("entry", sorted(IMPORT_BOUNDS))
+def test_an_entry_point_loads_only_what_it_runs(import_census, entry):
+    modules, lines = IMPORT_BOUNDS[entry]
+    assert import_census[entry]["modules"] <= modules
+    assert import_census[entry]["lines"] <= lines
+
+
+def test_every_package_export_resolves_to_what_it_names():
+    """Each name in a package's ``__all__`` resolves lazily to the object its
+    submodule defines, even after every submodule has been imported on its
+    own (the import system then binds submodules on the package), and
+    ``dir()`` lists it."""
+
+    out = run_fresh(
+        """
+        import importlib, pkgutil, types
+        import repro
+
+        packages = [repro] + [getattr(repro, name) for name in repro.__all__]
+        packages.append(importlib.import_module("repro.obs.analysis"))
+        for package in packages:
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(f"{package.__name__}.{info.name}")
+            for name in package.__all__:
+                value = getattr(package, name)
+                shadowed = isinstance(value, types.ModuleType) and package is not repro
+                assert not shadowed, f"{package.__name__}.{name} is a module"
+                assert name in dir(package), (package.__name__, name)
+        print(sum(len(package.__all__) for package in packages))
+        """
+    )
+    assert int(out) > 300
 
 
 def test_the_real_customers_still_get_it_on_demand():

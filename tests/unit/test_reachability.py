@@ -5,10 +5,10 @@ A stdlib-``ast`` import graph of the package, walked from the roots a user
 can reach — the ``python -m repro`` sub-commands, the modules registering
 runner tasks and the registered figures (the report's too).  Function-level
 (lazy) imports count.  A package ``__init__`` is not followed as a whole:
-``from pkg import name`` leads to the module that defines ``name`` (the
-``__init__`` only where it defines ``name`` itself), so a re-export alone
-keeps nothing alive.  No module may be unreachable: one that loses its last
-caller fails here instead of lingering.
+``from pkg import name`` leads to the submodule its ``lazy_exports`` table
+names for ``name`` (the ``__init__`` only where it defines ``name`` itself),
+so a re-export alone keeps nothing alive.  No module may be unreachable:
+one that loses its last caller fails here instead of lingering.
 """
 
 from __future__ import annotations
@@ -39,6 +39,24 @@ def _modules() -> dict[str, tuple[ast.Module, bool]]:
 MODULES = _modules()
 
 
+def _export_table(tree: ast.Module) -> dict[str, str]:
+    """Name → submodule, read from a package ``__init__``'s ``lazy_exports`` call."""
+
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+            and len(node.args) > 1
+        ):
+            exports = ast.literal_eval(node.args[1])
+            return {name: module for module, names in exports.items() for name in names}
+    return {}
+
+
+EXPORTS = {name: _export_table(tree) for name, (tree, package) in MODULES.items() if package}
+
+
 def _base(module: str, node: ast.ImportFrom) -> str:
     """The absolute module a ``from … import`` in *module* reads from."""
 
@@ -57,12 +75,8 @@ def _defining_module(base: str, name: str) -> str:
 
     if f"{base}.{name}" in MODULES:
         return f"{base}.{name}"
-    if base in MODULES and MODULES[base][1]:
-        for node in MODULES[base][0].body:
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if (alias.asname or alias.name) == name:
-                        return _defining_module(_base(base, node), alias.name)
+    if name in EXPORTS.get(base, {}):
+        return f"{base}.{EXPORTS[base][name]}"
     return base
 
 

@@ -1,6 +1,6 @@
 """Exact hot-path counters: Python calls per simulated event, per protocol.
 
-    python tools/hot_path_counters.py [--scale small|bench] [--seed N] [--json]
+    python tools/hot_path_counters.py [--scale small|bench] [--seed N] [--json] [--imports]
 
 Wall time on a shared host cannot resolve a change of less than about a
 quarter, but the number of Python function calls the event loop makes is
@@ -25,7 +25,11 @@ exact and repeats run to run.  This script runs fixed cells under the stdlib
 * ``fig8_hermes``: what a Fig. 8 HERMES cell (bounded fee-priced mempools,
   the TRS committee's Bracha broadcasts under sustained load) holds once it
   has run — the entries of each mempool index per resident transaction, and
-  the supporter sets its delivered RBC slots still keep.
+  the supporter sets its delivered RBC slots still keep;
+* ``imports``: for each cold entry point — the sweep CLI, the import blocks
+  of the ``benchmarks/e2e`` flood and Fig. 3a children, the CLI resolving a
+  Fig. 5a or Fig. 8 task — the ``repro.*`` modules a fresh interpreter loads
+  and the source lines they hold (``--imports`` prints this section alone).
 
 Apart from that peak, only ``system.run`` is profiled or traced —
 construction and submission are not part of the per-event path.
@@ -45,11 +49,13 @@ import cProfile
 import gc
 import json
 import pstats
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 SCALES = {
     "small": {
@@ -65,6 +71,59 @@ SCALES = {
                      num_clients=1_000_000),
     },
 }
+
+
+#: What each cold entry point imports before it runs anything.
+IMPORT_ENTRY_POINTS = {
+    "cli": "import repro.runner.cli",
+    "flood": """
+from repro.baselines import LZeroSystem
+from repro.mempool.transaction import Transaction
+from repro.net.topology import generate_physical_network
+from repro.utils.rng import derive_rng
+""",
+    "fig3a": """
+from repro.baselines.narwhal import NarwhalConfig
+from repro.experiments.harness import PROTOCOL_NAMES, build_environment, protocol_factories
+from repro.mempool.transaction import Transaction
+from repro.utils.rng import derive_rng
+""",
+    "cli + fig5a.trial": """
+import repro.runner.cli
+from repro.runner import get_task
+get_task("fig5a.trial")
+""",
+    "cli + fig8.point": """
+import repro.runner.cli
+from repro.runner import get_task
+get_task("fig8.point")
+""",
+}
+
+_LIST_MODULES = """
+for name, module in list(sys.modules.items()):
+    if name == "repro" or name.startswith("repro."):
+        print(module.__file__)
+"""
+
+
+def import_census(body: str) -> dict:
+    """The ``repro.*`` modules a fresh interpreter holds after running
+    *body*, and the source lines of their files."""
+
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{body}\n{_LIST_MODULES}"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    files = done.stdout.splitlines()
+    return {
+        "modules": len(files),
+        "lines": sum(len(Path(file).read_bytes().splitlines()) for file in files),
+    }
+
+
+def imports() -> dict[str, dict]:
+    return {name: import_census(body) for name, body in IMPORT_ENTRY_POINTS.items()}
 
 
 def _profiled_run(system, until_ms: float) -> dict:
@@ -312,6 +371,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
         "cross_bytes_per_draw": {"fig3a": fig3a_cross, "flood": flood_cross},
         "fig3a_peak_traced_kb": peak_kb,
         "fig8_hermes": fig8,
+        "imports": imports(),
     }
 
 
@@ -359,6 +419,14 @@ def format_table(result: dict) -> str:
         f"{fig8['supporter_sets_on_delivered_slots']:,} supporter sets on "
         f"{fig8['delivered_slots']:,} delivered RBC slots"
     )
+    lines.append(format_imports(result["imports"]))
+    return "\n".join(lines)
+
+
+def format_imports(census: dict[str, dict]) -> str:
+    lines = [f"{'imports (fresh interpreter)':<28} {'repro modules':>14} {'source lines':>13}"]
+    for name, counts in census.items():
+        lines.append(f"{name:<28} {counts['modules']:>14} {counts['lines']:>13,}")
     return "\n".join(lines)
 
 
@@ -367,7 +435,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument("--seed", type=int, default=7, help="origin-stream seed")
     parser.add_argument("--json", action="store_true", help="print JSON instead")
+    parser.add_argument("--imports", action="store_true",
+                        help="only the import census (a second or two)")
     args = parser.parse_args(argv)
+    if args.imports:
+        result = imports()
+        print(json.dumps(result, indent=2) if args.json else format_imports(result))
+        return 0
     result = counters(args.scale, args.seed)
     print(json.dumps(result, indent=2, sort_keys=True) if args.json else format_table(result))
     return 0
