@@ -33,6 +33,7 @@ from ..mempool.transaction import Transaction
 from ..net.events import Message
 from ..net.faults import Behavior
 from ..net.topology import PhysicalNetwork
+from ..types import Region
 from ..utils.rng import derive_rng
 from .base import BaselineNode, BaseSystem
 
@@ -150,6 +151,17 @@ class MercurySystem(BaseSystem):
         by_cluster: dict[int, list[int]] = {}
         for node, cluster in self.clusters.items():
             by_cluster.setdefault(cluster, []).append(node)
+
+        # nearest draws every undrawn same-region pair of a node's cluster:
+        # draw them all up front (in parallel when large), each pair once.
+        mates: dict[tuple[int, Region], list[int]] = {}
+        for node, cluster in self.clusters.items():
+            mates.setdefault((cluster, physical.regions[node]), []).append(node)
+        physical.fill_pairs(
+            (node, group[index + 1 :])
+            for group in mates.values()
+            for index, node in enumerate(group)
+        )
 
         self._peers: dict[int, list[int]] = {}
         landmark_set = set(self.landmarks)

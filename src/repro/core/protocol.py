@@ -734,6 +734,8 @@ class HermesSystem(Deployment):
         """
 
         sample = node_ids[:: max(1, len(node_ids) // 16)] or node_ids
+        # The pairs centrality reads, drawn up front (in parallel when large).
+        self.physical.fill_pairs((node, sample) for node in node_ids)
 
         def centrality(node: int) -> float:
             return sum(self.physical.transport_latency(node, other) for other in sample)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..mempool.transaction import Transaction
-from ..net.stats import StreamingNetworkStats, summarize_latencies
+from ..net.stats import summarize_latencies
 from ..utils.validation import require_positive
 from .arrival import ArrivalProcess, Injection
 
@@ -180,6 +180,8 @@ class LoadDriver:
         horizon_ms = duration_ms + drain_ms
         schedule = self.arrivals.schedule(duration_ms)
         if self.streaming:
+            from ..net.streaming_stats import StreamingNetworkStats
+
             system.network.stats = StreamingNetworkStats(
                 node_count=len(system.nodes),
                 delivery_fraction=self.delivery_fraction,
@@ -212,7 +214,7 @@ class LoadDriver:
         stats = system.stats
         node_count = len(system.nodes)
         duration_s = duration_ms / 1000.0
-        if isinstance(stats, StreamingNetworkStats):
+        if self.streaming:  # run() installed StreamingNetworkStats
             delivered = stats.delivered_items
             summary = stats.latency_summary()
         else:

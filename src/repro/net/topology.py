@@ -10,15 +10,16 @@ random wiring left islands.
 
 from __future__ import annotations
 
+import os
 import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import nsmallest
-from itertools import chain, combinations, compress
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import isnan
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence,
+    TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence,
 )
 
 from ..errors import TopologyError
@@ -30,7 +31,13 @@ from .latency import LatencyModel, LatencyParameters
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["PhysicalNetwork", "generate_physical_network", "is_vertex_connected"]
+__all__ = [
+    "PhysicalNetwork",
+    "fill_helpers",
+    "generate_physical_network",
+    "is_vertex_connected",
+    "mark_pool_worker",
+]
 
 # Probability that a random neighbour is chosen from the node's own region;
 # keeps the graph latency-clustered the way real P2P networks are.
@@ -41,6 +48,9 @@ _UNDRAWN = float("nan")
 # Above every latency: how nearest() ranks a cross-region candidate it has
 # not looked up, and the least draw of an empty cross-region store.
 _UNREAD = float("inf")
+
+# Set in sweep pool workers (see mark_pool_worker).
+_pool_worker = False
 
 # Above this size, validate="auto" switches from the exact node-connectivity
 # test (quadratic max-flow) to the O(V+E) structural check.
@@ -158,19 +168,47 @@ class _CrossRegionDraws:
         return at < n and row[at] == key[1]
 
     def __setitem__(self, key: tuple[int, int], value: float) -> None:
+        if not self.add(key, value):
+            row, n, at = self._find(key)
+            row[n + at] = value
+
+    def add(self, key: tuple[int, int], value: float) -> bool:
+        """Keep *value* for a pair with no kept draw; whether it was kept."""
+
+        row, n, at = self._find(key)
+        if row is not None and at < n and row[at] == key[1]:
+            return False
         if value < self.low:
             self.low = value
-        row, n, at = self._find(key)
         if row is None:
             self.rows[key[0]] = array("d", (key[1], value))
-        elif at < n and row[at] == key[1]:
-            row[n + at] = value
         else:
             row.insert(n + at, value)
             row.insert(at, key[1])
+        return True
 
     def __len__(self) -> int:
         return sum(len(row) for row in self.rows.values()) >> 1
+
+
+def mark_pool_worker() -> None:
+    """Make every later :meth:`PhysicalNetwork.fill_pairs` of this process
+    draw in-process.  A sweep pool worker calls it: the pool already runs one
+    cell per CPU, and a fill that forked there would oversubscribe them."""
+
+    global _pool_worker
+    _pool_worker = True
+
+
+def fill_helpers() -> int:
+    """How many helpers a fill forks: one per CPU this process may run on
+    beyond its own, none in a sweep pool worker or where there is no fork."""
+
+    if _pool_worker or not hasattr(os, "fork"):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
 
 
 def is_vertex_connected(adjacency: Mapping[int, Mapping[int, None]], t: int) -> bool:
@@ -222,6 +260,8 @@ class PhysicalNetwork:
     # _cross, sorted columns per lower endpoint.  Built by __post_init__, so
     # dataclasses.replace gets empty tables.
     _slots: dict[int, tuple[array, int]] = field(init=False, repr=False, compare=False)
+    # Each region's members by local index, for reading a triangle row whole.
+    _members: dict[Region, list[int]] = field(init=False, repr=False, compare=False)
     _cross: _CrossRegionDraws = field(init=False, repr=False, compare=False)
     _graph_view: nx.Graph | None = field(default=None, repr=False, compare=False)
 
@@ -230,6 +270,7 @@ class PhysicalNetwork:
         for node in sorted(self.regions):
             members.setdefault(self.regions[node], []).append(node)
         self._slots = {}
+        self._members = members
         self._cross = _CrossRegionDraws()
         for nodes in members.values():
             n = len(nodes)
@@ -332,6 +373,87 @@ class PhysicalNetwork:
             return table, (j * (j - 1) // 2 + i) if i < j else (i * (i - 1) // 2 + j)
         return self._cross, (u, v) if u < v else (v, u)
 
+    def fill_pairs(self, rows: Iterable[tuple[int, Collection[int]]]) -> int:
+        """Draw every pair ``(u, v)`` of *rows* ``(u, [v, ...])`` that
+        :meth:`transport_latency` would still draw; returns how many.
+
+        The tables end exactly as calling ``transport_latency(u, v)`` for
+        every pair in row order would leave them: the same pairs are drawn,
+        each draw is a pure function of its pair, and they are kept in row
+        order.  Only who draws changes: with :func:`fill_helpers` helpers,
+        a large fill is split between this process and that many forked
+        helpers (:mod:`repro.net.pair_fill`, loaded on the first such fill).
+        """
+
+        helpers = fill_helpers()
+        if not helpers:
+            return self._draw_rows(rows)
+        from .pair_fill import fill
+
+        return fill(self, rows, helpers)
+
+    def _draw_rows(
+        self, rows: Iterable[tuple[int, Iterable[int]]], fresh: array | None = None
+    ) -> int:
+        """``transport_latency(u, v)`` for every pair of *rows* in order;
+        returns how many pairs it drew, and appends them to *fresh* as
+        ``u, v, draw`` triples (what a fill helper sends back)."""
+
+        latencies, slots, adjacency, regions = self.latencies, self._slots, self.adjacency, self.regions
+        cross, kept = self._cross, self._cross.rows
+        draw, seed = self.latency_model.sample_pair, self.pair_seed
+        drawn = 0
+        for u, row in rows:
+            table, i = slots[u]
+            base = i * (i - 1) // 2
+            linked = adjacency.get(u, ())
+            region = regions[u]
+            for v in row:
+                if v in linked and ((u, v) if u < v else (v, u)) in latencies:
+                    continue
+                other, j = slots[v]
+                if other is table:
+                    if j == i:
+                        continue
+                    at = base + j if j < i else j * (j - 1) // 2 + i
+                    if table[at] == table[at]:  # drawn: not NaN
+                        continue
+                    value = table[at] = draw(seed, u, v, region, region)
+                else:
+                    key = (u, v) if u < v else (v, u)
+                    # _CrossRegionDraws.__contains__, inlined as in transport_latency.
+                    held = kept.get(key[0])
+                    if held is not None:
+                        n = len(held) >> 1
+                        at = bisect_left(held, key[1], 0, n)
+                        if at < n and held[at] == key[1]:
+                            continue
+                    value = cross[key] = draw(seed, u, v, region, regions[v])
+                drawn += 1
+                if fresh is not None:
+                    fresh.extend((u, v, value))
+        return drawn
+
+    def _keep(self, triples: array) -> int:
+        """Keep a fill helper's ``u, v, draw`` triples; returns how many
+        pairs were not drawn here already (a pair in rows of two shares is
+        drawn by both)."""
+
+        slots, cross = self._slots, self._cross
+        kept = 0
+        flat = iter(triples)
+        for u, v, value in zip(map(int, flat), map(int, flat), flat):
+            table, i = slots[u]
+            other, j = slots[v]
+            if table is other:
+                at = j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j
+                if table[at] != table[at]:
+                    table[at] = value
+                    kept += 1
+            elif cross.add((u, v) if u < v else (v, u), value):
+                kept += 1
+        return kept
+
     def nearest(self, node: int, candidates: Iterable[int], k: int) -> list[int]:
         """The *k* candidates closest to *node* by :meth:`transport_latency`,
         ties in input order — exactly ``sorted(candidates, key=...)[:k]``.
@@ -359,16 +481,31 @@ class PhysicalNetwork:
                 links[other] = latencies[key]
         table, i = slots[node]
         base = i * (i - 1) // 2  # node's cells with the lower local indices
+        region = self.regions[node]
+        members = self._members[region]
         # Per candidate: its link label, its triangle cell (NaN if undrawn;
         # node itself owns no cell), or inf for a cross-region pair.
-        known = [
-            links[other] if other in links
-            else _UNREAD if other_table is not table
-            else 0.0 if j == i
-            else table[base + j if j < i else j * (j - 1) // 2 + i]
-            for other, (other_table, j) in zip(candidates, map(slots.__getitem__, candidates))
-        ]
-        region = self.regions[node]
+        if len(candidates) >= len(members):
+            # As many candidates as region members (a whole cluster): read
+            # node's triangle row whole, in C.  Its cells below i are one
+            # slice; cell (i, j > i) sits at j*(j-1)/2 + i, the one before
+            # it plus j - 1.  zip stops at the last member, before the sum
+            # runs past the table.
+            row = dict(zip(members, chain(
+                table[base : base + i],
+                (0.0,),
+                map(table.__getitem__, accumulate(range(i + 1, len(members)), initial=base + 2 * i)),
+            )))
+            row.update(links)
+            known = list(map(row.get, candidates, repeat(_UNREAD)))
+        else:
+            known = [
+                links[other] if other in links
+                else _UNREAD if other_table is not table
+                else 0.0 if j == i
+                else table[base + j if j < i else j * (j - 1) // 2 + i]
+                for other, (other_table, j) in zip(candidates, map(slots.__getitem__, candidates))
+            ]
         draw, seed = self.latency_model.sample_pair, self.pair_seed
         for position in compress(range(len(known)), map(isnan, known)):
             other = candidates[position]

@@ -10,7 +10,7 @@ transaction count:
   transactions) (LoadDriver schedules its whole arrival list up front, which
   alone is ~200 MB at 10⁶ transactions).
 * **Streaming stats** — ``network.stats`` is replaced with a
-  :class:`~repro.net.stats.StreamingNetworkStats` before the run, folding
+  :class:`~repro.net.streaming_stats.StreamingNetworkStats` before the run, folding
   every delivery into constant-size sketches (installed pre-``start()``;
   recording is observation-only, so the simulated trajectory is unchanged).
 * **Bounded mempools** — every node's mempool gets the run's
@@ -26,15 +26,17 @@ transaction count:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..mempool.mempool import MempoolPolicy
 from ..mempool.transaction import Transaction
 from ..net.sketch import WindowedQuantiles
-from ..net.stats import StreamingNetworkStats
 from ..utils.validation import require_positive
 from .clients import ClientPopulation
 from .fees import FeeMarket
+
+if TYPE_CHECKING:
+    from ..net.streaming_stats import StreamingNetworkStats
 
 __all__ = ["PopulationDriver", "PopulationResult"]
 
@@ -133,6 +135,8 @@ class PopulationDriver:
     # -- wiring ------------------------------------------------------------
 
     def _install_streaming_stats(self) -> StreamingNetworkStats:
+        from ..net.streaming_stats import StreamingNetworkStats
+
         stats = StreamingNetworkStats(
             node_count=len(self.system.nodes),
             delivery_fraction=self.delivery_fraction,

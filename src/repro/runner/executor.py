@@ -242,6 +242,9 @@ def _worker_main(
     interpreter start-up and the ``repro`` imports); ``env_build`` is the
     warm-up import of the experiment harness, the module whose construction
     caches all simulation tasks share (already loaded in a forked worker).
+The worker marks itself a pool worker, so that a pair fill
+(:meth:`~repro.net.topology.PhysicalNetwork.fill_pairs`) in one of its cells
+draws in-process instead of forking helpers onto its siblings' CPUs.
     Each later message answers a ``(spec document, hand-off time)`` with
     ``(pickled record, timing)`` — pickled here, not by ``send``, so that
     ``serialize`` is measured and an unpicklable result becomes an error
@@ -253,6 +256,9 @@ def _worker_main(
     clock = WallClock(origin=origin)  # the parent's timebase
     t_spawned = clock.now()
     from ..experiments import harness  # noqa: F401 - warm-up import only
+    from ..net.topology import mark_pool_worker
+
+    mark_pool_worker()  # the pool holds the CPUs: a pair fill here forks nothing
     t_ready = clock.now()
     pid = os.getpid()
     conn.send(

@@ -17,6 +17,7 @@ import pytest
 from repro.baselines.mercury import MercurySystem
 from repro.core.protocol import HermesSystem
 from repro.experiments.harness import build_environment
+from repro.net import topology
 from repro.net.latency import LatencyModel
 from repro.net.topology import generate_physical_network
 
@@ -71,7 +72,8 @@ def test_selection_digests(num_nodes):
 def test_mercury_pair_draws(monkeypatch):
     """Region pruning draws only the pairs that can reach a node's nearest
     peers.  The paper-profile environment draws no pair while building its
-    overlays, so a bare network is what Mercury meets in a fresh one."""
+    overlays, so a bare network is what Mercury meets in a fresh one.  The
+    fill draws in-process here: a forked helper's calls are not counted."""
 
     draws = 0
     real = LatencyModel.sample_pair
@@ -83,6 +85,7 @@ def test_mercury_pair_draws(monkeypatch):
 
     physical = generate_physical_network(1100, min_degree=4, seed=0)
     monkeypatch.setattr(LatencyModel, "sample_pair", counted)
+    monkeypatch.setattr(topology, "fill_helpers", lambda: 0)
     MercurySystem(physical, seed=0).close()
     if sys.version_info[:2] == PINNED_PYTHON:
         assert draws == MERCURY_PAIR_DRAWS

@@ -18,6 +18,10 @@ inherited would wait forever.  Then:
 
 A store that refuses a write mid-sweep must fail the sweep with the error,
 leave no ``*.tmp`` file, reap every worker, and resume the same way.
+
+A run whose timeout fires while a pair fill's forked helper is still
+drawing must kill and reap that helper before the run is recorded as timed
+out, and its retry must store what an undisturbed run stores.
 """
 
 import errno
@@ -26,6 +30,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -199,3 +204,84 @@ def test_a_store_that_refuses_writes_fails_the_sweep_and_resumes_exactly(
     resumed = run_sweep(NAPS, store=store, jobs=2)
     assert (resumed.executed, resumed.skipped, resumed.failed) == (len(NAPS) - 3, 3, 0)
     assert _store_bytes(store) == _store_bytes(undisturbed)
+
+
+# Run in a fresh interpreter, which has no child of its own to confuse the
+# final waitpid(-1).  The cell fills every pair of a 200-node network; one
+# helper is forced (whatever the CPU count) and stalls in its first draw, so
+# the 1-s timeout lands while the parent waits for its reply.
+FILL_DRILL = """
+import json, os, time
+from pathlib import Path
+
+from repro.net import topology
+from repro.net.latency import LatencyModel
+from repro.net.topology import generate_physical_network
+from repro.runner import ResultStore, RunSpec, run_sweep
+from repro.runner.tasks import register_task
+
+@register_task("drill.fill")
+def fill(params):
+    n = params["nodes"]
+    physical = generate_physical_network(n, seed=0, validate="fast")
+    drawn = physical.fill_pairs((u, range(u + 1, n)) for u in range(n))
+    total = sum(physical.transport_latency(u, v) for u in range(n) for v in range(u + 1, n))
+    return {"drawn": drawn, "total_ms": total}
+
+root = Path(ROOT)
+topology.fill_helpers = lambda: 1
+spec = [RunSpec(task="drill.fill", params={"nodes": 200})]
+undisturbed = ResultStore(root / "undisturbed")
+assert run_sweep(spec, store=undisturbed).failed == 0
+
+parent, real = os.getpid(), LatencyModel.sample_pair
+def stalled(self, *args):
+    if os.getpid() != parent:  # the helper: say who it is, then hang
+        (root / "helper.pid").write_text(str(os.getpid()))
+        time.sleep(60)
+    return real(self, *args)
+
+LatencyModel.sample_pair = stalled
+store = ResultStore(root / "records")
+started = time.monotonic()
+timed_out = run_sweep(spec, store=store, timeout_s=1.0)
+took = time.monotonic() - started
+helper = int((root / "helper.pid").read_text())
+try:
+    os.kill(helper, 0)
+    helper_gone = False
+except ProcessLookupError:
+    helper_gone = True
+try:
+    os.waitpid(-1, os.WNOHANG)
+    no_children = False
+except ChildProcessError:
+    no_children = True
+
+LatencyModel.sample_pair = real
+retried = run_sweep(spec, store=store)
+print(json.dumps({
+    "timed_out": [timed_out.failed, timed_out.records[0]["error"], took],
+    "helper_gone": helper_gone, "no_children": no_children,
+    "retried": [retried.executed, retried.failed],
+    "same": store.path_for(spec[0]).read_bytes() == undisturbed.path_for(spec[0]).read_bytes(),
+}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="timeouts need SIGALRM")
+def test_a_timeout_kills_the_fill_helper_and_the_retry_stores_the_same_record(tmp_path):
+    script = f"ROOT = {str(tmp_path)!r}\n" + textwrap.dedent(FILL_DRILL)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    outcome = json.loads(done.stdout)
+    failed, error, took = outcome["timed_out"]
+    assert failed == 1 and "timeout" in error, error
+    assert took < 30.0  # the run did not wait for the stalled helper
+    assert outcome["helper_gone"], "the fill helper outlived the timed-out run"
+    assert outcome["no_children"], "a child of the timed-out run was never reaped"
+    assert outcome["retried"] == [1, 0]
+    assert outcome["same"], "the retry stored a different record"

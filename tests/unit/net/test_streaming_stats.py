@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net.stats import NetworkStats, StreamingNetworkStats, percentile
+from repro.net.stats import NetworkStats, percentile
+from repro.net.streaming_stats import StreamingNetworkStats
 
 
 def deliver_item(stats, item, send_ms, latencies, *, nodes=None):

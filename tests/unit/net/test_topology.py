@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
+from repro.net import pair_fill, topology
 from repro.net.latency import LatencyModel
 from repro.net.topology import (
     PhysicalNetwork, _CrossRegionDraws, generate_physical_network,
@@ -348,6 +349,48 @@ class TestPairTablesAgainstADictPerPair:
             for v in tables.nodes():
                 assert tables.transport_latency(u, v) == reference.transport_latency(u, v)
         assert tables.latency_model.calls == reference.latency_model.calls
+
+
+def _tables(network: PhysicalNetwork):
+    """The pair tables as bytes, cross-region rows in insertion order."""
+
+    tables = {id(table): table for table, _index in network._slots.values()}
+    return (
+        [bytes(table) for table in tables.values()],
+        [(lo, bytes(row)) for lo, row in network._cross.rows.items()],
+        network._cross.low,
+    )
+
+
+class TestFillPairs:
+    """``fill_pairs`` against ``transport_latency`` over the same rows, in
+    process and split across forked helpers: the same tables byte for byte,
+    and as many draws as the lazy path makes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_same_tables_as_the_lazy_path(self, data):
+        base = generate_physical_network(
+            18, min_degree=3, regions=_THREE_REGIONS, seed=data.draw(st.integers(0, 3))
+        )
+        fill, lazy = _twin(PhysicalNetwork, base), _twin(PhysicalNetwork, base)
+        member = st.sampled_from(base.nodes())
+        for u, v in data.draw(st.lists(st.tuples(member, member), max_size=12)):
+            fill.transport_latency(u, v)  # pairs drawn before the fill
+            lazy.transport_latency(u, v)
+        rows = data.draw(st.lists(st.tuples(member, st.lists(member, max_size=12)), max_size=10))
+        helpers = data.draw(st.integers(0, 2))
+        with pytest.MonkeyPatch.context() as patch:  # fork even for a few pairs
+            patch.setattr(topology, "fill_helpers", lambda: helpers)
+            patch.setattr(pair_fill, "_SHARE_FLOOR", 1)
+            patch.setattr(pair_fill, "_FILL_ROUND", data.draw(st.integers(1, 30)))
+            before = lazy.latency_model.calls
+            drawn = fill.fill_pairs(iter(rows))
+        for u, row in rows:
+            for v in row:
+                lazy.transport_latency(u, v)
+        assert drawn == lazy.latency_model.calls - before
+        assert _tables(fill) == _tables(lazy)
 
 
 def _columns(store: _CrossRegionDraws) -> dict[tuple[int, int], float]:

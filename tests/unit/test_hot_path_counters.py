@@ -29,18 +29,32 @@ never fills and is never drained by fee builds no fee heap and no priority
 heap (each resident held four index entries while all four indexes were
 kept eagerly), its FIFO and TTL queues hold one entry per resident, and a
 delivered Bracha slot keeps no supporter set.
+The per-pair latency draws of the paper-scale construction are exact too:
+HERMES's committee selection and then Mercury's construction draw 18,569
+and 33,891 pairs on a fresh N = 1,100 paper-profile network, whether the
+fill draws them in-process or splits them with a forked helper.
 The tool runs in a fresh interpreter so no cache warmed by another test can
 lower a count.
 """
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.net import topology
+
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "hot_path_counters.py"
+
+# Pairs drawn on the fresh N = 1,100 paper network: draws are stamped by
+# CPython's random module, and which cross-region pairs nearest() must draw
+# depends on their values.
+PAPER_CONSTRUCT = {"hermes": 18_569, "mercury": 33_891}
+PINNED_PYTHON = (3, 11)
 
 CALLS_PER_EVENT_BOUNDS = {
     "hermes": 55.0,
@@ -95,3 +109,36 @@ def test_fig8_keeps_only_the_bookkeeping_it_reads(counters):
         "ttl_queue": 1.0,
     }
     assert fig8["supporter_sets_on_delivered_slots"] == 0
+
+
+@pytest.mark.skipif(sys.version_info[:2] != PINNED_PYTHON, reason="draws are stamped 3.11")
+def test_paper_construct_draws_are_pinned(counters):
+    assert counters["paper_construct"] == PAPER_CONSTRUCT
+
+
+@pytest.mark.skipif(sys.version_info[:2] != PINNED_PYTHON, reason="draws are stamped 3.11")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fill forks helpers")
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_the_fill_draws_the_same_pairs_serial_or_forked(monkeypatch, helpers):
+    spec = importlib.util.spec_from_file_location("hot_path_counters", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(topology, "fill_helpers", lambda: helpers)
+    assert tool.paper_construct() == PAPER_CONSTRUCT
+
+
+def test_a_reader_that_leaves_early_ends_the_tool_quietly():
+    """``hot_path_counters.py --imports --json | head -5``: the reader is
+    gone, so the tool exits 1 without a traceback, as the sweep CLI does."""
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(TOOL), "--imports", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr

@@ -36,10 +36,11 @@ TOOLS = SRC.parent / "tools"
 #: --imports`` may load, and the source lines they may hold.  The module
 #: counts are the achieved ones; lines move with every edit of those
 #: modules, so they keep ~5 % of room.  Eager package re-exports read 32 /
-#: 6,342, 46 / 7,363, 71 / 11,409, 91 / 15,630 and 91 / 15,884.
+#: 6,342, 46 / 7,363, 71 / 11,409, 91 / 15,630 and 91 / 15,884.  The flood
+#: read 3,376 lines while ``net/stats.py`` held ``StreamingNetworkStats``.
 IMPORT_BOUNDS = {
     "cli": (5, 820),
-    "flood": (24, 3_550),
+    "flood": (24, 3_480),
     "fig3a": (50, 8_950),
     "cli + fig5a.trial": (63, 10_750),
     "cli + fig8.point": (66, 12_400),

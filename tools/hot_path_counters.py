@@ -26,12 +26,17 @@ exact and repeats run to run.  This script runs fixed cells under the stdlib
   the TRS committee's Bracha broadcasts under sustained load) holds once it
   has run — the entries of each mempool index per resident transaction, and
   the supporter sets its delivered RBC slots still keep;
+* ``paper_construct``: the per-pair latency draws that HERMES's committee
+  selection and then Mercury's construction make on a fresh N = 1,100
+  paper-profile network (the ``fig3a-paper-n1100`` cell's order), counted
+  in the pair tables, so a forked fill helper's draws count too;
 * ``imports``: for each cold entry point — the sweep CLI, the import blocks
   of the ``benchmarks/e2e`` flood and Fig. 3a children, the CLI resolving a
   Fig. 5a or Fig. 8 task — the ``repro.*`` modules a fresh interpreter loads
   and the source lines they hold (``--imports`` prints this section alone).
 
-Apart from that peak, only ``system.run`` is profiled or traced —
+Apart from that peak and the paper construction, only ``system.run`` is
+profiled or traced —
 construction and submission are not part of the per-event path.
 ``--scale small`` (the default, a few seconds) is Fig. 3a at N = 60, the
 flood at N = 200, T = 20 and Fig. 8 at N = 16, 8 tx/s for 8 s;
@@ -46,8 +51,10 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import gc
 import json
+import os
 import pstats
 import subprocess
 import sys
@@ -289,6 +296,32 @@ def flood_retained_bytes(params: dict, seed: int) -> float:
     return retained / deliveries
 
 
+def drawn_pairs(physical) -> int:
+    """How many per-pair draws *physical*'s tables hold."""
+
+    tables = {id(table): table for table, _index in physical._slots.values()}
+    held = sum(cell == cell for table in tables.values() for cell in table)  # not NaN
+    return held + len(physical._cross)
+
+
+def paper_construct() -> dict[str, int]:
+    """Pairs drawn by HERMES's committee selection, then by Mercury's
+    construction, on a fresh N = 1,100 paper-profile network (its overlays
+    draw no pair) — the order of the ``fig3a-paper-n1100`` cell."""
+
+    from repro.experiments.harness import build_environment, protocol_factories
+
+    env = build_environment(num_nodes=1100, f=1, k=10, seed=0, paper_scale=True)
+    fresh = dataclasses.replace(env, physical=dataclasses.replace(env.physical))
+    factories = protocol_factories(fresh, hermes_overrides={"gossip_fallback_enabled": False})
+    counts = {}
+    for name in ("hermes", "mercury"):
+        before = drawn_pairs(fresh.physical)
+        factories[name]().close()
+        counts[name] = drawn_pairs(fresh.physical) - before
+    return counts
+
+
 def fig8_hermes_state(params: dict) -> dict:
     """What a Fig. 8 HERMES cell holds after its run: mempool index entries
     and the supporter sets of delivered Bracha slots (the grid is the same
@@ -353,6 +386,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
     retained = flood_retained_bytes(params["flood"], seed)
     peak_kb = fig3a_peak_traced_kb(params["fig3a"], seed)
     fig8 = fig8_hermes_state(params["fig8"])
+    construct = paper_construct()
     return {
         "scale": scale,
         "seed": seed,
@@ -371,6 +405,7 @@ def counters(scale: str = "small", seed: int = 7) -> dict:
         "cross_bytes_per_draw": {"fig3a": fig3a_cross, "flood": flood_cross},
         "fig3a_peak_traced_kb": peak_kb,
         "fig8_hermes": fig8,
+        "paper_construct": construct,
         "imports": imports(),
     }
 
@@ -419,6 +454,11 @@ def format_table(result: dict) -> str:
         f"{fig8['supporter_sets_on_delivered_slots']:,} supporter sets on "
         f"{fig8['delivered_slots']:,} delivered RBC slots"
     )
+    construct = result["paper_construct"]
+    lines.append(
+        f"paper construct (N = 1,100): {construct['hermes']:,} pairs drawn by HERMES's "
+        f"committee selection, {construct['mercury']:,} by Mercury's construction"
+    )
     lines.append(format_imports(result["imports"]))
     return "\n".join(lines)
 
@@ -438,12 +478,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--imports", action="store_true",
                         help="only the import census (a second or two)")
     args = parser.parse_args(argv)
-    if args.imports:
-        result = imports()
-        print(json.dumps(result, indent=2) if args.json else format_imports(result))
-        return 0
-    result = counters(args.scale, args.seed)
-    print(json.dumps(result, indent=2, sort_keys=True) if args.json else format_table(result))
+    try:
+        if args.imports:
+            result = imports()
+            print(json.dumps(result, indent=2) if args.json else format_imports(result))
+        else:
+            result = counters(args.scale, args.seed)
+            print(json.dumps(result, indent=2, sort_keys=True) if args.json
+                  else format_table(result))
+        sys.stdout.flush()  # a reader gone early (`| head -5`) surfaces here
+    except BrokenPipeError:
+        # As the sweep CLI does: stdout onto devnull, so the flush at exit
+        # cannot raise again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
