@@ -153,7 +153,7 @@ class MercurySystem(BaseSystem):
             by_cluster.setdefault(cluster, []).append(node)
 
         # nearest draws every undrawn same-region pair of a node's cluster:
-        # draw them all up front (in parallel when large), each pair once.
+        # each pair once, drawn ahead by forked helpers when large.
         mates: dict[tuple[int, Region], list[int]] = {}
         for node, cluster in self.clusters.items():
             mates.setdefault((cluster, physical.regions[node]), []).append(node)

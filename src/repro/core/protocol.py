@@ -734,7 +734,7 @@ class HermesSystem(Deployment):
         """
 
         sample = node_ids[:: max(1, len(node_ids) // 16)] or node_ids
-        # The pairs centrality reads, drawn up front (in parallel when large).
+        # The pairs centrality reads: drawn ahead by forked helpers when large.
         self.physical.fill_pairs((node, sample) for node in node_ids)
 
         def centrality(node: int) -> float:

@@ -4,18 +4,16 @@ forked helpers.
 Each per-pair draw is a pinned sha256 → Mersenne Twister seed → draw chain of
 ~10 µs, and a paper-scale construction makes tens of thousands of them
 (millions at N = 10,000).  :meth:`PhysicalNetwork.fill_pairs
-<repro.net.topology.PhysicalNetwork.fill_pairs>` hands its rows here.  The
-rows are taken in rounds of about ``_FILL_ROUND`` candidate pairs.  A round is
-cut into contiguous shares of about equal size, of at least ``_SHARE_FLOOR``
-candidates each: the first for the calling process and one for each forked
-helper.  A helper
-draws its share's undrawn pairs in its copy of the tables, sends them back
-through a pipe as ``array('d')`` triples ``u, v, draw`` and leaves through
-``os._exit``: it imports nothing and runs no exit hook.  The caller draws its
-own share, then keeps the helpers' triples in share order, so the tables end
-as drawing every pair lazily in row order would leave them.  Every helper is
-waited for, and killed first if the fill unwinds (an exception, or a run's
-SIGALRM timeout).
+<repro.net.topology.PhysicalNetwork.fill_pairs>` hands each round of rows
+large enough to split here.  A round is cut into contiguous shares of about
+equal size: the first for the calling process and one for each forked
+helper.  Every process reads its share through ``transport_latency``, which
+draws what is undrawn.  A helper sends its reads back through a pipe as one
+``array('d')`` in row order and leaves through ``os._exit``: it imports
+nothing and runs no exit hook.  The caller keeps the helpers' reads in share
+order after its own, so the tables end as reading every row in order would
+leave them.  Every helper is waited for, and killed first if the round
+unwinds (an exception, or a run's SIGALRM timeout).
 """
 
 from __future__ import annotations
@@ -24,53 +22,27 @@ import os
 import signal
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
-from typing import TYPE_CHECKING, Collection, Iterable
+from functools import partial
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING, Collection
 
 from ..errors import TopologyError
 
 if TYPE_CHECKING:
     from .topology import PhysicalNetwork
 
-__all__ = ["fill"]
+__all__ = ["fill_round"]
 
-# Candidate pairs each process of a split round draws at least: up to ~40 ms
-# of draws (~10 µs each) against a fork, a pipe and a wait of ~2–5 ms.  A
-# round of fewer than two such shares forks nothing, so no network of a few
-# hundred nodes forks, and a round forks no more helpers than it can feed.
-_SHARE_FLOOR = 4_096
-# Candidate pairs one round of a fill takes (it ends at a row's end): bounds
-# what a helper holds before it replies, 24 bytes a pair of its share.
-_FILL_ROUND = 1 << 18
-# Signals that could unwind a fill between a fork and its bookkeeping: held
+# Signals that could unwind a round between a fork and its bookkeeping: held
 # back across the fork, so that every helper is known before one can land.
 _FORK_SIGNALS = frozenset(
     getattr(signal, name) for name in ("SIGALRM", "SIGINT", "SIGTERM") if hasattr(signal, name)
 )
 
-
-def fill(
-    network: PhysicalNetwork, rows: Iterable[tuple[int, Collection[int]]], helpers: int
-) -> int:
-    """Draw the undrawn pairs of *rows* into *network*'s tables with up to
-    *helpers* forked helpers per round; returns how many were drawn."""
-
-    rows = iter(rows)
-    drawn = 0
-    while True:
-        batch, size = [], 0
-        for u, row in rows:
-            batch.append((u, row))
-            size += len(row)
-            if size >= _FILL_ROUND:
-                break
-        if not batch:
-            return drawn
-        forks = max(0, min(helpers, size // _SHARE_FLOOR - 1))
-        drawn += _fill_round(network, batch, size, forks)
+Share = list[tuple[int, Collection[int]]]
 
 
-def _fill_round(network: PhysicalNetwork, batch: list, size: int, helpers: int) -> int:
+def fill_round(network: PhysicalNetwork, batch: Share, size: int, helpers: int) -> None:
     """Draw *batch*'s undrawn pairs: this process the first share of its
     rows, each of *helpers* forked helpers one of the rest."""
 
@@ -95,21 +67,15 @@ def _fill_round(network: PhysicalNetwork, batch: list, size: int, helpers: int) 
                 forked[pid] = read
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        drawn = network._draw_rows(shares[0])
-        for pid, read in list(forked.items()):
-            # Kept as it arrives: a reply is read 64 KiB at a time.
-            left = b""
-            while chunk := os.read(read, 1 << 16):
-                left += chunk
-                whole = len(left) - len(left) % 24
-                drawn += network._keep(array("d", left[:whole]))
-                left = left[whole:]
+        _read(network, shares[0])
+        for (pid, read), share in zip(list(forked.items()), shares[1:]):
+            reply = b"".join(iter(partial(os.read, read, 1 << 16), b""))
             status = os.waitpid(pid, 0)[1]
             del forked[pid]
             os.close(read)
-            if status or left:
+            if status or len(reply) != 8 * sum(len(row) for _u, row in share):
                 raise TopologyError(f"fill helper {pid} failed (wait status {status})")
-        return drawn
+            _keep(network, share, array("d", reply))
     finally:
         for pid, read in forked.items():  # only when unwinding
             os.kill(pid, signal.SIGKILL)
@@ -117,12 +83,36 @@ def _fill_round(network: PhysicalNetwork, batch: list, size: int, helpers: int) 
             os.close(read)
 
 
+def _read(network: PhysicalNetwork, share: Share) -> array:
+    """``transport_latency(u, v)`` of every pair of *share*, in row order."""
+
+    values = array("d")
+    latency = network.transport_latency
+    for u, row in share:
+        values.extend(map(latency, repeat(u), row))
+    return values
+
+
+def _keep(network: PhysicalNetwork, share: Share, values: array) -> None:
+    """Keep a helper's reads of *share* where its ``transport_latency`` drew
+    them: every pair but a node with itself and a physical link, whose label
+    is not a draw.  A pair this process drew already reads the same draw."""
+
+    latencies, slot = network.latencies, network._pair_slot
+    flat = iter(values)
+    for u, row in share:
+        for v, value in zip(row, flat):  # row first: zip takes no value past it
+            if v != u and ((u, v) if u < v else (v, u)) not in latencies:
+                store, at = slot(u, v)
+                store[at] = value
+
+
 def _helper(
-    network: PhysicalNetwork, share: list, write: int, held: set, readers: tuple[int, ...]
+    network: PhysicalNetwork, share: Share, write: int, held: set, readers: tuple[int, ...]
 ) -> None:
-    """A forked helper: draw *share*, write the triples to *write* and
-    leave through ``os._exit`` whatever happens, so that none of the
-    parent's cleanup runs here (no ``atexit`` hook, no buffered output).
+    """A forked helper: read *share*, write the values to *write* and leave
+    through ``os._exit`` whatever happens, so that none of the parent's
+    cleanup runs here (no ``atexit`` hook, no buffered output).
 
     It first closes the read ends it inherited, its own included: a helper
     holding one would keep a writer whose reader is gone blocked forever,
@@ -133,9 +123,7 @@ def _helper(
         for fd in readers:
             os.close(fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        fresh = array("d")
-        network._draw_rows(share, fresh)
-        view = memoryview(fresh).cast("B")
+        view = memoryview(_read(network, share)).cast("B")
         while view:
             view = view[os.write(write, view):]
         code = 0

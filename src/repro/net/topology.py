@@ -16,7 +16,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import nsmallest
-from itertools import accumulate, chain, combinations, compress, repeat
+from itertools import chain, combinations, compress
 from math import isnan
 from typing import (
     TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence,
@@ -51,6 +51,14 @@ _UNREAD = float("inf")
 
 # Set in sweep pool workers (see mark_pool_worker).
 _pool_worker = False
+# Candidate pairs each process of a split fill round reads at least: up to
+# ~40 ms of draws (~10 µs each) against a fork, a pipe and a wait of ~2–5 ms.
+# A round of fewer than two such shares forks nothing, so no network of a
+# few hundred nodes forks, and a round forks no more helpers than it can feed.
+_FILL_SHARE_FLOOR = 4_096
+# Candidate pairs one fill round takes (it ends at a row's end): bounds what
+# a helper holds before it replies, 8 bytes a candidate of its share.
+_FILL_ROUND = 1 << 18
 
 # Above this size, validate="auto" switches from the exact node-connectivity
 # test (quadratic max-flow) to the O(V+E) structural check.
@@ -168,24 +176,16 @@ class _CrossRegionDraws:
         return at < n and row[at] == key[1]
 
     def __setitem__(self, key: tuple[int, int], value: float) -> None:
-        if not self.add(key, value):
-            row, n, at = self._find(key)
-            row[n + at] = value
-
-    def add(self, key: tuple[int, int], value: float) -> bool:
-        """Keep *value* for a pair with no kept draw; whether it was kept."""
-
-        row, n, at = self._find(key)
-        if row is not None and at < n and row[at] == key[1]:
-            return False
         if value < self.low:
             self.low = value
+        row, n, at = self._find(key)
         if row is None:
             self.rows[key[0]] = array("d", (key[1], value))
+        elif at < n and row[at] == key[1]:
+            row[n + at] = value
         else:
             row.insert(n + at, value)
             row.insert(at, key[1])
-        return True
 
     def __len__(self) -> int:
         return sum(len(row) for row in self.rows.values()) >> 1
@@ -193,7 +193,7 @@ class _CrossRegionDraws:
 
 def mark_pool_worker() -> None:
     """Make every later :meth:`PhysicalNetwork.fill_pairs` of this process
-    draw in-process.  A sweep pool worker calls it: the pool already runs one
+    fork nothing.  A sweep pool worker calls it: the pool already runs one
     cell per CPU, and a fill that forked there would oversubscribe them."""
 
     global _pool_worker
@@ -260,8 +260,6 @@ class PhysicalNetwork:
     # _cross, sorted columns per lower endpoint.  Built by __post_init__, so
     # dataclasses.replace gets empty tables.
     _slots: dict[int, tuple[array, int]] = field(init=False, repr=False, compare=False)
-    # Each region's members by local index, for reading a triangle row whole.
-    _members: dict[Region, list[int]] = field(init=False, repr=False, compare=False)
     _cross: _CrossRegionDraws = field(init=False, repr=False, compare=False)
     _graph_view: nx.Graph | None = field(default=None, repr=False, compare=False)
 
@@ -270,7 +268,6 @@ class PhysicalNetwork:
         for node in sorted(self.regions):
             members.setdefault(self.regions[node], []).append(node)
         self._slots = {}
-        self._members = members
         self._cross = _CrossRegionDraws()
         for nodes in members.values():
             n = len(nodes)
@@ -373,86 +370,39 @@ class PhysicalNetwork:
             return table, (j * (j - 1) // 2 + i) if i < j else (i * (i - 1) // 2 + j)
         return self._cross, (u, v) if u < v else (v, u)
 
-    def fill_pairs(self, rows: Iterable[tuple[int, Collection[int]]]) -> int:
-        """Draw every pair ``(u, v)`` of *rows* ``(u, [v, ...])`` that
-        :meth:`transport_latency` would still draw; returns how many.
+    def fill_pairs(self, rows: Iterable[tuple[int, Collection[int]]]) -> None:
+        """Draw ahead, with forked helpers, the pairs ``(u, v)`` of *rows*
+        ``(u, [v, ...])`` that :meth:`transport_latency` would still draw.
 
-        The tables end exactly as calling ``transport_latency(u, v)`` for
-        every pair in row order would leave them: the same pairs are drawn,
-        each draw is a pure function of its pair, and they are kept in row
-        order.  Only who draws changes: with :func:`fill_helpers` helpers,
-        a large fill is split between this process and that many forked
-        helpers (:mod:`repro.net.pair_fill`, loaded on the first such fill).
+        The caller then reads those pairs and finds them drawn: a draw is a
+        pure function of its pair, so only who draws changes, and the tables
+        end as the reads alone would leave them (cross-region rows in the
+        same insertion order when the reads follow row order).  Where no
+        helper is forked — :func:`fill_helpers` is 0, or what is left of
+        *rows* is too small to split — nothing is drawn here, and the reads
+        draw those pairs as they come.  *rows* are taken in rounds of about
+        ``_FILL_ROUND`` candidates, each cut into shares of at least
+        ``_FILL_SHARE_FLOOR``: one for this process, one per helper
+        (:mod:`repro.net.pair_fill`, loaded on the first round that forks).
         """
 
         helpers = fill_helpers()
         if not helpers:
-            return self._draw_rows(rows)
-        from .pair_fill import fill
+            return
+        rows = iter(rows)
+        while True:
+            batch, size = [], 0
+            for u, row in rows:
+                batch.append((u, row))
+                size += len(row)
+                if size >= _FILL_ROUND:
+                    break
+            forks = min(helpers, size // _FILL_SHARE_FLOOR - 1)
+            if forks <= 0:
+                return
+            from .pair_fill import fill_round
 
-        return fill(self, rows, helpers)
-
-    def _draw_rows(
-        self, rows: Iterable[tuple[int, Iterable[int]]], fresh: array | None = None
-    ) -> int:
-        """``transport_latency(u, v)`` for every pair of *rows* in order;
-        returns how many pairs it drew, and appends them to *fresh* as
-        ``u, v, draw`` triples (what a fill helper sends back)."""
-
-        latencies, slots, adjacency, regions = self.latencies, self._slots, self.adjacency, self.regions
-        cross, kept = self._cross, self._cross.rows
-        draw, seed = self.latency_model.sample_pair, self.pair_seed
-        drawn = 0
-        for u, row in rows:
-            table, i = slots[u]
-            base = i * (i - 1) // 2
-            linked = adjacency.get(u, ())
-            region = regions[u]
-            for v in row:
-                if v in linked and ((u, v) if u < v else (v, u)) in latencies:
-                    continue
-                other, j = slots[v]
-                if other is table:
-                    if j == i:
-                        continue
-                    at = base + j if j < i else j * (j - 1) // 2 + i
-                    if table[at] == table[at]:  # drawn: not NaN
-                        continue
-                    value = table[at] = draw(seed, u, v, region, region)
-                else:
-                    key = (u, v) if u < v else (v, u)
-                    # _CrossRegionDraws.__contains__, inlined as in transport_latency.
-                    held = kept.get(key[0])
-                    if held is not None:
-                        n = len(held) >> 1
-                        at = bisect_left(held, key[1], 0, n)
-                        if at < n and held[at] == key[1]:
-                            continue
-                    value = cross[key] = draw(seed, u, v, region, regions[v])
-                drawn += 1
-                if fresh is not None:
-                    fresh.extend((u, v, value))
-        return drawn
-
-    def _keep(self, triples: array) -> int:
-        """Keep a fill helper's ``u, v, draw`` triples; returns how many
-        pairs were not drawn here already (a pair in rows of two shares is
-        drawn by both)."""
-
-        slots, cross = self._slots, self._cross
-        kept = 0
-        flat = iter(triples)
-        for u, v, value in zip(map(int, flat), map(int, flat), flat):
-            table, i = slots[u]
-            other, j = slots[v]
-            if table is other:
-                at = j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j
-                if table[at] != table[at]:
-                    table[at] = value
-                    kept += 1
-            elif cross.add((u, v) if u < v else (v, u), value):
-                kept += 1
-        return kept
+            fill_round(self, batch, size, forks)
 
     def nearest(self, node: int, candidates: Iterable[int], k: int) -> list[int]:
         """The *k* candidates closest to *node* by :meth:`transport_latency`,
@@ -481,31 +431,16 @@ class PhysicalNetwork:
                 links[other] = latencies[key]
         table, i = slots[node]
         base = i * (i - 1) // 2  # node's cells with the lower local indices
-        region = self.regions[node]
-        members = self._members[region]
         # Per candidate: its link label, its triangle cell (NaN if undrawn;
         # node itself owns no cell), or inf for a cross-region pair.
-        if len(candidates) >= len(members):
-            # As many candidates as region members (a whole cluster): read
-            # node's triangle row whole, in C.  Its cells below i are one
-            # slice; cell (i, j > i) sits at j*(j-1)/2 + i, the one before
-            # it plus j - 1.  zip stops at the last member, before the sum
-            # runs past the table.
-            row = dict(zip(members, chain(
-                table[base : base + i],
-                (0.0,),
-                map(table.__getitem__, accumulate(range(i + 1, len(members)), initial=base + 2 * i)),
-            )))
-            row.update(links)
-            known = list(map(row.get, candidates, repeat(_UNREAD)))
-        else:
-            known = [
-                links[other] if other in links
-                else _UNREAD if other_table is not table
-                else 0.0 if j == i
-                else table[base + j if j < i else j * (j - 1) // 2 + i]
-                for other, (other_table, j) in zip(candidates, map(slots.__getitem__, candidates))
-            ]
+        known = [
+            links[other] if other in links
+            else _UNREAD if other_table is not table
+            else 0.0 if j == i
+            else table[base + j if j < i else j * (j - 1) // 2 + i]
+            for other, (other_table, j) in zip(candidates, map(slots.__getitem__, candidates))
+        ]
+        region = self.regions[node]
         draw, seed = self.latency_model.sample_pair, self.pair_seed
         for position in compress(range(len(known)), map(isnan, known)):
             other = candidates[position]

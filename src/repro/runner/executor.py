@@ -242,9 +242,9 @@ def _worker_main(
     interpreter start-up and the ``repro`` imports); ``env_build`` is the
     warm-up import of the experiment harness, the module whose construction
     caches all simulation tasks share (already loaded in a forked worker).
-The worker marks itself a pool worker, so that a pair fill
-(:meth:`~repro.net.topology.PhysicalNetwork.fill_pairs`) in one of its cells
-draws in-process instead of forking helpers onto its siblings' CPUs.
+    The worker marks itself a pool worker, so that a pair fill
+    (:meth:`~repro.net.topology.PhysicalNetwork.fill_pairs`) in one of its
+    cells forks no helper onto its siblings' CPUs.
     Each later message answers a ``(spec document, hand-off time)`` with
     ``(pickled record, timing)`` — pickled here, not by ``send``, so that
     ``serialize`` is measured and an unpicklable result becomes an error

@@ -4,10 +4,10 @@ HERMES's committee selection and Mercury's construction fill their per-pair
 latency draws up front (``PhysicalNetwork.fill_pairs``), splitting a large
 fill with forked helpers.  At the N = 1,100 paper scale the stores built
 three ways — the lazy path (no fill: ``transport_latency`` and ``nearest``
-draw as they read), the fill in-process, and the fill with a helper — must
-be byte-identical, region triangles and cross-region rows alike, and pick
-the same committee and peers.  Every helper is reaped, also when the
-parent's half of a fill raises.
+draw as they read), the fill with no helper to fork (it draws nothing), and
+the fill with a helper — must be byte-identical, region triangles and
+cross-region rows alike, and pick the same committee and peers.  Every
+helper is reaped, also when the parent's half of a fill raises.
 """
 
 import dataclasses
@@ -64,7 +64,7 @@ def build(env, monkeypatch, way: str):
     physical = dataclasses.replace(env.physical)  # empty pair tables
     with monkeypatch.context() as patch:
         if way == "lazy":
-            patch.setattr(PhysicalNetwork, "fill_pairs", lambda self, rows: 0)
+            patch.setattr(PhysicalNetwork, "fill_pairs", lambda self, rows: None)
         patch.setattr(topology, "fill_helpers", lambda: 1 if way == "forked" else 0)
         with HermesSystem(physical, overlays=env.overlays, seed=13) as hermes:
             committee = hermes.committee
@@ -93,19 +93,22 @@ def test_a_raise_in_the_parents_half_leaves_no_helper(monkeypatch, forks):
     nodes = physical.nodes()
     rows = [(node, nodes[::64]) for node in nodes]
 
-    parent, real = os.getpid(), PhysicalNetwork._draw_rows
+    parent, real = os.getpid(), PhysicalNetwork.transport_latency
 
-    def broken(self, share, fresh=None):
+    def broken(self, u, v):
         if os.getpid() == parent:
             raise RuntimeError("the parent's half failed")
-        return real(self, share, fresh)  # the helper's half
+        return real(self, u, v)  # the helper's half
 
     monkeypatch.setattr(topology, "fill_helpers", lambda: 1)
-    monkeypatch.setattr(PhysicalNetwork, "_draw_rows", broken)
+    monkeypatch.setattr(PhysicalNetwork, "transport_latency", broken)
     with pytest.raises(RuntimeError, match="parent's half"):
         physical.fill_pairs(rows)
     assert len(forks) == 1
     assert_reaped(forks)
     assert store_of(physical) == before  # nothing the helper drew was kept
-    monkeypatch.undo()
-    assert physical.fill_pairs(rows) > 0
+    monkeypatch.setattr(PhysicalNetwork, "transport_latency", real)
+    physical.fill_pairs(rows)
+    assert len(forks) == 2
+    assert_reaped(forks)
+    assert store_of(physical) != before

@@ -72,8 +72,8 @@ def test_selection_digests(num_nodes):
 def test_mercury_pair_draws(monkeypatch):
     """Region pruning draws only the pairs that can reach a node's nearest
     peers.  The paper-profile environment draws no pair while building its
-    overlays, so a bare network is what Mercury meets in a fresh one.  The
-    fill draws in-process here: a forked helper's calls are not counted."""
+    overlays, so a bare network is what Mercury meets in a fresh one.  No
+    fill helper is forked here: a helper's calls would not be counted."""
 
     draws = 0
     real = LatencyModel.sample_pair

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.net import pair_fill, topology
+from repro.net import topology
 from repro.net.latency import LatencyModel
 from repro.net.topology import (
     PhysicalNetwork, _CrossRegionDraws, generate_physical_network,
@@ -362,10 +363,18 @@ def _tables(network: PhysicalNetwork):
     )
 
 
+def _drawn_pairs(network: PhysicalNetwork) -> dict[tuple[int, int], float]:
+    """Every drawn pair of *network* and its draw."""
+
+    pairs = {pair: _drawn(network, *pair) for pair in itertools.combinations(network.nodes(), 2)}
+    return {pair: draw for pair, draw in pairs.items() if not math.isnan(draw)}
+
+
 class TestFillPairs:
-    """``fill_pairs`` against ``transport_latency`` over the same rows, in
-    process and split across forked helpers: the same tables byte for byte,
-    and as many draws as the lazy path makes."""
+    """``fill_pairs`` and then the reads it prepares, against the reads
+    alone, with no helper and split across forked helpers: the fill draws
+    only pairs the reads would draw, the same draws, and the tables end the
+    same byte for byte."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -382,14 +391,15 @@ class TestFillPairs:
         helpers = data.draw(st.integers(0, 2))
         with pytest.MonkeyPatch.context() as patch:  # fork even for a few pairs
             patch.setattr(topology, "fill_helpers", lambda: helpers)
-            patch.setattr(pair_fill, "_SHARE_FLOOR", 1)
-            patch.setattr(pair_fill, "_FILL_ROUND", data.draw(st.integers(1, 30)))
-            before = lazy.latency_model.calls
-            drawn = fill.fill_pairs(iter(rows))
+            patch.setattr(topology, "_FILL_SHARE_FLOOR", 1)
+            patch.setattr(topology, "_FILL_ROUND", data.draw(st.integers(1, 30)))
+            fill.fill_pairs(iter(rows))
+        filled = _drawn_pairs(fill)
         for u, row in rows:
             for v in row:
+                fill.transport_latency(u, v)
                 lazy.transport_latency(u, v)
-        assert drawn == lazy.latency_model.calls - before
+        assert filled.items() <= _drawn_pairs(lazy).items()
         assert _tables(fill) == _tables(lazy)
 
 
@@ -443,4 +453,19 @@ class TestCrossRegionColumns:
         far = next(n for n in others if network.region_of(n) != region)
         store, at = network._pair_slot(0, far)
         store[at] = 0.05  # every same-region draw is at least 0.1 ms
+        assert same and network.nearest(0, same + [far], 1) == [far]
+
+    def test_an_overwritten_draw_lowers_the_bound(self):
+        """Storing over a kept draw keeps ``low`` a bound on every kept
+        draw, so nearest still ranks the smaller value first."""
+
+        network = _fresh()
+        region = network.region_of(0)
+        others = [n for n in network.nodes() if n != 0 and not network.has_edge(0, n)]
+        same = [n for n in others if network.region_of(n) == region]
+        far = next(n for n in others if network.region_of(n) != region)
+        store, at = network._pair_slot(0, far)
+        store[at] = 500.0
+        store[at] = 0.05
+        assert store.low == 0.05
         assert same and network.nearest(0, same + [far], 1) == [far]

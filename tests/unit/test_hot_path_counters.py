@@ -32,7 +32,8 @@ delivered Bracha slot keeps no supporter set.
 The per-pair latency draws of the paper-scale construction are exact too:
 HERMES's committee selection and then Mercury's construction draw 18,569
 and 33,891 pairs on a fresh N = 1,100 paper-profile network, whether the
-fill draws them in-process or splits them with a forked helper.
+construction's own reads draw them or a fill splits them with a forked
+helper.
 The tool runs in a fresh interpreter so no cache warmed by another test can
 lower a count.
 """

@@ -40,7 +40,7 @@ TOOLS = SRC.parent / "tools"
 #: read 3,376 lines while ``net/stats.py`` held ``StreamingNetworkStats``.
 IMPORT_BOUNDS = {
     "cli": (5, 820),
-    "flood": (24, 3_480),
+    "flood": (24, 3_400),
     "fig3a": (50, 8_950),
     "cli + fig5a.trial": (63, 10_750),
     "cli + fig8.point": (66, 12_400),
